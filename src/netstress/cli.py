@@ -5,14 +5,14 @@ plus flag overrides), so repeated runs write bit-identical report files.
 A manifest echoes the configuration, library versions, seeds and
 convergence flags.
 
-Exit codes: 0 ok, 1 validation problem, 2 convergence failure, 3 I/O or
-format problem.
+Exit codes: 0 ok, 1 validation problem (an invariant violation or an
+unknown id), 2 convergence failure, 3 I/O or format problem (a file that
+cannot be opened or parsed, or a value out of range).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -44,11 +44,15 @@ from .pipeline import BatchResult, run_batch
 from .propagation import PropagationConfig
 from .scenarios import EmpiricalShockTable, ShockBatch, covid_style_batch, read_batch
 from .synthetic import SyntheticParams, generate_synthetic_economy, synthetic_shock_table
+from .tables import fmt, parse, read_rows
+from .tables import write_csv as _write_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONVERGENCE = 2
 EXIT_IO = 3
+
+LEDGER_COLUMNS = ["scenario_id", "bank_id", "di", "sc", "ib_wo", "ib_w", "total_wo", "total_w"]
 
 DEFAULT_CONFIG = {
     "economy": {"source": "files", "dir": ".", "lgd": 1.0, "seed": 7,
@@ -64,10 +68,6 @@ DEFAULT_CONFIG = {
     "out": "out",
     "trace": False,
 }
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -219,13 +219,6 @@ def _write_manifest(out: Path, command: str, config: dict, extra: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -258,8 +251,8 @@ def _write_profile(out: Path, records) -> None:
         out / "fsri_profile.csv",
         ["rank", "firm_id", "fsri", "fsri_plus", "amplification"],
         [
-            [rank, r.firm_id, _fmt(r.fsri), _fmt(r.fsri_plus),
-             "" if np.isnan(r.amplification) else _fmt(r.amplification)]
+            [rank, r.firm_id, fmt(r.fsri), fmt(r.fsri_plus),
+             "" if np.isnan(r.amplification) else fmt(r.amplification)]
             for rank, r in enumerate(records, start=1)
         ],
     )
@@ -282,7 +275,7 @@ def cmd_fsri(config: dict) -> int:
         ("fsri_plus", [r.fsri_plus for r in records]),
     ):
         levels, survival = ccdf(values)
-        rows += [[metric, _fmt(lv), _fmt(sv)] for lv, sv in zip(levels, survival)]
+        rows += [[metric, fmt(lv), fmt(sv)] for lv, sv in zip(levels, survival)]
     _write_csv(out / "ccdf.csv", ["metric", "level", "survival"], rows)
 
     _write_manifest(out, "fsri", config, {
@@ -296,20 +289,14 @@ def cmd_fsri(config: dict) -> int:
 def _write_ledgers(out: Path, result: BatchResult) -> None:
     dec = ChannelDecomposition(result)
     losses = dec.channel_losses()
-    rows = []
-    for s in range(len(result)):
-        for k, bank_id in enumerate(result.bank_ids):
-            rows.append([
-                s, bank_id,
-                _fmt(result.di[s, k]), _fmt(result.sc[s, k]),
-                _fmt(result.ib_wo[s, k]), _fmt(result.ib_w[s, k]),
-                _fmt(losses["di_ib"][s, k]), _fmt(losses["di_sc_ib"][s, k]),
-            ])
-    _write_csv(
-        out / "ledgers.csv",
-        ["scenario_id", "bank_id", "di", "sc", "ib_wo", "ib_w", "total_wo", "total_w"],
-        rows,
-    )
+    _write_csv(out / "ledgers.csv", LEDGER_COLUMNS, (
+        [scenario, bank_id,
+         fmt(result.di[s, k]), fmt(result.sc[s, k]),
+         fmt(result.ib_wo[s, k]), fmt(result.ib_w[s, k]),
+         fmt(losses["di_ib"][s, k]), fmt(losses["di_sc_ib"][s, k])]
+        for s, scenario in enumerate(result.scenario_ids)
+        for k, bank_id in enumerate(result.bank_ids)
+    ))
 
 
 def _regime_channels(regime: str) -> tuple[str, ...]:
@@ -323,7 +310,7 @@ def _regime_channels(regime: str) -> tuple[str, ...]:
 def _write_stats(out: Path, dec: ChannelDecomposition, regime: str) -> dict:
     channels = _regime_channels(regime)
     rows = [
-        [bank, channel, _fmt(summary.el), _fmt(summary.var95), _fmt(summary.es95), reg]
+        [bank, channel, fmt(summary.el), fmt(summary.var95), fmt(summary.es95), reg]
         for bank, channel, reg, summary in dec.summaries()
         if channel in channels
     ]
@@ -334,8 +321,8 @@ def _write_stats(out: Path, dec: ChannelDecomposition, regime: str) -> dict:
         out / "amplification.csv",
         ["scenario_id", "bank_id", "ib_wo", "ib_w", "ratio"],
         [
-            [r.scenario, r.bank_id, _fmt(r.ib_wo), _fmt(r.ib_w),
-             "" if np.isnan(r.ratio) else _fmt(r.ratio)]
+            [r.scenario, r.bank_id, fmt(r.ib_wo), fmt(r.ib_w),
+             "" if np.isnan(r.ratio) else fmt(r.ratio)]
             for r in records
         ],
     )
@@ -376,7 +363,7 @@ def _write_stats(out: Path, dec: ChannelDecomposition, regime: str) -> dict:
         _write_csv(
             out / "ccdf.csv",
             ["metric", "level", "survival"],
-            [["ib_amplification", _fmt(lv), _fmt(sv)] for lv, sv in zip(levels, survival)],
+            [["ib_amplification", fmt(lv), fmt(sv)] for lv, sv in zip(levels, survival)],
         )
     except ValueError:
         _write_csv(out / "ccdf.csv", ["metric", "level", "survival"], [])
@@ -402,16 +389,17 @@ def cmd_stress(config: dict) -> int:
     if trace:
         dump_defaults(
             out / "defaults.csv",
-            range(len(result)), result.chi_wo, result.chi_w, result.dp_w, graph.firm_ids,
+            result.scenario_ids, result.chi_wo, result.chi_w, result.dp_w, graph.firm_ids,
         )
 
+    ids = np.asarray(result.scenario_ids)
     convergence = {
         "sc_failures": int((~result.sc_converged).sum()),
         "debtrank_wo_failures": int((~result.dr_wo_converged).sum()),
         "debtrank_w_failures": int((~result.dr_w_converged).sum()),
-        "sc_failed_scenarios": np.flatnonzero(~result.sc_converged).tolist(),
-        "debtrank_wo_failed_scenarios": np.flatnonzero(~result.dr_wo_converged).tolist(),
-        "debtrank_w_failed_scenarios": np.flatnonzero(~result.dr_w_converged).tolist(),
+        "sc_failed_scenarios": ids[~result.sc_converged].tolist(),
+        "debtrank_wo_failed_scenarios": ids[~result.dr_wo_converged].tolist(),
+        "debtrank_w_failed_scenarios": ids[~result.dr_w_converged].tolist(),
         "residual_sectors": len(batch.residuals),
         "complete": result.all_converged,
     }
@@ -444,7 +432,7 @@ def cmd_debtrank(config: dict) -> int:
         out / "debtrank.csv",
         ["bank_id", "total", "contagion_only"],
         [
-            [bid, _fmt(t), _fmt(c)]
+            [bid, fmt(t), fmt(c)]
             for bid, t, c in zip(profile.bank_ids, profile.total, profile.contagion_only)
         ],
     )
@@ -464,49 +452,37 @@ def cmd_debtrank(config: dict) -> int:
 
 def cmd_report(config: dict, ledgers: str) -> int:
     path = Path(ledgers)
-    per_scenario: dict[int, dict[str, list[float]]] = {}
-    bank_ids: list[str] = []
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"{path}: cannot open ({exc})") from exc
-    with handle:
-        reader = csv.DictReader(handle)
-        expected = ["scenario_id", "bank_id", "di", "sc", "ib_wo", "ib_w", "total_wo", "total_w"]
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
-            raise DataFormatError(f"{path}: expected header {','.join(expected)}")
-        for row in reader:
-            try:
-                s = int(row["scenario_id"])
-                values = [float(row[c]) for c in ("di", "sc", "ib_wo", "ib_w")]
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path} line {reader.line_num}: bad row") from exc
-            bank_id = row["bank_id"].strip()
-            if bank_id not in bank_ids:
-                bank_ids.append(bank_id)
-            per_scenario.setdefault(s, {})[bank_id] = values
-    if not per_scenario:
+    cells: dict[tuple[int, str], list[float]] = {}
+    for line, row in read_rows(path, LEDGER_COLUMNS):
+        key = (parse(path, line, "scenario_id", row["scenario_id"], int), row["bank_id"].strip())
+        if key in cells:
+            raise DataFormatError(
+                f"{path} line {line}: second row for scenario {key[0]} and bank {key[1]!r}"
+            )
+        cells[key] = [parse(path, line, c, row[c]) for c in ("di", "sc", "ib_wo", "ib_w")]
+    if not cells:
         raise DataFormatError(f"{path}: no ledgers found")
 
-    scenarios = sorted(per_scenario)
-    arrays = {name: np.zeros((len(scenarios), len(bank_ids))) for name in ("di", "sc", "ib_wo", "ib_w")}
+    scenarios = sorted({s for s, _ in cells})
+    bank_ids = list(dict.fromkeys(b for _, b in cells))
+    losses = np.zeros((4, len(scenarios), len(bank_ids)))
     for si, s in enumerate(scenarios):
         for k, bank_id in enumerate(bank_ids):
-            di, sc, ib_wo, ib_w = per_scenario[s][bank_id]
-            arrays["di"][si, k] = di
-            arrays["sc"][si, k] = sc
-            arrays["ib_wo"][si, k] = ib_wo
-            arrays["ib_w"][si, k] = ib_w
+            if (s, bank_id) not in cells:
+                raise DataFormatError(f"{path}: no row for scenario {s} and bank {bank_id!r}")
+            losses[:, si, k] = cells[s, bank_id]
+    di, sc, ib_wo, ib_w = losses
 
     # recomputed statistics need equity weights; without the economy they
     # are taken as equal, which only affects the synthetic 'system' rows
     result = BatchResult(
         bank_ids=bank_ids,
         bank_equity=np.ones(len(bank_ids)),
-        di=arrays["di"], sc=arrays["sc"], ib_wo=arrays["ib_wo"], ib_w=arrays["ib_w"],
+        di=di, sc=sc, ib_wo=ib_wo, ib_w=ib_w,
         sc_converged=np.ones(len(scenarios), dtype=bool),
         dr_wo_converged=np.ones(len(scenarios), dtype=bool),
         dr_w_converged=np.ones(len(scenarios), dtype=bool),
+        scenario_ids=scenarios,
     )
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,6 @@ defaults caused by the cascade).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .economy import EconomyGraph
 from .propagation import ProductionProfile
+from .tables import fmt, write_csv
 
 
 @dataclass
@@ -135,9 +135,8 @@ def dump_defaults(
     firm_ids: list[str],
 ) -> None:
     """Write per-scenario default flags and profit shocks as long-format CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario_id", "firm_id", "chi_wo", "chi_w", "dp"])
-        for sid, wo, w, dp in zip(scenario_ids, chi_wo_rows, chi_w_rows, dp_rows):
-            for i, fid in enumerate(firm_ids):
-                writer.writerow([sid, fid, int(wo[i]), int(w[i]), repr(float(dp[i]))])
+    write_csv(path, ["scenario_id", "firm_id", "chi_wo", "chi_w", "dp"], (
+        [sid, fid, int(wo[i]), int(w[i]), fmt(dp[i])]
+        for sid, wo, w, dp in zip(scenario_ids, chi_wo_rows, chi_w_rows, dp_rows)
+        for i, fid in enumerate(firm_ids)
+    ))

@@ -17,13 +17,13 @@ system.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .economy import EconomyGraph
+from .tables import fmt, write_csv
 
 DEFAULT_EPSILON = 0.01
 DEFAULT_MAX_ITER = 1000
@@ -128,9 +128,8 @@ def write_trace(result: ContagionResult, bank_ids: list[str], path: str | Path) 
     """Dump a recorded contagion trace as (iteration, bank_id, loss) rows."""
     if result.trace is None:
         raise ValueError("result carries no trace; run with record_trace=True")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "bank_id", "loss"])
-        for t, row in enumerate(result.trace):
-            for bid, value in zip(bank_ids, row):
-                writer.writerow([t, bid, repr(float(value))])
+    write_csv(path, ["iteration", "bank_id", "loss"], (
+        [t, bid, fmt(value)]
+        for t, row in enumerate(result.trace)
+        for bid, value in zip(bank_ids, row)
+    ))

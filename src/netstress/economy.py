@@ -12,6 +12,7 @@ ratio, so no conversion layer exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -63,6 +64,9 @@ def derive_eligibility(firm: FirmNode) -> bool:
         and (firm.short_assets - firm.short_liabs) > 0.0
         and (firm.revenue - firm.op_cost) > 0.0
     )
+
+
+FINANCIAL_FIELDS = ("revenue", "op_cost", "equity", "short_assets", "short_liabs")
 
 
 @dataclass
@@ -304,6 +308,11 @@ def validate_economy(g: EconomyGraph) -> ValidationReport:
         seen.add(f.id)
         if not f.sector:
             report.add(ent, "empty-sector", "sector code must be non-empty")
+        if f.financials_present:
+            for name in FINANCIAL_FIELDS:
+                value = getattr(f, name)
+                if not math.isfinite(value):
+                    report.add(ent, "non-finite", f"{name} is {value}")
         if f.eligible_for_default:
             if not f.financials_present:
                 report.add(ent, "eligibility", "eligible firm lacks financials")
@@ -323,8 +332,8 @@ def validate_economy(g: EconomyGraph) -> ValidationReport:
         if b.id in seen_banks:
             report.add(ent, "duplicate-id", "bank id appears more than once")
         seen_banks.add(b.id)
-        if b.tier1_equity <= 0.0:
-            report.add(ent, "equity", f"tier 1 equity {b.tier1_equity} must be > 0")
+        if not 0.0 < b.tier1_equity < math.inf:
+            report.add(ent, "equity", f"tier 1 equity {b.tier1_equity} must be finite and > 0")
 
     w = g.supply.weights
     if w.shape != (n, n):
@@ -334,12 +343,12 @@ def validate_economy(g: EconomyGraph) -> ValidationReport:
         for i in np.flatnonzero(diag != 0.0):
             report.add(f"firm:{g.firm_ids[i]}", "self-loop", "supply self-loop with nonzero weight")
         coo = w.tocoo()
-        bad = coo.data <= 0.0
-        for i, j in zip(coo.row[bad], coo.col[bad]):
+        bad = ~((coo.data > 0.0) & np.isfinite(coo.data))
+        for i, j, x in zip(coo.row[bad], coo.col[bad], coo.data[bad]):
             report.add(
                 f"firm:{g.firm_ids[i]}",
                 "edge-weight",
-                f"supply edge to {g.firm_ids[j]} has non-positive weight",
+                f"supply edge to {g.firm_ids[j]} has weight {x}, must be finite and > 0",
             )
 
     liab = g.interbank.liabilities
@@ -350,12 +359,12 @@ def validate_economy(g: EconomyGraph) -> ValidationReport:
         for k in np.flatnonzero(diag != 0.0):
             report.add(f"bank:{g.bank_ids[k]}", "self-loop", "bank borrows from itself")
         coo = liab.tocoo()
-        bad = coo.data < 0.0
-        for k, l in zip(coo.row[bad], coo.col[bad]):
+        bad = ~((coo.data >= 0.0) & np.isfinite(coo.data))
+        for k, l, x in zip(coo.row[bad], coo.col[bad], coo.data[bad]):
             report.add(
                 f"bank:{g.bank_ids[k]}",
                 "edge-weight",
-                f"interbank loan from {g.bank_ids[l]} is negative",
+                f"interbank loan from {g.bank_ids[l]} is {x}, must be finite and >= 0",
             )
 
     loans = g.loans.principals
@@ -363,12 +372,12 @@ def validate_economy(g: EconomyGraph) -> ValidationReport:
         report.add("loans", "shape", f"loan book is {loans.shape}, expected {(n, m)}")
     else:
         coo = loans.tocoo()
-        bad = coo.data < 0.0
-        for i, k in zip(coo.row[bad], coo.col[bad]):
+        bad = ~((coo.data >= 0.0) & np.isfinite(coo.data))
+        for i, k, x in zip(coo.row[bad], coo.col[bad], coo.data[bad]):
             report.add(
                 f"firm:{g.firm_ids[i]}",
                 "loan-amount",
-                f"loan from bank {g.bank_ids[k]} is negative",
+                f"loan from bank {g.bank_ids[k]} is {x}, must be finite and >= 0",
             )
     if not (0.0 < g.loans.lgd <= 1.0):
         report.add("loans", "lgd", f"loss given default {g.loans.lgd} outside (0, 1]")

@@ -1,4 +1,4 @@
-"""CSV ingestion and export for economy graphs.
+"""Reading and writing economy graphs as CSV files.
 
 One headered CSV per component keeps fixtures auditable and diffable:
 
@@ -9,20 +9,18 @@ One headered CSV per component keeps fixtures auditable and diffable:
 * ``banks.csv``       id,tier1_equity
 * ``essentiality.csv``  supplier_sector,buyer_sector,essential  (optional)
 
-UTF-8, '.' decimal separator, no thousands separators. Firms that appear
+The format itself lives in :mod:`netstress.tables`. Firms that appear
 only in ``supply.csv`` are kept as bare supply-chain nodes without
 financials; they can propagate shocks but never default on loans.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .economy import (
+    FINANCIAL_FIELDS,
     BankSheet,
     DataFormatError,
     EconomyGraph,
@@ -36,8 +34,9 @@ from .economy import (
     derive_eligibility,
     validate_economy,
 )
+from .tables import fmt, parse, read_rows, write_csv
 
-FIRM_COLUMNS = ["id", "sector", "revenue", "op_cost", "equity", "short_assets", "short_liabs"]
+FIRM_COLUMNS = ["id", "sector", *FINANCIAL_FIELDS]
 SUPPLY_COLUMNS = ["supplier_id", "buyer_id", "weight"]
 INTERBANK_COLUMNS = ["borrower_id", "lender_id", "amount"]
 LOAN_COLUMNS = ["firm_id", "bank_id", "principal"]
@@ -75,38 +74,11 @@ def economy_files(directory: str | Path, lgd: float = 1.0) -> IngestionSpec:
     )
 
 
-def _rows(path: Path, columns: list[str]):
-    """Yield (line_number, row_dict) from a headered CSV, checking the header."""
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"{path}: cannot open ({exc})") from exc
-    with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DataFormatError(f"{path}: empty file, expected header {','.join(columns)}")
-        if [c.strip() for c in reader.fieldnames] != columns:
-            raise DataFormatError(
-                f"{path}: header is {','.join(reader.fieldnames)}, expected {','.join(columns)}"
-            )
-        for row in reader:
-            if None in row.values() or None in row:
-                raise DataFormatError(f"{path} line {reader.line_num}: wrong number of fields")
-            yield reader.line_num, row
-
-
-def _parse_float(path: Path, line: int, name: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise DataFormatError(f"{path} line {line}: column {name} is not a number: {value!r}") from exc
-
-
 def load_essentiality(path: str | Path, default_essential: bool = True) -> EssentialityTable:
     """Read a sector-pair essentiality table; unlisted pairs use the default."""
     path = Path(path)
     overrides: dict[tuple[str, str], bool] = {}
-    for line, row in _rows(path, ESSENTIALITY_COLUMNS):
+    for line, row in read_rows(path, ESSENTIALITY_COLUMNS):
         flag = row["essential"].strip()
         if flag not in ("0", "1"):
             raise DataFormatError(f"{path} line {line}: essential must be 0 or 1, got {flag!r}")
@@ -124,11 +96,11 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
     """
     firms: list[FirmNode] = []
     firm_index: dict[str, int] = {}
-    for line, row in _rows(spec.firms, FIRM_COLUMNS):
+    for line, row in read_rows(spec.firms, FIRM_COLUMNS):
         fid = row["id"].strip()
         if fid in firm_index:
             raise DataFormatError(f"{spec.firms} line {line}: duplicate firm id {fid!r}")
-        fin_cells = [row[c].strip() for c in FIRM_COLUMNS[2:]]
+        fin_cells = [row[c].strip() for c in FINANCIAL_FIELDS]
         if all(cell == "" for cell in fin_cells):
             firm = FirmNode(
                 id=fid, sector=row["sector"].strip(),
@@ -139,7 +111,7 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
                 f"{spec.firms} line {line}: financial columns must be all present or all blank"
             )
         else:
-            values = [_parse_float(spec.firms, line, c, row[c]) for c in FIRM_COLUMNS[2:]]
+            values = [parse(spec.firms, line, c, row[c]) for c in FINANCIAL_FIELDS]
             firm = FirmNode(fid, row["sector"].strip(), *values)
             firm.eligible_for_default = derive_eligibility(firm)
         firm_index[fid] = len(firms)
@@ -147,17 +119,17 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
 
     banks: list[BankSheet] = []
     bank_index: dict[str, int] = {}
-    for line, row in _rows(spec.banks, BANK_COLUMNS):
+    for line, row in read_rows(spec.banks, BANK_COLUMNS):
         bid = row["id"].strip()
         if bid in bank_index:
             raise DataFormatError(f"{spec.banks} line {line}: duplicate bank id {bid!r}")
         bank_index[bid] = len(banks)
-        banks.append(BankSheet(bid, _parse_float(spec.banks, line, "tier1_equity", row["tier1_equity"])))
+        banks.append(BankSheet(bid, parse(spec.banks, line, "tier1_equity", row["tier1_equity"])))
 
     suppliers: list[int] = []
     buyers: list[int] = []
     weights: list[float] = []
-    for line, row in _rows(spec.supply, SUPPLY_COLUMNS):
+    for line, row in read_rows(spec.supply, SUPPLY_COLUMNS):
         edge_ids = []
         for col in ("supplier_id", "buyer_id"):
             fid = row[col].strip()
@@ -171,12 +143,12 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
             edge_ids.append(firm_index[fid])
         suppliers.append(edge_ids[0])
         buyers.append(edge_ids[1])
-        weights.append(_parse_float(spec.supply, line, "weight", row["weight"]))
+        weights.append(parse(spec.supply, line, "weight", row["weight"]))
 
     borrowers: list[int] = []
     lenders: list[int] = []
     amounts: list[float] = []
-    for line, row in _rows(spec.interbank, INTERBANK_COLUMNS):
+    for line, row in read_rows(spec.interbank, INTERBANK_COLUMNS):
         for col in ("borrower_id", "lender_id"):
             if row[col].strip() not in bank_index:
                 raise ReferentialError(
@@ -184,12 +156,12 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
                 )
         borrowers.append(bank_index[row["borrower_id"].strip()])
         lenders.append(bank_index[row["lender_id"].strip()])
-        amounts.append(_parse_float(spec.interbank, line, "amount", row["amount"]))
+        amounts.append(parse(spec.interbank, line, "amount", row["amount"]))
 
     loan_firms: list[int] = []
     loan_banks: list[int] = []
     principals: list[float] = []
-    for line, row in _rows(spec.loans, LOAN_COLUMNS):
+    for line, row in read_rows(spec.loans, LOAN_COLUMNS):
         fid = row["firm_id"].strip()
         bid = row["bank_id"].strip()
         if fid not in firm_index:
@@ -198,7 +170,7 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
             raise ReferentialError(f"{spec.loans} line {line}: unknown bank id {bid!r}")
         loan_firms.append(firm_index[fid])
         loan_banks.append(bank_index[bid])
-        principals.append(_parse_float(spec.loans, line, "principal", row["principal"]))
+        principals.append(parse(spec.loans, line, "principal", row["principal"]))
 
     essentiality = (
         load_essentiality(spec.essentiality) if spec.essentiality is not None else EssentialityTable()
@@ -218,57 +190,28 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
     return graph
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_economy(g: EconomyGraph, directory: str | Path) -> None:
     """Write an economy back to the CSV layout read by :func:`load_economy`."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-
-    with open(d / "firms.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FIRM_COLUMNS)
-        for f in g.firms:
-            if f.financials_present:
-                writer.writerow([
-                    f.id, f.sector, _fmt(f.revenue), _fmt(f.op_cost), _fmt(f.equity),
-                    _fmt(f.short_assets), _fmt(f.short_liabs),
-                ])
-            else:
-                writer.writerow([f.id, f.sector, "", "", "", "", ""])
-
-    with open(d / "banks.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BANK_COLUMNS)
-        for b in g.banks:
-            writer.writerow([b.id, _fmt(b.tier1_equity)])
-
-    with open(d / "supply.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUPPLY_COLUMNS)
-        coo = g.supply.weights.tocoo()
-        for i, j, wij in zip(coo.row, coo.col, coo.data):
-            writer.writerow([g.firm_ids[i], g.firm_ids[j], _fmt(wij)])
-
-    with open(d / "interbank.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(INTERBANK_COLUMNS)
-        coo = g.interbank.liabilities.tocoo()
-        for k, l, amt in zip(coo.row, coo.col, coo.data):
-            writer.writerow([g.bank_ids[k], g.bank_ids[l], _fmt(amt)])
-
-    with open(d / "loans.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LOAN_COLUMNS)
-        coo = g.loans.principals.tocoo()
-        for i, k, amt in zip(coo.row, coo.col, coo.data):
-            writer.writerow([g.firm_ids[i], g.bank_ids[k], _fmt(amt)])
-
+    write_csv(d / "firms.csv", FIRM_COLUMNS, (
+        [f.id, f.sector, fmt(f.revenue), fmt(f.op_cost), fmt(f.equity),
+         fmt(f.short_assets), fmt(f.short_liabs)]
+        if f.financials_present else [f.id, f.sector, "", "", "", "", ""]
+        for f in g.firms
+    ))
+    write_csv(d / "banks.csv", BANK_COLUMNS, ([b.id, fmt(b.tier1_equity)] for b in g.banks))
+    for name, columns, matrix, row_ids, col_ids in (
+        ("supply.csv", SUPPLY_COLUMNS, g.supply.weights, g.firm_ids, g.firm_ids),
+        ("interbank.csv", INTERBANK_COLUMNS, g.interbank.liabilities, g.bank_ids, g.bank_ids),
+        ("loans.csv", LOAN_COLUMNS, g.loans.principals, g.firm_ids, g.bank_ids),
+    ):
+        coo = matrix.tocoo()
+        write_csv(d / name, columns, (
+            [row_ids[i], col_ids[j], fmt(x)] for i, j, x in zip(coo.row, coo.col, coo.data)
+        ))
     if g.essentiality.overrides:
-        with open(d / "essentiality.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(ESSENTIALITY_COLUMNS)
-            for (sup, buy), flag in sorted(g.essentiality.overrides.items()):
-                writer.writerow([sup, buy, "1" if flag else "0"])
+        write_csv(d / "essentiality.csv", ESSENTIALITY_COLUMNS, (
+            [sup, buy, "1" if flag else "0"]
+            for (sup, buy), flag in sorted(g.essentiality.overrides.items())
+        ))

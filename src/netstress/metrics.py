@@ -200,11 +200,11 @@ class ChannelDecomposition:
         return [
             AmplificationRecord(
                 bank_id=self.bank_ids[k],
-                scenario=s,
+                scenario=scenario,
                 ib_wo=float(r.ib_wo[s, k]),
                 ib_w=float(r.ib_w[s, k]),
             )
-            for s in range(len(r))
+            for s, scenario in enumerate(r.scenario_ids)
             for k in range(len(self.bank_ids))
         ]
 

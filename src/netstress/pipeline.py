@@ -74,7 +74,11 @@ def run_scenario(
 
 @dataclass
 class BatchResult:
-    """Stacked channel losses over a scenario batch; one row per scenario."""
+    """Stacked channel losses over a scenario batch; one row per scenario.
+
+    ``scenario_ids`` name the rows in every output; they default to
+    ``0 .. len - 1``.
+    """
 
     bank_ids: list[str]
     bank_equity: np.ndarray
@@ -88,6 +92,11 @@ class BatchResult:
     chi_wo: np.ndarray | None = None  # (scenarios, firms), kept only on request
     chi_w: np.ndarray | None = None
     dp_w: np.ndarray | None = None
+    scenario_ids: list[int] | None = None
+
+    def __post_init__(self):
+        if self.scenario_ids is None:
+            self.scenario_ids = list(range(len(self)))
 
     def __len__(self) -> int:
         return self.di.shape[0]
@@ -143,4 +152,5 @@ def run_batch(
         chi_wo=np.vstack([o.chi_wo for o in outcomes]) if keep_defaults else None,
         chi_w=np.vstack([o.chi_w for o in outcomes]) if keep_defaults else None,
         dp_w=np.vstack([o.dp_w for o in outcomes]) if keep_defaults else None,
+        scenario_ids=list(batch.scenario_ids),
     )

@@ -20,7 +20,6 @@ so the decrement-based stopping rule always terminates.
 
 from __future__ import annotations
 
-import csv
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from .economy import EconomyGraph
+from .tables import fmt, write_csv
 
 
 @dataclass(frozen=True)
@@ -237,9 +237,8 @@ def write_trajectory(profile: ProductionProfile, firm_ids: list[str], path: str 
     """Dump a recorded trajectory as (iteration, firm_id, h) rows."""
     if profile.trajectory is None:
         raise ValueError("profile carries no trajectory; run with record_trajectory=True")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "firm_id", "h"])
-        for t, row in enumerate(profile.trajectory):
-            for fid, value in zip(firm_ids, row):
-                writer.writerow([t, fid, repr(float(value))])
+    write_csv(path, ["iteration", "firm_id", "h"], (
+        [t, fid, fmt(value)]
+        for t, row in enumerate(profile.trajectory)
+        for fid, value in zip(firm_ids, row)
+    ))

@@ -9,15 +9,17 @@ identical at the industry level.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .economy import DataFormatError, EconomyGraph, InterbankNetwork
-from .propagation import check_shock_vector
+from .economy import DataFormatError, EconomyGraph, InterbankNetwork, ReferentialError
+from .tables import fmt, parse, parse_fraction, read_rows, write_csv
+
+SHOCK_TABLE_COLUMNS = ["firm_id", "reduction"]
+BATCH_COLUMNS = ["scenario_id", "firm_id", "psi"]
 
 _RESCALE_ROUNDS = 10
 _AGGREGATE_TOL = 1e-9
@@ -29,13 +31,19 @@ class ShockBatch:
 
     ``residuals`` records (scenario, sector, gap) for the rare industries
     whose aggregate could not be met exactly because clipping to [0, 1]
-    left a remainder after redistribution.
+    left a remainder after redistribution. ``scenario_ids`` name the rows
+    in every output; they default to ``0 .. len - 1``.
     """
 
     psi: np.ndarray  # (scenarios, firms)
     seed: int | None
     provenance: str
     residuals: list[tuple[int, str, float]] = field(default_factory=list)
+    scenario_ids: list[int] | None = None
+
+    def __post_init__(self):
+        if self.scenario_ids is None:
+            self.scenario_ids = list(range(len(self)))
 
     def __len__(self) -> int:
         return self.psi.shape[0]
@@ -69,28 +77,13 @@ class EmpiricalShockTable:
     @classmethod
     def from_csv(cls, path: str | Path) -> "EmpiricalShockTable":
         path = Path(path)
-        reductions: dict[str, float] = {}
-        try:
-            handle = open(path, newline="", encoding="utf-8")
-        except OSError as exc:
-            raise DataFormatError(f"{path}: cannot open ({exc})") from exc
-        with handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["firm_id", "reduction"]:
-                raise DataFormatError(f"{path}: expected header firm_id,reduction")
-            for row in reader:
-                try:
-                    reductions[row["firm_id"].strip()] = float(row["reduction"])
-                except (TypeError, ValueError) as exc:
-                    raise DataFormatError(f"{path} line {reader.line_num}: bad reduction value") from exc
-        return cls(reductions=reductions)
+        return cls(reductions={
+            row["firm_id"].strip(): parse_fraction(path, line, "reduction", row["reduction"])
+            for line, row in read_rows(path, SHOCK_TABLE_COLUMNS)
+        })
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["firm_id", "reduction"])
-            for fid, value in self.reductions.items():
-                writer.writerow([fid, repr(float(value))])
+        write_csv(path, SHOCK_TABLE_COLUMNS, ([f, fmt(v)] for f, v in self.reductions.items()))
 
 
 @dataclass
@@ -108,7 +101,7 @@ def _sampling_layout(g: EconomyGraph, table: EmpiricalShockTable) -> list[_Secto
     index = g.firm_index
     for fid in table.reductions:
         if fid not in index:
-            raise ValueError(f"shock table references unknown firm id {fid!r}")
+            raise ReferentialError(f"shock table references unknown firm id {fid!r}")
 
     observed = np.full(g.n, np.nan)
     for fid, value in table.reductions.items():
@@ -124,7 +117,7 @@ def _sampling_layout(g: EconomyGraph, table: EmpiricalShockTable) -> list[_Secto
         members = np.flatnonzero(nace2 == code)
         data_members = members[has_data[members]]
         if data_members.size == 0:
-            raise ValueError(f"sector {code!r} has no empirical observations to resample")
+            raise DataFormatError(f"shock table has no observations for sector {code!r} to resample")
         pool2 = observed[data_members]
 
         data_w = output[data_members]
@@ -263,39 +256,27 @@ def random_interbank_network(m: int, seed: int, bank_equity=None) -> InterbankNe
 
 def write_batch(batch: ShockBatch, firm_ids: list[str], path: str | Path) -> None:
     """Dump a batch in long format: scenario_id, firm_id, psi."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario_id", "firm_id", "psi"])
-        for s, row in enumerate(batch.psi):
-            for fid, value in zip(firm_ids, row):
-                writer.writerow([s, fid, repr(float(value))])
+    write_csv(path, BATCH_COLUMNS, (
+        [s, fid, fmt(value)]
+        for s, row in zip(batch.scenario_ids, batch.psi)
+        for fid, value in zip(firm_ids, row)
+    ))
 
 
 def read_batch(g: EconomyGraph, path: str | Path) -> ShockBatch:
-    """Read a long-format batch dump back into a ShockBatch."""
+    """Read a long-format batch; unlisted firms keep psi = 1, scenario ids are kept."""
     path = Path(path)
     per_scenario: dict[int, np.ndarray] = {}
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"{path}: cannot open ({exc})") from exc
-    with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["scenario_id", "firm_id", "psi"]:
-            raise DataFormatError(f"{path}: expected header scenario_id,firm_id,psi")
-        for row in reader:
-            try:
-                s = int(row["scenario_id"])
-                value = float(row["psi"])
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path} line {reader.line_num}: bad row") from exc
-            fid = row["firm_id"].strip()
-            if fid not in g.firm_index:
-                raise DataFormatError(f"{path} line {reader.line_num}: unknown firm id {fid!r}")
-            per_scenario.setdefault(s, np.ones(g.n))[g.firm_index[fid]] = value
+    for line, row in read_rows(path, BATCH_COLUMNS):
+        s = parse(path, line, "scenario_id", row["scenario_id"], int)
+        fid = row["firm_id"].strip()
+        if fid not in g.firm_index:
+            raise ReferentialError(f"{path} line {line}: unknown firm id {fid!r}")
+        psi = parse_fraction(path, line, "psi", row["psi"])
+        per_scenario.setdefault(s, np.ones(g.n))[g.firm_index[fid]] = psi
     if not per_scenario:
         raise DataFormatError(f"{path}: no scenarios found")
-    psi = np.vstack([per_scenario[s] for s in sorted(per_scenario)])
-    for row in psi:
-        check_shock_vector(row, g.n)
-    return ShockBatch(psi=psi, seed=None, provenance="custom")
+    ids = sorted(per_scenario)
+    return ShockBatch(
+        psi=np.vstack([per_scenario[s] for s in ids]), seed=None, provenance="custom", scenario_ids=ids
+    )

@@ -216,3 +216,120 @@ class TestDebtrankCommand:
         out = tmp_path / "dr"
         assert run(["debtrank", "--economy-dir", str(toy_dir), "--trace", "--out", str(out)]) == 0
         assert (out / "debtrank_trace_1.csv").exists()
+
+
+def copy_toy(toy_dir, dest, **replace):
+    """Copy the toy economy into ``dest``, swapping line ``i`` of a file.
+
+    ``replace`` maps a file stem to ``(line_index, new_line)``.
+    """
+    dest.mkdir(exist_ok=True)
+    for name in ("firms", "supply", "interbank", "loans", "banks"):
+        lines = (toy_dir / f"{name}.csv").read_text().splitlines()
+        if name in replace:
+            index, line = replace[name]
+            lines[index] = line
+        (dest / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    return dest
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    return err[0]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("name, line, entity", [
+        ("banks", "1,nan", "bank:1"),
+        ("banks", "1,inf", "bank:1"),
+        ("firms", "a,1011,nan,70.0,500.0,600.0,50.0", "firm:a"),
+        ("firms", "a,1011,100.0,70.0,500.0,inf,50.0", "firm:a"),
+        ("supply", "b,c,inf", "firm:b"),
+        ("supply", "b,c,nan", "firm:b"),
+        ("interbank", "2,1,nan", "bank:2"),
+        ("loans", "a,1,inf", "firm:a"),
+        ("loans", "a,1,nan", "firm:a"),
+    ])
+    def test_non_finite_numbers_are_violations(self, toy_dir, tmp_path, capsys, name, line, entity):
+        eco = copy_toy(toy_dir, tmp_path / "eco", **{name: (1, line)})
+        assert run(["validate", "--economy-dir", str(eco)]) == 1
+        err = capsys.readouterr().err
+        assert entity in err and "Traceback" not in err
+        assert run(["stress", "--economy-dir", str(eco), "--count", "2",
+                    "--workers", "1", "--out", str(tmp_path / "run")]) == 1
+
+    def test_file_that_is_not_utf8(self, toy_dir, tmp_path, capsys):
+        eco = copy_toy(toy_dir, tmp_path / "eco")
+        (eco / "banks.csv").write_bytes(b"id,tier1_equity\n1,200.0\n\xff2,150.0\n")
+        assert run(["validate", "--economy-dir", str(eco)]) == 3
+        assert "banks.csv" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("table, code, needle", [
+        ("firm_id,reduction\na,1.5\nd,0.5\n", 3, "line 2"),
+        ("firm_id,reduction\na,0.3\nd,nan\n", 3, "line 3"),
+        ("firm_id,reduction\na,0.3\nzz,0.5\n", 1, "'zz'"),
+        ("firm_id,reduction\n", 3, "'10'"),
+    ])
+    def test_shock_table_errors(self, toy_dir, tmp_path, capsys, table, code, needle):
+        path = tmp_path / "shocks.csv"
+        path.write_text(table)
+        assert run(["stress", "--economy-dir", str(toy_dir), "--shocks", str(path),
+                    "--count", "2", "--workers", "1", "--out", str(tmp_path / "run")]) == code
+        assert needle in one_line_error(capsys)
+
+    @pytest.mark.parametrize("batch, code, needle", [
+        ("scenario_id,firm_id,psi\n0,a,1.5\n", 3, "line 2"),
+        ("scenario_id,firm_id,psi\n0,a,0.5\n0,b,nan\n", 3, "line 3"),
+        ("scenario_id,firm_id,psi\nx,a,0.5\n", 3, "line 2"),
+        ("scenario_id,firm_id,psi\n0,a,0.5\n0,zz,0.5\n", 1, "'zz'"),
+    ])
+    def test_batch_file_errors(self, toy_dir, tmp_path, capsys, batch, code, needle):
+        path = tmp_path / "batch.csv"
+        path.write_text(batch)
+        assert run(["stress", "--economy-dir", str(toy_dir), "--batch-file", str(path),
+                    "--workers", "1", "--out", str(tmp_path / "run")]) == code
+        assert needle in one_line_error(capsys)
+
+    def test_report_on_ledger_missing_a_row(self, toy_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run(["stress", "--economy-dir", str(toy_dir), "--single-firm",
+                    "--out", str(run_dir), "--workers", "1"]) == 0
+        lines = (run_dir / "ledgers.csv").read_text().splitlines()
+        assert lines[6].startswith("1,2,")
+        (tmp_path / "ledgers.csv").write_text("\n".join(lines[:6] + lines[7:]) + "\n")
+        capsys.readouterr()
+        assert run(["report", "--ledgers", str(tmp_path / "ledgers.csv"),
+                    "--out", str(tmp_path / "report")]) == 3
+        err = one_line_error(capsys)
+        assert "scenario 1" in err and "bank '2'" in err
+
+
+class TestScenarioIds:
+    BATCH = "scenario_id,firm_id,psi\n7,f,0.0\n3,d,0.0\n3,b,0.5\n"
+
+    def test_batch_file_ids_kept_in_every_output(self, toy_dir, tmp_path):
+        path = tmp_path / "batch.csv"
+        path.write_text(self.BATCH)
+        out = tmp_path / "run"
+        args = ["stress", "--economy-dir", str(toy_dir), "--batch-file", str(path),
+                "--workers", "1", "--trace", "--out", str(out)]
+        assert run(args) == 0
+        for name in ("ledgers.csv", "amplification.csv", "defaults.csv"):
+            ids = [r["scenario_id"] for r in read_rows(out / name)]
+            assert ids == sorted(ids) and set(ids) == {"3", "7"}, name
+
+        report = tmp_path / "report"
+        assert run(["report", "--ledgers", str(out / "ledgers.csv"), "--out", str(report)]) == 0
+        assert (report / "amplification.csv").read_bytes() == (out / "amplification.csv").read_bytes()
+
+    def test_failed_scenario_lists_use_file_ids(self, toy_dir, tmp_path):
+        path = tmp_path / "batch.csv"
+        path.write_text(self.BATCH)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"propagation": {"epsilon": 1e-12, "max_iter": 1}}))
+        out = tmp_path / "run"
+        assert run(["stress", "--economy-dir", str(toy_dir), "--batch-file", str(path),
+                    "--config", str(config), "--workers", "1", "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["convergence"]["sc_failed_scenarios"] == [3, 7]

@@ -1,0 +1,87 @@
+"""Fuzz the CLI's file boundary with one-cell mutations of the toy inputs.
+
+Every mutated input must end in a documented exit code (0, 1 or 3) without
+an exception escaping ``main``, and an economy that ``validate`` accepts
+must also run through ``stress``.
+"""
+
+from __future__ import annotations
+
+import ast
+import shutil
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from netstress.cli import main
+
+TOY = Path(__file__).resolve().parents[1] / "data" / "toy"
+
+SHOCKS = "firm_id,reduction\na,0.3\nd,0.5\nf,0.2\n"
+BATCH = "scenario_id,firm_id,psi\n0,f,0.0\n0,a,1.0\n1,d,0.25\n1,b,0.5\n"
+FILES = ("firms", "supply", "interbank", "loans", "banks", "shocks", "batch")
+
+
+def _mutate(text: str, mutation: str, row: int, col: int) -> str:
+    lines = text.splitlines()
+    cells = lines[row % len(lines)].split(",")
+    col %= len(cells)
+    if mutation == "drop":
+        del cells[col]
+    elif mutation == "duplicate":
+        cells.insert(col, cells[col])
+    else:
+        cells[col] = {
+            "corrupt": cells[col][:1] + "?x", "nan": "nan", "inf": "inf",
+            "negative": "-5", "unknown-id": "zz",
+        }[mutation]
+    lines[row % len(lines)] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    target=st.sampled_from(FILES),
+    mutation=st.sampled_from(
+        ["drop", "duplicate", "corrupt", "nan", "inf", "negative", "unknown-id"]
+    ),
+    row=st.integers(0, 6),
+    col=st.integers(0, 6),
+)
+def test_mutated_inputs_end_in_a_documented_exit_code(tmp_path_factory, target, mutation, row, col):
+    work = tmp_path_factory.mktemp("fuzz")
+    eco = work / "eco"
+    shutil.copytree(TOY, eco)
+    inputs = {"shocks": work / "shocks.csv", "batch": work / "batch.csv"}
+    inputs["shocks"].write_text(SHOCKS)
+    inputs["batch"].write_text(BATCH)
+    path = inputs.get(target, eco / f"{target}.csv")
+    path.write_text(_mutate(path.read_text(), mutation, row, col))
+
+    stress = ["stress", "--economy-dir", str(eco), "--count", "3", "--workers", "1",
+              "--out", str(work / "run")]
+    if target == "shocks":
+        assert main(stress + ["--shocks", str(path)]) in (0, 1, 3)
+    elif target == "batch":
+        assert main(stress + ["--batch-file", str(path)]) in (0, 1, 3)
+    else:
+        code = main(["validate", "--economy-dir", str(eco)])
+        assert code in (0, 1, 3)
+        if code == 0:
+            assert main(stress) == 0
+
+
+def test_only_the_tables_module_imports_csv():
+    package = Path(__file__).resolve().parents[1] / "src" / "netstress"
+    importers = set()
+    for source in package.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if "csv" in names:
+                importers.add(source.name)
+    assert importers == {"tables.py"}
