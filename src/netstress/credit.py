@@ -104,7 +104,7 @@ def default_flags(g: EconomyGraph, shock: ProfitShock) -> DefaultFlags:
 
 def bank_seed(g: EconomyGraph, flags: DefaultFlags) -> np.ndarray:
     """Per-bank loss fraction from writing off the defaulted firms' loans."""
-    written_off = g.loans.principals.T @ flags.chi.astype(float)
+    written_off = g.loans.by_bank @ flags.chi.astype(float)
     return g.loans.lgd * np.asarray(written_off).ravel() / g.bank_equity
 
 

@@ -71,7 +71,7 @@ def debtrank(
     if epsilon <= 0.0:
         raise ValueError("epsilon must be > 0")
 
-    leverage = g.interbank.leverage(g.bank_equity)
+    leverage = g.leverage
     equity = g.bank_equity
     total_equity = float(equity.sum())
 

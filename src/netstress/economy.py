@@ -111,11 +111,7 @@ class InterbankNetwork:
         return cls(m=m, liabilities=mat)
 
     def leverage(self, bank_equity: np.ndarray) -> np.ndarray:
-        """Leverage matrix: entry [l, k] = liabilities[l, k] / equity of k.
-
-        Recomputed on every call so it can never go stale when equities
-        change.
-        """
+        """Leverage matrix: entry [l, k] = liabilities[l, k] / equity of k."""
         eq = np.asarray(bank_equity, dtype=float)
         return self.liabilities.toarray() / eq[None, :]
 
@@ -142,6 +138,11 @@ class LoanBook:
         )
         mat.sum_duplicates()
         return cls(principals=mat, lgd=lgd)
+
+    @cached_property
+    def by_bank(self) -> sparse.csr_matrix:
+        """Principals bank-major, [k, i]; each row sums over firms in firm order."""
+        return self.principals.T.tocsr()
 
 
 @dataclass
@@ -240,6 +241,11 @@ class EconomyGraph:
     @cached_property
     def bank_equity(self) -> np.ndarray:
         return np.array([b.tier1_equity for b in self.banks], dtype=float)
+
+    @cached_property
+    def leverage(self) -> np.ndarray:
+        """Interbank leverage matrix (banks x banks), see :meth:`InterbankNetwork.leverage`."""
+        return self.interbank.leverage(self.bank_equity)
 
     @cached_property
     def intermediate_sales(self) -> np.ndarray:

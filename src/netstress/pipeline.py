@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -108,11 +107,30 @@ class BatchResult:
         )
 
 
-def _run_block(g, cfg, dr_epsilon, dr_max_iter, psi_block) -> list[ScenarioOutcome]:
-    return [
+_FIELDS = ("di", "sc", "ib_wo", "ib_w", "sc_converged", "dr_wo_converged", "dr_w_converged")
+_PER_FIRM_FIELDS = ("chi_wo", "chi_w", "dp_w")
+
+# what every block of a pool worker shares: set once per worker process
+_shared: tuple | None = None
+
+
+def _run_block(g, cfg, dr_epsilon, dr_max_iter, keep_defaults, psi_block) -> dict[str, np.ndarray]:
+    """Run a block of scenarios; per-firm arrays only when ``keep_defaults``."""
+    outcomes = [
         run_scenario(g, psi, cfg, dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter)
         for psi in psi_block
     ]
+    fields = (_FIELDS + _PER_FIRM_FIELDS) if keep_defaults else _FIELDS
+    return {name: np.array([getattr(o, name) for o in outcomes]) for name in fields}
+
+
+def _init_worker(*shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _run_shared_block(psi_block) -> dict[str, np.ndarray]:
+    return _run_block(*_shared, psi_block)
 
 
 def run_batch(
@@ -127,30 +145,24 @@ def run_batch(
 ) -> BatchResult:
     """Run a whole batch, optionally over a process pool.
 
-    Results are reduced in scenario order, so the output is identical for
-    any worker count.
+    Each pool worker receives the graph and settings once, and every block
+    only its slice of the shock batch. Results are reduced in scenario
+    order, so the output is identical for any worker count.
     """
+    shared = (g, cfg, dr_epsilon, dr_max_iter, keep_defaults)
     n_scenarios = len(batch)
     if workers > 1 and n_scenarios > 1:
         blocks = np.array_split(batch.psi, min(workers * 4, n_scenarios))
-        work = partial(_run_block, g, cfg, dr_epsilon, dr_max_iter)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = [o for block in pool.map(work, blocks) for o in block]
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=shared
+        ) as pool:
+            parts = list(pool.map(_run_shared_block, blocks))
     else:
-        outcomes = _run_block(g, cfg, dr_epsilon, dr_max_iter, batch.psi)
+        parts = [_run_block(*shared, batch.psi)]
 
     return BatchResult(
         bank_ids=list(g.bank_ids),
         bank_equity=g.bank_equity.copy(),
-        di=np.vstack([o.di for o in outcomes]),
-        sc=np.vstack([o.sc for o in outcomes]),
-        ib_wo=np.vstack([o.ib_wo for o in outcomes]),
-        ib_w=np.vstack([o.ib_w for o in outcomes]),
-        sc_converged=np.array([o.sc_converged for o in outcomes]),
-        dr_wo_converged=np.array([o.dr_wo_converged for o in outcomes]),
-        dr_w_converged=np.array([o.dr_w_converged for o in outcomes]),
-        chi_wo=np.vstack([o.chi_wo for o in outcomes]) if keep_defaults else None,
-        chi_w=np.vstack([o.chi_w for o in outcomes]) if keep_defaults else None,
-        dp_w=np.vstack([o.dp_w for o in outcomes]) if keep_defaults else None,
         scenario_ids=list(batch.scenario_ids),
+        **{name: np.concatenate([part[name] for part in parts]) for name in parts[0]},
     )

@@ -16,6 +16,17 @@ Leontief-style update until the remaining production levels stabilise:
 
 The trailing ``h[j]`` term forces monotone non-increasing trajectories,
 so the decrement-based stopping rule always terminates.
+
+Layout. Each (buyer, supplier-sector) pool is one row of a sparse matrix
+over suppliers, so ``alpha`` is one matrix-vector product. The rows are
+ordered by *level*: level ``j`` holds the ``j``-th essential pool of every
+buyer with more than ``j`` of them. Buyers are sorted by their number of
+essential pools, most first, so each level is a prefix of level 0 and the
+minimum over a buyer's essential pools is one in-place ``minimum`` per
+level on contiguous slices. Non-essential pools follow, in (buyer, sector)
+order. Within a row the edges keep the supply matrix's buyer-major order,
+so every sum accumulates from 0 in the same order as a per-edge loop and
+the results do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -67,20 +78,18 @@ class ProductionProfile:
 
 @dataclass
 class _Plan:
-    """Graph-derived arrays reused across propagation runs."""
+    """Graph-derived arrays reused across propagation runs (layout above)."""
 
-    edge_supplier: np.ndarray   # supplier index per supply edge (buyer-major order)
-    edge_weight: np.ndarray
-    edge_pool: np.ndarray       # (buyer, supplier-sector) pool id per edge
-    pool_weight: np.ndarray     # total input weight per pool
-    ess_pool: np.ndarray        # pool ids of essential pools
-    ess_buyer: np.ndarray       # buyer per essential pool
-    ne_pool: np.ndarray         # pool ids of non-essential pools
-    ne_buyer: np.ndarray
-    ne_count: np.ndarray        # per firm: number of non-essential supplier sectors
-    out_weight: np.ndarray      # per firm: total intermediate sales
+    pool_csr: sparse.csr_matrix  # (pools, n): one row per pool, edges in buyer-major order
+    pool_weight: np.ndarray      # total input weight per row
+    ess_buyer: np.ndarray        # buyer per level-0 row: every firm with an essential pool
+    levels: list[tuple[int, int]]  # (first row, length) of each level past level 0
+    ne_start: int                # first non-essential row
+    ne_buyer: np.ndarray         # buyer per non-essential row
+    ne_count: np.ndarray         # per firm: number of non-essential supplier sectors
     weights_csr: sparse.csr_matrix
-    n_pools: int
+    out_weight: np.ndarray       # per firm: total intermediate sales, 1 for firms selling nothing
+    no_sales: np.ndarray         # firms without customers
 
 
 _PLANS: "weakref.WeakKeyDictionary[EconomyGraph, _Plan]" = weakref.WeakKeyDictionary()
@@ -90,16 +99,16 @@ def _build_plan(g: EconomyGraph) -> _Plan:
     w_csc = g.supply.weights.tocsc()
     n = g.n
     buyers = np.repeat(np.arange(n, dtype=np.int64), np.diff(w_csc.indptr))
-    suppliers = w_csc.indices.astype(np.intp)
+    suppliers = w_csc.indices
     weights = w_csc.data.astype(float)
 
     sector_codes, sector_of = np.unique(np.asarray(g.sectors, dtype=object), return_inverse=True)
     n_sectors = len(sector_codes)
     keys = buyers * n_sectors + sector_of[suppliers]
     pool_keys, edge_pool = np.unique(keys, return_inverse=True)
+    n_pools = len(pool_keys)
     pool_buyer = (pool_keys // n_sectors).astype(np.intp)
     pool_sector = (pool_keys % n_sectors).astype(np.intp)
-    pool_weight = np.bincount(edge_pool, weights=weights, minlength=len(pool_keys))
 
     table = g.essentiality
     sectors = g.sectors
@@ -109,24 +118,44 @@ def _build_plan(g: EconomyGraph) -> _Plan:
             for s, b in zip(pool_sector, pool_buyer)
         ),
         dtype=bool,
-        count=len(pool_keys),
+        count=n_pools,
     )
 
-    ess_idx = np.flatnonzero(essential)
-    ne_idx = np.flatnonzero(~essential)
+    # level j holds the j-th essential pool of every buyer with more than j;
+    # buyers go by descending count, so every level is a prefix of level 0
+    ess_pool = np.flatnonzero(essential)
+    ess_buyer = pool_buyer[ess_pool]
+    count = np.bincount(ess_buyer, minlength=n)
+    rank = np.arange(ess_pool.size) - (np.cumsum(count) - count)[ess_buyer]
+    order = np.argsort(-count, kind="stable")[: np.count_nonzero(count)]
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(order.size)
+    sizes = np.bincount(rank)
+    starts = np.cumsum(sizes) - sizes
+    ne_pool = np.flatnonzero(~essential)
+    row_of_pool = np.empty(n_pools, dtype=np.intp)
+    row_of_pool[ess_pool] = starts[rank] + position[ess_buyer]
+    row_of_pool[ne_pool] = ess_pool.size + np.arange(ne_pool.size)
+
+    # suppliers ascend within a row as within a buyer's edges, so each row
+    # sum accumulates in the order of a loop over the buyer-major edges
+    edge_row = row_of_pool[edge_pool]
+    pool_csr = sparse.csr_matrix((weights, (edge_row, suppliers)), shape=(n_pools, n))
+    pool_weight = np.bincount(edge_row, weights=weights, minlength=n_pools)
+
+    sales = g.intermediate_sales
+    ne_buyer = pool_buyer[ne_pool]
     return _Plan(
-        edge_supplier=suppliers,
-        edge_weight=weights,
-        edge_pool=edge_pool.astype(np.intp),
+        pool_csr=pool_csr,
         pool_weight=pool_weight,
-        ess_pool=ess_idx,
-        ess_buyer=pool_buyer[ess_idx],
-        ne_pool=ne_idx,
-        ne_buyer=pool_buyer[ne_idx],
-        ne_count=np.bincount(pool_buyer[ne_idx], minlength=n).astype(float),
-        out_weight=g.intermediate_sales,
+        ess_buyer=order,
+        levels=[(int(s), int(k)) for s, k in zip(starts[1:], sizes[1:])],
+        ne_start=int(ess_pool.size),
+        ne_buyer=ne_buyer,
+        ne_count=np.bincount(ne_buyer, minlength=n).astype(float),
         weights_csr=g.supply.weights.tocsr(),
-        n_pools=len(pool_keys),
+        out_weight=np.where(sales > 0.0, sales, 1.0),
+        no_sales=np.flatnonzero(sales <= 0.0),
     )
 
 
@@ -150,25 +179,30 @@ def check_shock_vector(psi, n: int) -> np.ndarray:
 
 def _step(plan: _Plan, psi: np.ndarray, h: np.ndarray, sigma: float) -> np.ndarray:
     n = h.size
-    pool_avail = np.bincount(
-        plan.edge_pool, weights=plan.edge_weight * h[plan.edge_supplier], minlength=plan.n_pools
-    )
-    alpha = pool_avail / plan.pool_weight
+    alpha = plan.pool_csr @ h
+    alpha /= plan.pool_weight
 
+    # alpha <= 1 because h <= 1, so the minimum over a buyer's essential
+    # pools needs no cap at 1
+    d_ess = alpha[: plan.ess_buyer.size]
+    for start, size in plan.levels:
+        np.minimum(d_ess[:size], alpha[start : start + size], out=d_ess[:size])
     d = np.ones(n)
-    np.minimum.at(d, plan.ess_buyer, alpha[plan.ess_pool])
-    if sigma > 0.0 and plan.ne_pool.size:
-        ne_sum = np.bincount(plan.ne_buyer, weights=alpha[plan.ne_pool], minlength=n)
+    d[plan.ess_buyer] = d_ess
+    if sigma > 0.0 and plan.ne_buyer.size:
+        ne_sum = np.bincount(plan.ne_buyer, weights=alpha[plan.ne_start :], minlength=n)
         ne_mean = np.ones(n)
         has = plan.ne_count > 0
         ne_mean[has] = ne_sum[has] / plan.ne_count[has]
         d *= 1.0 - sigma * (1.0 - ne_mean)
 
-    u = np.ones(n)
-    sells = plan.out_weight > 0.0
-    u[sells] = (plan.weights_csr @ h)[sells] / plan.out_weight[sells]
+    u = plan.weights_csr @ h
+    u /= plan.out_weight
+    u[plan.no_sales] = 1.0
 
-    return np.minimum(np.minimum(psi, h), np.minimum(d, u))
+    np.minimum(d, u, out=d)
+    np.minimum(psi, h, out=u)
+    return np.minimum(u, d, out=u)
 
 
 def propagate(

@@ -77,10 +77,13 @@ class EmpiricalShockTable:
     @classmethod
     def from_csv(cls, path: str | Path) -> "EmpiricalShockTable":
         path = Path(path)
-        return cls(reductions={
-            row["firm_id"].strip(): parse_fraction(path, line, "reduction", row["reduction"])
-            for line, row in read_rows(path, SHOCK_TABLE_COLUMNS)
-        })
+        reductions: dict[str, float] = {}
+        for line, row in read_rows(path, SHOCK_TABLE_COLUMNS):
+            fid = row["firm_id"].strip()
+            if fid in reductions:
+                raise DataFormatError(f"{path} line {line}: second row for firm {fid!r}")
+            reductions[fid] = parse_fraction(path, line, "reduction", row["reduction"])
+        return cls(reductions=reductions)
 
     def write_csv(self, path: str | Path) -> None:
         write_csv(path, SHOCK_TABLE_COLUMNS, ([f, fmt(v)] for f, v in self.reductions.items()))
@@ -267,11 +270,15 @@ def read_batch(g: EconomyGraph, path: str | Path) -> ShockBatch:
     """Read a long-format batch; unlisted firms keep psi = 1, scenario ids are kept."""
     path = Path(path)
     per_scenario: dict[int, np.ndarray] = {}
+    seen: set[tuple[int, str]] = set()
     for line, row in read_rows(path, BATCH_COLUMNS):
         s = parse(path, line, "scenario_id", row["scenario_id"], int)
         fid = row["firm_id"].strip()
         if fid not in g.firm_index:
             raise ReferentialError(f"{path} line {line}: unknown firm id {fid!r}")
+        if (s, fid) in seen:
+            raise DataFormatError(f"{path} line {line}: second row for scenario {s} and firm {fid!r}")
+        seen.add((s, fid))
         psi = parse_fraction(path, line, "psi", row["psi"])
         per_scenario.setdefault(s, np.ones(g.n))[g.firm_index[fid]] = psi
     if not per_scenario:

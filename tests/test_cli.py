@@ -270,6 +270,7 @@ class TestBadInput:
         ("firm_id,reduction\na,0.3\nd,nan\n", 3, "line 3"),
         ("firm_id,reduction\na,0.3\nzz,0.5\n", 1, "'zz'"),
         ("firm_id,reduction\n", 3, "'10'"),
+        ("firm_id,reduction\na,0.3\nd,0.5\na,0.3\n", 3, "shocks.csv line 4: second row for firm 'a'"),
     ])
     def test_shock_table_errors(self, toy_dir, tmp_path, capsys, table, code, needle):
         path = tmp_path / "shocks.csv"
@@ -283,6 +284,8 @@ class TestBadInput:
         ("scenario_id,firm_id,psi\n0,a,0.5\n0,b,nan\n", 3, "line 3"),
         ("scenario_id,firm_id,psi\nx,a,0.5\n", 3, "line 2"),
         ("scenario_id,firm_id,psi\n0,a,0.5\n0,zz,0.5\n", 1, "'zz'"),
+        ("scenario_id,firm_id,psi\n0,f,0.0\n1,f,0.0\n0,f,1.0\n", 3,
+         "batch.csv line 4: second row for scenario 0 and firm 'f'"),
     ])
     def test_batch_file_errors(self, toy_dir, tmp_path, capsys, batch, code, needle):
         path = tmp_path / "batch.csv"

@@ -21,7 +21,7 @@ from netstress import (
     single_firm_shock,
     toy_economy,
 )
-from netstress.propagation import write_trajectory
+from netstress.propagation import _plan_for, write_trajectory
 
 from .oracle import oracle_propagate
 
@@ -129,6 +129,62 @@ class TestPropagate:
         mine = propagate(toy, psi, TIGHT).h
         theirs = oracle_propagate(toy, psi, epsilon=1e-12, max_iter=10_000)
         np.testing.assert_allclose(mine, theirs, atol=1e-12)
+
+
+def pooled_economy(seed: int) -> EconomyGraph:
+    """Twelve firms in five sectors, so pools hold several edges.
+
+    Random essentiality overrides between the four main sectors. Firm 0
+    buys nothing, firm 1 sells nothing and firm 2, alone in sector 3000,
+    finds every input non-essential.
+    """
+    rng = np.random.default_rng(seed)
+    n = 12
+    main = ["1000", "1100", "2000", "2100"]
+    sectors = [main[int(k)] for k in rng.integers(0, 4, n)]
+    sectors[2] = "3000"
+    suppliers, buyers = [], []
+    for i in range(n):
+        for j in range(n):
+            if i != j and j != 0 and i != 1 and (rng.random() < 0.35 or (j == 2 and i in (3, 4))):
+                suppliers.append(i)
+                buyers.append(j)
+    overrides = {(sup, buy): bool(rng.random() < 0.5) for sup in main for buy in main}
+    overrides.update({(sup[:2], "30"): False for sup in main})
+    g = EconomyGraph(
+        firms=[FirmNode(f"f{i}", sector, 100.0, 60.0, 50.0, 80.0, 20.0) for i, sector in enumerate(sectors)],
+        supply=SupplyNetwork.from_edges(n, suppliers, buyers, rng.uniform(1.0, 30.0, len(buyers))),
+        banks=[BankSheet("b0", 100.0)],
+        interbank=InterbankNetwork.from_edges(1, [], [], []),
+        loans=LoanBook.from_entries(n, 1, [], [], []),
+        essentiality=EssentialityTable(overrides=overrides),
+    )
+    w = g.supply.weights
+    assert w[:, 0].nnz == 0 and w[1].nnz == 0 and w[:, 2].nnz >= 2
+    return g
+
+
+class TestAgainstOracle:
+    """The pooled, level-ordered kernel against the per-firm loop."""
+
+    CASES = [(seed, False) for seed in range(4)] + [(0, True)]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed, none_essential", CASES)
+    def test_pooled_economies(self, seed, none_essential, sigma):
+        g = pooled_economy(seed)
+        if none_essential:
+            g.essentiality = EssentialityTable(default_essential=False)
+            assert not _plan_for(g).ess_buyer.size
+        else:
+            # several levels, and a buyer left out of every one of them
+            assert _plan_for(g).levels and 2 not in _plan_for(g).ess_buyer
+        cfg = PropagationConfig(epsilon=1e-12, max_iter=10_000, nonessential_weight=sigma)
+        rng = np.random.default_rng(100 + seed)
+        for psi in (rng.uniform(0.0, 1.0, g.n), np.where(rng.random(g.n) < 0.3, 0.0, 1.0)):
+            mine = propagate(g, psi, cfg).h
+            theirs = oracle_propagate(g, psi, epsilon=1e-12, max_iter=10_000, sigma=sigma)
+            np.testing.assert_allclose(mine, theirs, rtol=0.0, atol=1e-10)
 
 
 @st.composite
