@@ -44,7 +44,7 @@ from .pipeline import BatchResult, run_batch
 from .propagation import PropagationConfig
 from .scenarios import EmpiricalShockTable, ShockBatch, covid_style_batch, read_batch
 from .synthetic import SyntheticParams, generate_synthetic_economy, synthetic_shock_table
-from .tables import fmt, parse, read_rows
+from .tables import Block, RowError, first_repeat, fmt, read_blocks
 from .tables import write_csv as _write_csv
 
 EXIT_OK = 0
@@ -136,6 +136,14 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
     return config
 
 
+def _settings(build, **values):
+    """``build(**values)``; a value it rejects is an input error (exit 3), not a crash."""
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise DataFormatError(f"{build.__name__}: {exc}") from exc
+
+
 def _economy_from_config(config: dict) -> EconomyGraph:
     eco = config["economy"]
     if eco["source"] == "synthetic":
@@ -147,7 +155,8 @@ def _economy_from_config(config: dict) -> EconomyGraph:
             )
             if key in eco
         }
-        params = SyntheticParams(
+        params = _settings(
+            SyntheticParams,
             n=int(eco["n"]), m=int(eco["m"]),
             mean_degree=float(eco.get("mean_degree", 4.0)),
             sector_count=int(eco.get("sector_count", 20)),
@@ -168,7 +177,8 @@ def _economy_from_config(config: dict) -> EconomyGraph:
 
 def _propagation_config(config: dict, trace: bool = False) -> PropagationConfig:
     prop = config["propagation"]
-    return PropagationConfig(
+    return _settings(
+        PropagationConfig,
         epsilon=float(prop["epsilon"]),
         max_iter=int(prop["max_iter"]),
         nonessential_weight=float(prop["nonessential_weight"]),
@@ -189,7 +199,10 @@ def _batch_from_config(config: dict, graph: EconomyGraph) -> ShockBatch:
             table = synthetic_shock_table(graph, seed=int(spec.get("shocks_seed", 3)))
         else:
             table = EmpiricalShockTable.from_csv(shocks)
-        return covid_style_batch(graph, table, count=int(spec["count"]), seed=int(spec["seed"]))
+        count = int(spec["count"])
+        if count < 1:
+            raise DataFormatError(f"scenario count must be >= 1, got {count}")
+        return covid_style_batch(graph, table, count=count, seed=int(spec["seed"]))
     if kind == "file":
         return read_batch(graph, spec["batch_file"])
     raise DataFormatError(f"unknown scenario kind {kind!r}")
@@ -450,16 +463,19 @@ def cmd_debtrank(config: dict) -> int:
     return EXIT_OK
 
 
+def _ledger_rows(b: Block, seen: dict) -> dict[tuple[int, str], tuple[float, ...]]:
+    keys = list(zip(b.numbers("scenario_id", int), b.text("bank_id")))
+    r = first_repeat(keys, seen)
+    if r is not None:
+        raise RowError(r, f"second row for scenario {keys[r][0]} and bank {keys[r][1]!r}")
+    return dict(zip(keys, zip(*(b.numbers(c) for c in ("di", "sc", "ib_wo", "ib_w")))))
+
+
 def cmd_report(config: dict, ledgers: str) -> int:
     path = Path(ledgers)
-    cells: dict[tuple[int, str], list[float]] = {}
-    for line, row in read_rows(path, LEDGER_COLUMNS):
-        key = (parse(path, line, "scenario_id", row["scenario_id"], int), row["bank_id"].strip())
-        if key in cells:
-            raise DataFormatError(
-                f"{path} line {line}: second row for scenario {key[0]} and bank {key[1]!r}"
-            )
-        cells[key] = [parse(path, line, c, row[c]) for c in ("di", "sc", "ib_wo", "ib_w")]
+    cells: dict[tuple[int, str], tuple[float, ...]] = {}
+    for block in read_blocks(path, LEDGER_COLUMNS):
+        cells.update(block.convert(lambda b: _ledger_rows(b, cells)))
     if not cells:
         raise DataFormatError(f"{path}: no ledgers found")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter, not_
 
 import numpy as np
 from scipy import sparse
@@ -56,17 +57,40 @@ class FirmNode:
     eligible_for_default: bool = True
 
 
+def default_eligible(present, revenue, op_cost, equity, short_assets, short_liabs):
+    """A firm can default only with financials and strictly positive buffers.
+
+    Takes one firm's numbers or arrays of them.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is not > 0
+        return present & (equity > 0.0) & ((short_assets - short_liabs) > 0.0) & ((revenue - op_cost) > 0.0)
+
+
 def derive_eligibility(firm: FirmNode) -> bool:
-    """A firm can default only with financials and strictly positive buffers."""
-    return bool(
-        firm.financials_present
-        and firm.equity > 0.0
-        and (firm.short_assets - firm.short_liabs) > 0.0
-        and (firm.revenue - firm.op_cost) > 0.0
-    )
+    """:func:`default_eligible` of one firm."""
+    return bool(default_eligible(
+        firm.financials_present, firm.revenue, firm.op_cost,
+        firm.equity, firm.short_assets, firm.short_liabs,
+    ))
 
 
 FINANCIAL_FIELDS = ("revenue", "op_cost", "equity", "short_assets", "short_liabs")
+
+
+def firm_nodes(ids: list[str], sectors: list[str], present: np.ndarray, *values: np.ndarray) -> list[FirmNode]:
+    """Firms from columns: ids, sectors, a financials-present mask and one array per financial field.
+
+    Firms without financials get zero financials; eligibility follows
+    :func:`default_eligible`.
+    """
+    eligible = default_eligible(present, *values)
+    columns = [np.where(present, v, 0.0).tolist() for v in values]
+    return list(map(FirmNode, ids, sectors, *columns, present.tolist(), eligible.tolist()))
+
+
+def firm_column(firms: list[FirmNode], name: str, dtype=float) -> np.ndarray:
+    """One field of every firm as an array."""
+    return np.fromiter(map(attrgetter(name), firms), dtype=dtype, count=len(firms))
 
 
 @dataclass
@@ -296,6 +320,44 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _repeats(ids: list[str]) -> set[int]:
+    """Positions of ids that appear earlier in the list."""
+    if len(set(ids)) == len(ids):
+        return set()
+    seen: set[str] = set()
+    repeats = set()
+    for i, fid in enumerate(ids):
+        if fid in seen:
+            repeats.add(i)
+        seen.add(fid)
+    return repeats
+
+
+def _check_firm(report: ValidationReport, f: FirmNode, repeated: bool) -> None:
+    ent = f"firm:{f.id}"
+    if not f.id:
+        report.add(ent, "empty-id", "firm id must be non-empty")
+    if repeated:
+        report.add(ent, "duplicate-id", "firm id appears more than once")
+    if not f.sector:
+        report.add(ent, "empty-sector", "sector code must be non-empty")
+    if f.financials_present:
+        for name in FINANCIAL_FIELDS:
+            value = getattr(f, name)
+            if not math.isfinite(value):
+                report.add(ent, "non-finite", f"{name} is {value}")
+    if f.eligible_for_default:
+        if not f.financials_present:
+            report.add(ent, "eligibility", "eligible firm lacks financials")
+        else:
+            if f.equity <= 0.0:
+                report.add(ent, "eligibility", f"eligible firm has equity {f.equity} <= 0")
+            if (f.short_assets - f.short_liabs) <= 0.0:
+                report.add(ent, "eligibility", "eligible firm has non-positive liquidity")
+            if (f.revenue - f.op_cost) <= 0.0:
+                report.add(ent, "eligibility", "eligible firm has non-positive net income")
+
+
 def validate_economy(g: EconomyGraph) -> ValidationReport:
     """Check every structural invariant; an empty report means simulation-ready.
 
@@ -304,31 +366,22 @@ def validate_economy(g: EconomyGraph) -> ValidationReport:
     report = ValidationReport()
     n, m = g.n, g.m
 
-    seen: set[str] = set()
-    for f in g.firms:
-        ent = f"firm:{f.id}"
-        if not f.id:
-            report.add(ent, "empty-id", "firm id must be non-empty")
-        if f.id in seen:
-            report.add(ent, "duplicate-id", "firm id appears more than once")
-        seen.add(f.id)
-        if not f.sector:
-            report.add(ent, "empty-sector", "sector code must be non-empty")
-        if f.financials_present:
-            for name in FINANCIAL_FIELDS:
-                value = getattr(f, name)
-                if not math.isfinite(value):
-                    report.add(ent, "non-finite", f"{name} is {value}")
-        if f.eligible_for_default:
-            if not f.financials_present:
-                report.add(ent, "eligibility", "eligible firm lacks financials")
-            else:
-                if f.equity <= 0.0:
-                    report.add(ent, "eligibility", f"eligible firm has equity {f.equity} <= 0")
-                if (f.short_assets - f.short_liabs) <= 0.0:
-                    report.add(ent, "eligibility", "eligible firm has non-positive liquidity")
-                if (f.revenue - f.op_cost) <= 0.0:
-                    report.add(ent, "eligibility", "eligible firm has non-positive net income")
+    # screen every firm with arrays; only flagged firms go through the
+    # per-firm rules of _check_firm, which word the violations in firm order
+    firms = g.firms
+    ids = [f.id for f in firms]
+    repeated = _repeats(ids)
+    present = firm_column(firms, "financials_present", bool)
+    values = [firm_column(firms, name) for name in FINANCIAL_FIELDS]
+    flagged = (
+        np.fromiter(map(not_, ids), dtype=bool, count=n)
+        | np.fromiter(map(not_, map(attrgetter("sector"), firms)), dtype=bool, count=n)
+        | (present & ~np.logical_and.reduce([np.isfinite(v) for v in values]))
+        | (firm_column(firms, "eligible_for_default", bool) & ~default_eligible(present, *values))
+    )
+    flagged[list(repeated)] = True
+    for i in np.flatnonzero(flagged).tolist():
+        _check_firm(report, firms[i], i in repeated)
 
     seen_banks: set[str] = set()
     for b in g.banks:

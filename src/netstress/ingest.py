@@ -16,25 +16,30 @@ financials; they can propagate shocks but never default on loans.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+from operator import not_
 from pathlib import Path
+
+import numpy as np
 
 from .economy import (
     FINANCIAL_FIELDS,
     BankSheet,
-    DataFormatError,
     EconomyGraph,
     EconomyValidationError,
     EssentialityTable,
     FirmNode,
     InterbankNetwork,
     LoanBook,
-    ReferentialError,
     SupplyNetwork,
-    derive_eligibility,
+    firm_column,
+    firm_nodes,
     validate_economy,
 )
-from .tables import fmt, parse, read_rows, write_csv
+from .tables import Block, RowError, first_repeat, fmt, read_blocks, write_columns, write_csv
 
 FIRM_COLUMNS = ["id", "sector", *FINANCIAL_FIELDS]
 SUPPLY_COLUMNS = ["supplier_id", "buyer_id", "weight"]
@@ -75,15 +80,56 @@ def economy_files(directory: str | Path, lgd: float = 1.0) -> IngestionSpec:
 
 
 def load_essentiality(path: str | Path, default_essential: bool = True) -> EssentialityTable:
-    """Read a sector-pair essentiality table; unlisted pairs use the default."""
+    """Read a sector-pair essentiality table; unlisted pairs use the default.
+
+    A second row for one (supplier_sector, buyer_sector) pair is a
+    :class:`DataFormatError`.
+    """
     path = Path(path)
     overrides: dict[tuple[str, str], bool] = {}
-    for line, row in read_rows(path, ESSENTIALITY_COLUMNS):
-        flag = row["essential"].strip()
-        if flag not in ("0", "1"):
-            raise DataFormatError(f"{path} line {line}: essential must be 0 or 1, got {flag!r}")
-        overrides[(row["supplier_sector"].strip(), row["buyer_sector"].strip())] = flag == "1"
+    for block in read_blocks(path, ESSENTIALITY_COLUMNS):
+        overrides.update(block.convert(lambda b: _essentiality_rows(b, overrides)))
     return EssentialityTable(overrides=overrides, default_essential=default_essential)
+
+
+def _essentiality_rows(b: Block, seen: dict) -> dict[tuple[str, str], bool]:
+    flags = b.text("essential")
+    bad = [r for r, flag in enumerate(flags) if flag not in ("0", "1")]
+    if bad:
+        raise RowError(bad[0], f"essential must be 0 or 1, got {flags[bad[0]]!r}")
+    keys = list(zip(b.text("supplier_sector"), b.text("buyer_sector")))
+    r = first_repeat(keys, seen)
+    if r is not None:
+        raise RowError(r, f"second row for supplier sector {keys[r][0]!r} and buyer sector {keys[r][1]!r}")
+    return dict(zip(keys, (flag == "1" for flag in flags)))
+
+
+def _firm_rows(b: Block, seen: dict[str, int]):
+    ids = b.text("id")
+    r = first_repeat(ids, seen)
+    if r is not None:
+        raise RowError(r, f"duplicate firm id {ids[r]!r}")
+    blanks = sum(np.fromiter(map(not_, b.text(c)), dtype=int, count=b.size) for c in FINANCIAL_FIELDS)
+    partial = np.flatnonzero((blanks > 0) & (blanks < len(FINANCIAL_FIELDS)))
+    if partial.size:
+        raise RowError(partial[0], "financial columns must be all present or all blank")
+    present = blanks == 0
+    values = np.zeros((len(FINANCIAL_FIELDS), b.size))
+    for values_c, c in zip(values, FINANCIAL_FIELDS):
+        values_c[present] = b.numbers(c, rows=present)
+    return ids, list(map(sys.intern, b.text("sector"))), present, values
+
+
+def _bank_rows(b: Block, seen: dict[str, int]):
+    ids = b.text("id")
+    r = first_repeat(ids, seen)
+    if r is not None:
+        raise RowError(r, f"duplicate bank id {ids[r]!r}")
+    return ids, b.numbers("tier1_equity")
+
+
+def _index(ids: list[str], index: dict[str, int]) -> None:
+    index.update(zip(ids, range(len(index), len(index) + len(ids))))
 
 
 def load_economy(spec: IngestionSpec) -> EconomyGraph:
@@ -96,81 +142,48 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
     """
     firms: list[FirmNode] = []
     firm_index: dict[str, int] = {}
-    for line, row in read_rows(spec.firms, FIRM_COLUMNS):
-        fid = row["id"].strip()
-        if fid in firm_index:
-            raise DataFormatError(f"{spec.firms} line {line}: duplicate firm id {fid!r}")
-        fin_cells = [row[c].strip() for c in FINANCIAL_FIELDS]
-        if all(cell == "" for cell in fin_cells):
-            firm = FirmNode(
-                id=fid, sector=row["sector"].strip(),
-                financials_present=False, eligible_for_default=False,
-            )
-        elif any(cell == "" for cell in fin_cells):
-            raise DataFormatError(
-                f"{spec.firms} line {line}: financial columns must be all present or all blank"
-            )
-        else:
-            values = [parse(spec.firms, line, c, row[c]) for c in FINANCIAL_FIELDS]
-            firm = FirmNode(fid, row["sector"].strip(), *values)
-            firm.eligible_for_default = derive_eligibility(firm)
-        firm_index[fid] = len(firms)
-        firms.append(firm)
+    for block in read_blocks(spec.firms, FIRM_COLUMNS):
+        ids, sectors, present, values = block.convert(lambda b: _firm_rows(b, firm_index))
+        firms += firm_nodes(ids, sectors, present, *values)
+        _index(ids, firm_index)
 
     banks: list[BankSheet] = []
     bank_index: dict[str, int] = {}
-    for line, row in read_rows(spec.banks, BANK_COLUMNS):
-        bid = row["id"].strip()
-        if bid in bank_index:
-            raise DataFormatError(f"{spec.banks} line {line}: duplicate bank id {bid!r}")
-        bank_index[bid] = len(banks)
-        banks.append(BankSheet(bid, parse(spec.banks, line, "tier1_equity", row["tier1_equity"])))
+    for block in read_blocks(spec.banks, BANK_COLUMNS):
+        ids, equity = block.convert(lambda b: _bank_rows(b, bank_index))
+        banks += map(BankSheet, ids, equity)
+        _index(ids, bank_index)
 
-    suppliers: list[int] = []
-    buyers: list[int] = []
-    weights: list[float] = []
-    for line, row in read_rows(spec.supply, SUPPLY_COLUMNS):
-        edge_ids = []
-        for col in ("supplier_id", "buyer_id"):
-            fid = row[col].strip()
-            if fid not in firm_index:
-                # supply-only firms stay in the chain but carry no financials
-                firm_index[fid] = len(firms)
-                firms.append(FirmNode(
-                    id=fid, sector=UNKNOWN_SECTOR,
-                    financials_present=False, eligible_for_default=False,
-                ))
-            edge_ids.append(firm_index[fid])
-        suppliers.append(edge_ids[0])
-        buyers.append(edge_ids[1])
-        weights.append(parse(spec.supply, line, "weight", row["weight"]))
+    supply = _Edges()
+    for block in read_blocks(spec.supply, SUPPLY_COLUMNS):
+        sup, buy, weights = block.convert(lambda b: (b.text("supplier_id"), b.text("buyer_id"), b.numbers("weight")))
+        ends = [list(map(firm_index.get, sup)), list(map(firm_index.get, buy))]
+        if None in ends[0] or None in ends[1]:
+            for fid in chain.from_iterable(zip(sup, buy)):
+                if fid not in firm_index:
+                    # supply-only firms stay in the chain but carry no financials
+                    firm_index[fid] = len(firms)
+                    firms.append(FirmNode(
+                        id=fid, sector=UNKNOWN_SECTOR,
+                        financials_present=False, eligible_for_default=False,
+                    ))
+            ends = [list(map(firm_index.get, sup)), list(map(firm_index.get, buy))]
+        supply.add(*ends, weights)
 
-    borrowers: list[int] = []
-    lenders: list[int] = []
-    amounts: list[float] = []
-    for line, row in read_rows(spec.interbank, INTERBANK_COLUMNS):
-        for col in ("borrower_id", "lender_id"):
-            if row[col].strip() not in bank_index:
-                raise ReferentialError(
-                    f"{spec.interbank} line {line}: unknown bank id {row[col].strip()!r}"
-                )
-        borrowers.append(bank_index[row["borrower_id"].strip()])
-        lenders.append(bank_index[row["lender_id"].strip()])
-        amounts.append(parse(spec.interbank, line, "amount", row["amount"]))
-
-    loan_firms: list[int] = []
-    loan_banks: list[int] = []
-    principals: list[float] = []
-    for line, row in read_rows(spec.loans, LOAN_COLUMNS):
-        fid = row["firm_id"].strip()
-        bid = row["bank_id"].strip()
-        if fid not in firm_index:
-            raise ReferentialError(f"{spec.loans} line {line}: unknown firm id {fid!r}")
-        if bid not in bank_index:
-            raise ReferentialError(f"{spec.loans} line {line}: unknown bank id {bid!r}")
-        loan_firms.append(firm_index[fid])
-        loan_banks.append(bank_index[bid])
-        principals.append(parse(spec.loans, line, "principal", row["principal"]))
+    interbank = _Edges()
+    for block in read_blocks(spec.interbank, INTERBANK_COLUMNS):
+        interbank.add(*block.convert(lambda b: (
+            b.positions("borrower_id", bank_index, "bank"),
+            b.positions("lender_id", bank_index, "bank"),
+            b.numbers("amount"),
+        )))
+    loans = _Edges()
+    for block in read_blocks(spec.loans, LOAN_COLUMNS):
+        loans.add(*block.convert(lambda b: (
+            b.positions("firm_id", firm_index, "firm"),
+            b.positions("bank_id", bank_index, "bank"),
+            b.numbers("principal"),
+        )))
 
     essentiality = (
         load_essentiality(spec.essentiality) if spec.essentiality is not None else EssentialityTable()
@@ -178,10 +191,10 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
 
     graph = EconomyGraph(
         firms=firms,
-        supply=SupplyNetwork.from_edges(len(firms), suppliers, buyers, weights),
+        supply=SupplyNetwork.from_edges(len(firms), *supply.arrays()),
         banks=banks,
-        interbank=InterbankNetwork.from_edges(len(banks), borrowers, lenders, amounts),
-        loans=LoanBook.from_entries(len(firms), len(banks), loan_firms, loan_banks, principals, spec.lgd),
+        interbank=InterbankNetwork.from_edges(len(banks), *interbank.arrays()),
+        loans=LoanBook.from_entries(len(firms), len(banks), *loans.arrays(), spec.lgd),
         essentiality=essentiality,
     )
     report = validate_economy(graph)
@@ -190,16 +203,48 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
     return graph
 
 
+class _Edges:
+    """An edge list read block by block, in growing typed buffers."""
+
+    def __init__(self):
+        self.rows, self.cols, self.values = array("q"), array("q"), array("d")
+
+    def add(self, rows: list[int], cols: list[int], values: list[float]) -> None:
+        self.rows.extend(rows)
+        self.cols.extend(cols)
+        self.values.extend(values)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (
+            np.frombuffer(self.rows, dtype=np.int64),
+            np.frombuffer(self.cols, dtype=np.int64),
+            np.frombuffer(self.values, dtype=float),
+        )
+
+
+class _Ids:
+    """The id column ``ids[positions]``, looked up one slice at a time."""
+
+    def __init__(self, ids: list[str], positions: np.ndarray):
+        self.ids = np.array(ids, dtype=object)
+        self.positions = positions
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        return self.ids[self.positions[part]]
+
+
 def write_economy(g: EconomyGraph, directory: str | Path) -> None:
     """Write an economy back to the CSV layout read by :func:`load_economy`."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    write_csv(d / "firms.csv", FIRM_COLUMNS, (
-        [f.id, f.sector, fmt(f.revenue), fmt(f.op_cost), fmt(f.equity),
-         fmt(f.short_assets), fmt(f.short_liabs)]
-        if f.financials_present else [f.id, f.sector, "", "", "", "", ""]
-        for f in g.firms
-    ))
+    blank = ~firm_column(g.firms, "financials_present", bool)
+    write_columns(d / "firms.csv", FIRM_COLUMNS, [
+        [f.id for f in g.firms], [f.sector for f in g.firms],
+        *(np.ma.masked_array(firm_column(g.firms, name), mask=blank) for name in FINANCIAL_FIELDS),
+    ])
     write_csv(d / "banks.csv", BANK_COLUMNS, ([b.id, fmt(b.tier1_equity)] for b in g.banks))
     for name, columns, matrix, row_ids, col_ids in (
         ("supply.csv", SUPPLY_COLUMNS, g.supply.weights, g.firm_ids, g.firm_ids),
@@ -207,9 +252,7 @@ def write_economy(g: EconomyGraph, directory: str | Path) -> None:
         ("loans.csv", LOAN_COLUMNS, g.loans.principals, g.firm_ids, g.bank_ids),
     ):
         coo = matrix.tocoo()
-        write_csv(d / name, columns, (
-            [row_ids[i], col_ids[j], fmt(x)] for i, j, x in zip(coo.row, coo.col, coo.data)
-        ))
+        write_columns(d / name, columns, [_Ids(row_ids, coo.row), _Ids(col_ids, coo.col), coo.data])
     if g.essentiality.overrides:
         write_csv(d / "essentiality.csv", ESSENTIALITY_COLUMNS, (
             [sup, buy, "1" if flag else "0"]

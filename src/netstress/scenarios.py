@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .economy import DataFormatError, EconomyGraph, InterbankNetwork, ReferentialError
-from .tables import fmt, parse, parse_fraction, read_rows, write_csv
+from .tables import Block, RowError, first_repeat, fmt, read_blocks, write_csv
 
 SHOCK_TABLE_COLUMNS = ["firm_id", "reduction"]
 BATCH_COLUMNS = ["scenario_id", "firm_id", "psi"]
@@ -76,13 +76,9 @@ class EmpiricalShockTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "EmpiricalShockTable":
-        path = Path(path)
         reductions: dict[str, float] = {}
-        for line, row in read_rows(path, SHOCK_TABLE_COLUMNS):
-            fid = row["firm_id"].strip()
-            if fid in reductions:
-                raise DataFormatError(f"{path} line {line}: second row for firm {fid!r}")
-            reductions[fid] = parse_fraction(path, line, "reduction", row["reduction"])
+        for block in read_blocks(Path(path), SHOCK_TABLE_COLUMNS):
+            reductions.update(block.convert(lambda b: _shock_rows(b, reductions)))
         return cls(reductions=reductions)
 
     def write_csv(self, path: str | Path) -> None:
@@ -266,24 +262,40 @@ def write_batch(batch: ShockBatch, firm_ids: list[str], path: str | Path) -> Non
     ))
 
 
+def _shock_rows(b: Block, seen: dict[str, float]) -> dict[str, float]:
+    ids = b.text("firm_id")
+    r = first_repeat(ids, seen)
+    if r is not None:
+        raise RowError(r, f"second row for firm {ids[r]!r}")
+    return dict(zip(ids, b.fractions("reduction").tolist()))
+
+
+def _batch_rows(b: Block, firm_index: dict[str, int], seen: set):
+    scenarios = b.numbers("scenario_id", int)
+    firms = b.positions("firm_id", firm_index, "firm")
+    ids = b.text("firm_id")
+    r = first_repeat(list(zip(scenarios, ids)), seen)
+    if r is not None:
+        raise RowError(r, f"second row for scenario {scenarios[r]} and firm {ids[r]!r}")
+    return scenarios, ids, firms, b.fractions("psi")
+
+
 def read_batch(g: EconomyGraph, path: str | Path) -> ShockBatch:
     """Read a long-format batch; unlisted firms keep psi = 1, scenario ids are kept."""
     path = Path(path)
-    per_scenario: dict[int, np.ndarray] = {}
     seen: set[tuple[int, str]] = set()
-    for line, row in read_rows(path, BATCH_COLUMNS):
-        s = parse(path, line, "scenario_id", row["scenario_id"], int)
-        fid = row["firm_id"].strip()
-        if fid not in g.firm_index:
-            raise ReferentialError(f"{path} line {line}: unknown firm id {fid!r}")
-        if (s, fid) in seen:
-            raise DataFormatError(f"{path} line {line}: second row for scenario {s} and firm {fid!r}")
-        seen.add((s, fid))
-        psi = parse_fraction(path, line, "psi", row["psi"])
-        per_scenario.setdefault(s, np.ones(g.n))[g.firm_index[fid]] = psi
-    if not per_scenario:
+    scenarios: list[int] = []
+    firms, values = [], []
+    for block in read_blocks(path, BATCH_COLUMNS):
+        s, ids, f, psi = block.convert(lambda b: _batch_rows(b, g.firm_index, seen))
+        seen.update(zip(s, ids))
+        scenarios += s
+        firms.append(f)
+        values.append(psi)
+    if not scenarios:
         raise DataFormatError(f"{path}: no scenarios found")
-    ids = sorted(per_scenario)
-    return ShockBatch(
-        psi=np.vstack([per_scenario[s] for s in ids]), seed=None, provenance="custom", scenario_ids=ids
-    )
+    ids = sorted(set(scenarios))
+    row = dict(zip(ids, range(len(ids))))
+    psi = np.ones((len(ids), g.n))
+    psi[list(map(row.__getitem__, scenarios)), np.concatenate(firms)] = np.concatenate(values)
+    return ShockBatch(psi=psi, seed=None, provenance="custom", scenario_ids=ids)

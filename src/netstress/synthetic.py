@@ -10,6 +10,7 @@ function of the parameters and the seed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,10 @@ from .economy import (
     EconomyGraph,
     EconomyValidationError,
     EssentialityTable,
-    FirmNode,
     InterbankNetwork,
     LoanBook,
     SupplyNetwork,
+    firm_nodes,
     validate_economy,
 )
 from .scenarios import EmpiricalShockTable
@@ -73,6 +74,34 @@ def _edge_weights(rng: np.random.Generator, family: str, size: int) -> np.ndarra
     return rng.uniform(5.0, 50.0, size=size)
 
 
+class _BankPick:
+    """``rng.choice(m, size, replace=False, p=p)`` for size 1 or 2, without its overhead.
+
+    It draws the same numbers and picks the same banks: a uniform draw per
+    pick, searched in the cumulative distribution, and after a repeat one
+    more draw searched with the first bank's probability set to zero.
+    """
+
+    def __init__(self, p: np.ndarray):
+        self.cdf = self._cdf(p)
+        self.without = [self._cdf(np.where(np.arange(p.size) == k, 0.0, p)) for k in range(p.size)] if p.size > 1 else []
+
+    @staticmethod
+    def _cdf(p: np.ndarray) -> list[float]:
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        return cdf.tolist()
+
+    def __call__(self, rng: np.random.Generator, size: int) -> tuple[int, ...]:
+        first = bisect_right(self.cdf, rng.random())
+        if size == 1:
+            return (first,)
+        second = bisect_right(self.cdf, rng.random())
+        if second == first:
+            second = bisect_right(self.without[first], rng.random())
+        return first, second
+
+
 def generate_synthetic_economy(params: SyntheticParams, seed: int) -> EconomyGraph:
     """Generate a validated economy; bit-identical for equal seeds.
 
@@ -93,11 +122,14 @@ def generate_synthetic_economy(params: SyntheticParams, seed: int) -> EconomyGra
         suppliers = rng.integers(0, n, size=2 * n_edges)
         buyers = rng.integers(0, n, size=2 * n_edges)
         keep = suppliers != buyers
-        pairs = np.unique(np.stack([suppliers[keep], buyers[keep]], axis=1), axis=0)
-        order = rng.permutation(pairs.shape[0])[:n_edges]
+        # distinct (supplier, buyer) pairs in lexicographic order
+        suppliers *= n
+        suppliers += buyers
+        pairs = np.unique(suppliers[keep])
+        order = rng.permutation(pairs.size)[:n_edges]
         pairs = pairs[np.sort(order)]
-        weights = _edge_weights(rng, params.weight_family, pairs.shape[0])
-        supply = SupplyNetwork.from_edges(n, pairs[:, 0], pairs[:, 1], weights)
+        weights = _edge_weights(rng, params.weight_family, pairs.size)
+        supply = SupplyNetwork.from_edges(n, pairs // n, pairs % n, weights)
     else:
         supply = SupplyNetwork.from_edges(n, [], [], [])
 
@@ -117,29 +149,10 @@ def generate_synthetic_economy(params: SyntheticParams, seed: int) -> EconomyGra
     short_liabs = short_assets * rng.uniform(0.1, 0.8, size=n)
     missing = rng.random(n) < params.missing_financials_rate
 
-    firms = []
-    for i in range(n):
-        if missing[i]:
-            firm = FirmNode(
-                id=f"f{i}", sector=codes[sector_idx[i]],
-                financials_present=False, eligible_for_default=False,
-            )
-        else:
-            firm = FirmNode(
-                id=f"f{i}",
-                sector=codes[sector_idx[i]],
-                revenue=float(revenue[i]),
-                op_cost=float(op_cost[i]),
-                equity=float(equity[i]),
-                short_assets=float(short_assets[i]),
-                short_liabs=float(short_liabs[i]),
-            )
-            firm.eligible_for_default = (
-                firm.equity > 0.0
-                and (firm.short_assets - firm.short_liabs) > 0.0
-                and (firm.revenue - firm.op_cost) > 0.0
-            )
-        firms.append(firm)
+    firms = firm_nodes(
+        [f"f{i}" for i in range(n)], [codes[s] for s in sector_idx.tolist()], ~missing,
+        revenue, op_cost, equity, short_assets, short_liabs,
+    )
 
     bank_equity = rng.lognormal(mean=0.0, sigma=0.5, size=m)
     bank_equity *= revenue.sum() / bank_equity.sum() / 3.0
@@ -149,15 +162,14 @@ def generate_synthetic_economy(params: SyntheticParams, seed: int) -> EconomyGra
     loan_firms: list[int] = []
     loan_banks: list[int] = []
     loan_amounts: list[float] = []
-    bank_pick = bank_equity / bank_equity.sum()
-    for i in range(n):
-        if missing[i] or rng.random() >= params.loan_coverage:
+    pick = _BankPick(bank_equity / bank_equity.sum())
+    for i in np.flatnonzero(~missing).tolist():
+        if rng.random() >= params.loan_coverage:
             continue
         n_loans = 1 + int(rng.random() < 0.3)
-        chosen = rng.choice(m, size=min(n_loans, m), replace=False, p=bank_pick)
-        for k in np.atleast_1d(chosen):
+        for k in pick(rng, min(n_loans, m)):
             loan_firms.append(i)
-            loan_banks.append(int(k))
+            loan_banks.append(k)
             loan_amounts.append(float(revenue[i] * rng.uniform(0.05, 0.3)))
 
     # interbank layer: each bank borrows a slice of its equity from a few peers

@@ -336,3 +336,26 @@ class TestScenarioIds:
                     "--config", str(config), "--workers", "1", "--out", str(out)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["convergence"]["sc_failed_scenarios"] == [3, 7]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "0"],
+    ["generate", "--m", "0"],
+    ["generate", "--ratio", "-1"],
+    ["stress", "--sigma", "2"],
+    ["stress", "--epsilon", "-1"],
+    ["stress", "--count", "0"],
+], ids=" ".join)
+def test_bad_parameter_values_exit_three(toy_dir, tmp_path, capsys, argv):
+    if argv[0] == "stress":
+        argv = argv + ["--economy-dir", str(toy_dir), "--workers", "1"]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert one_line_error(capsys).startswith("input error: ")
+
+
+def test_essentiality_table_with_a_repeated_pair_exits_three(toy_dir, tmp_path, capsys):
+    path = tmp_path / "essentiality.csv"
+    path.write_text("supplier_sector,buyer_sector,essential\n10,10,1\n1011,1012,0\n10,10,0\n")
+    assert run(["stress", "--economy-dir", str(toy_dir), "--essentiality", str(path), "--count", "2",
+                "--workers", "1", "--out", str(tmp_path / "run")]) == 3
+    assert "essentiality.csv line 4: second row for supplier sector '10' and buyer sector '10'" in one_line_error(capsys)
