@@ -57,28 +57,17 @@ class FirmNode:
     eligible_for_default: bool = True
 
 
-def default_eligible(present, revenue, op_cost, equity, short_assets, short_liabs):
-    """A firm can default only with financials and strictly positive buffers.
-
-    Takes one firm's numbers or arrays of them.
-    """
+def default_eligible(present, revenue, op_cost, equity, short_assets, short_liabs) -> np.ndarray:
+    """Per firm: it can default only with financials and strictly positive buffers."""
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is not > 0
         return present & (equity > 0.0) & ((short_assets - short_liabs) > 0.0) & ((revenue - op_cost) > 0.0)
-
-
-def derive_eligibility(firm: FirmNode) -> bool:
-    """:func:`default_eligible` of one firm."""
-    return bool(default_eligible(
-        firm.financials_present, firm.revenue, firm.op_cost,
-        firm.equity, firm.short_assets, firm.short_liabs,
-    ))
 
 
 FINANCIAL_FIELDS = ("revenue", "op_cost", "equity", "short_assets", "short_liabs")
 
 
-def firm_nodes(ids: list[str], sectors: list[str], present: np.ndarray, *values: np.ndarray) -> list[FirmNode]:
-    """Firms from columns: ids, sectors, a financials-present mask and one array per financial field.
+def firm_nodes(ids: list[str], sectors: list[str], present: np.ndarray, *values) -> list[FirmNode]:
+    """Firms from columns: ids, sectors, a financials-present mask and an array per financial field.
 
     Firms without financials get zero financials; eligibility follows
     :func:`default_eligible`.

@@ -117,6 +117,7 @@ def _firm_rows(b: Block, seen: dict[str, int]):
     values = np.zeros((len(FINANCIAL_FIELDS), b.size))
     for values_c, c in zip(values, FINANCIAL_FIELDS):
         values_c[present] = b.numbers(c, rows=present)
+    # a sector code repeats on many rows: keep one string per code
     return ids, list(map(sys.intern, b.text("sector"))), present, values
 
 
@@ -156,7 +157,9 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
 
     supply = _Edges()
     for block in read_blocks(spec.supply, SUPPLY_COLUMNS):
-        sup, buy, weights = block.convert(lambda b: (b.text("supplier_id"), b.text("buyer_id"), b.numbers("weight")))
+        sup, buy, weights = block.convert(lambda b: (
+            b.text("supplier_id"), b.text("buyer_id"), b.numbers("weight"),
+        ))
         ends = [list(map(firm_index.get, sup)), list(map(firm_index.get, buy))]
         if None in ends[0] or None in ends[1]:
             for fid in chain.from_iterable(zip(sup, buy)):

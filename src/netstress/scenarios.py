@@ -285,17 +285,18 @@ def read_batch(g: EconomyGraph, path: str | Path) -> ShockBatch:
     path = Path(path)
     seen: set[tuple[int, str]] = set()
     scenarios: list[int] = []
-    firms, values = [], []
+    firms: list[int] = []
+    values = []
     for block in read_blocks(path, BATCH_COLUMNS):
         s, ids, f, psi = block.convert(lambda b: _batch_rows(b, g.firm_index, seen))
         seen.update(zip(s, ids))
         scenarios += s
-        firms.append(f)
+        firms += f
         values.append(psi)
     if not scenarios:
         raise DataFormatError(f"{path}: no scenarios found")
     ids = sorted(set(scenarios))
     row = dict(zip(ids, range(len(ids))))
     psi = np.ones((len(ids), g.n))
-    psi[list(map(row.__getitem__, scenarios)), np.concatenate(firms)] = np.concatenate(values)
+    psi[list(map(row.__getitem__, scenarios)), firms] = np.concatenate(values)
     return ShockBatch(psi=psi, seed=None, provenance="custom", scenario_ids=ids)

@@ -84,7 +84,9 @@ class _BankPick:
 
     def __init__(self, p: np.ndarray):
         self.cdf = self._cdf(p)
-        self.without = [self._cdf(np.where(np.arange(p.size) == k, 0.0, p)) for k in range(p.size)] if p.size > 1 else []
+        # the distribution of the second draw after a repeat of bank k
+        banks = np.arange(p.size)
+        self.without = [self._cdf(np.where(banks == k, 0.0, p)) for k in banks] if p.size > 1 else []
 
     @staticmethod
     def _cdf(p: np.ndarray) -> list[float]:
@@ -122,10 +124,11 @@ def generate_synthetic_economy(params: SyntheticParams, seed: int) -> EconomyGra
         suppliers = rng.integers(0, n, size=2 * n_edges)
         buyers = rng.integers(0, n, size=2 * n_edges)
         keep = suppliers != buyers
-        # distinct (supplier, buyer) pairs in lexicographic order
-        suppliers *= n
-        suppliers += buyers
-        pairs = np.unique(suppliers[keep])
+        # pair number supplier * n + buyer, built in place, sorts like the pair
+        pairs = suppliers
+        pairs *= n
+        pairs += buyers
+        pairs = np.unique(pairs[keep])
         order = rng.permutation(pairs.size)[:n_edges]
         pairs = pairs[np.sort(order)]
         weights = _edge_weights(rng, params.weight_family, pairs.size)

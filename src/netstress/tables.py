@@ -74,12 +74,9 @@ class Block:
                     raise RowError(r, f"column {name} is not {kind.__name__}: {cell!r}") from None
             raise
 
-    def floats(self, name: str) -> np.ndarray:
-        return np.array(self.numbers(name), dtype=float)
-
     def fractions(self, name: str) -> np.ndarray:
         """A float column in [0, 1]; NaN is outside."""
-        values = self.floats(name)
+        values = np.array(self.numbers(name), dtype=float)
         outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
         if outside.size:
             r = outside[0]

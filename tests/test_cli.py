@@ -358,4 +358,5 @@ def test_essentiality_table_with_a_repeated_pair_exits_three(toy_dir, tmp_path, 
     path.write_text("supplier_sector,buyer_sector,essential\n10,10,1\n1011,1012,0\n10,10,0\n")
     assert run(["stress", "--economy-dir", str(toy_dir), "--essentiality", str(path), "--count", "2",
                 "--workers", "1", "--out", str(tmp_path / "run")]) == 3
-    assert "essentiality.csv line 4: second row for supplier sector '10' and buyer sector '10'" in one_line_error(capsys)
+    message = "essentiality.csv line 4: second row for supplier sector '10' and buyer sector '10'"
+    assert message in one_line_error(capsys)

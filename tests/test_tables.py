@@ -60,7 +60,8 @@ class TestFaultsPastTheFirstBlock:
         eco = toy_copy(toy_dir, tmp_path)
         row = BLOCK_ROWS + 37
         (eco / "supply.csv").write_text(long_supply(3 * BLOCK_ROWS, {row: "b,c,1.0x"}))
-        with pytest.raises(DataFormatError, match=rf"supply.csv line {row + 2}: column weight is not float: '1.0x'$"):
+        message = rf"supply.csv line {row + 2}: column weight is not float: '1.0x'$"
+        with pytest.raises(DataFormatError, match=message):
             load_economy(economy_files(eco))
 
     def test_unknown_id(self, toy_dir, tmp_path):
@@ -74,7 +75,8 @@ class TestFaultsPastTheFirstBlock:
 
     def test_wrong_field_count_after_a_bad_cell_of_the_same_block(self, toy_dir, tmp_path):
         eco = toy_copy(toy_dir, tmp_path)
-        (eco / "supply.csv").write_text(long_supply(BLOCK_ROWS + 40, {BLOCK_ROWS + 3: "b,c,x", BLOCK_ROWS + 9: "b,c"}))
+        bad = {BLOCK_ROWS + 3: "b,c,x", BLOCK_ROWS + 9: "b,c"}
+        (eco / "supply.csv").write_text(long_supply(BLOCK_ROWS + 40, bad))
         with pytest.raises(DataFormatError, match=rf"line {BLOCK_ROWS + 5}: column weight"):
             load_economy(economy_files(eco))
 
@@ -93,7 +95,8 @@ class TestLineEndsAndWhitespace:
         lines = text.split("\n")
         lines[5:5] = ["", "\r"]  # two blank lines before the bad row
         (eco / "supply.csv").write_text("\n".join(lines))
-        with pytest.raises(DataFormatError, match=rf"line {BLOCK_ROWS + 14}: column weight is not float: 'nope'"):
+        message = rf"line {BLOCK_ROWS + 14}: column weight is not float: 'nope'"
+        with pytest.raises(DataFormatError, match=message):
             load_economy(economy_files(eco))
 
     def test_whitespace_around_ids_is_ignored(self, toy_dir, tmp_path):
@@ -101,7 +104,8 @@ class TestLineEndsAndWhitespace:
         for name in ("supply", "loans", "interbank"):
             path = eco / f"{name}.csv"
             lines = path.read_text().splitlines()
-            path.write_text("\n".join(lines[:1] + [" " + ln.replace(",", " ,\t", 1) for ln in lines[1:]]) + "\n")
+            padded = [" " + line.replace(",", " ,\t", 1) for line in lines[1:]]
+            path.write_text("\n".join(lines[:1] + padded) + "\n")
         firms = (eco / "firms.csv").read_text().replace("\na,", "\n  a ,")
         (eco / "firms.csv").write_text(firms)
         assert same_graph(load_economy(economy_files(eco)), load_economy(economy_files(toy_dir)))
@@ -133,7 +137,9 @@ class TestQuotedIds:
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(["supplier_id", "buyer_id", "weight"])
         coo = g.supply.weights.tocoo()
-        writer.writerows([g.firm_ids[i], g.firm_ids[j], repr(float(x))] for i, j, x in zip(coo.row, coo.col, coo.data))
+        writer.writerows(
+            [g.firm_ids[i], g.firm_ids[j], repr(float(x))] for i, j, x in zip(coo.row, coo.col, coo.data)
+        )
         assert (tmp_path / "supply.csv").read_text(encoding="utf-8") == expected.getvalue()
 
 
@@ -182,7 +188,8 @@ def test_two_faults_report_the_earlier_line(toy_dir, tmp_path, name, replace, me
 
 
 def test_multi_block_round_trip(tmp_path):
-    g = generate_synthetic_economy(SyntheticParams(n=3 * BLOCK_ROWS + 11, m=5, missing_financials_rate=0.2), seed=4)
+    params = SyntheticParams(n=3 * BLOCK_ROWS + 11, m=5, missing_financials_rate=0.2)
+    g = generate_synthetic_economy(params, seed=4)
     write_economy(g, tmp_path)
     assert same_graph(load_economy(economy_files(tmp_path)), g)
 
