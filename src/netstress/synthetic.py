@@ -74,6 +74,25 @@ def _edge_weights(rng: np.random.Generator, family: str, size: int) -> np.ndarra
     return rng.uniform(5.0, 50.0, size=size)
 
 
+def _supply_network(rng: np.random.Generator, n: int, mean_degree: float, family: str) -> SupplyNetwork:
+    """Directed random edges without self-loops; the candidate draws are freed on return."""
+    n_edges = int(round(n * mean_degree)) if n >= 2 else 0
+    if not n_edges:
+        return SupplyNetwork.from_edges(n, [], [], [])
+    suppliers = rng.integers(0, n, size=2 * n_edges)
+    buyers = rng.integers(0, n, size=2 * n_edges)
+    keep = suppliers != buyers
+    # pair number supplier * n + buyer, built in place, sorts like the pair
+    pairs = suppliers
+    pairs *= n
+    pairs += buyers
+    pairs = np.unique(pairs[keep])
+    order = rng.permutation(pairs.size)[:n_edges]
+    pairs = pairs[np.sort(order)]
+    weights = _edge_weights(rng, family, pairs.size)
+    return SupplyNetwork.from_edges(n, pairs // n, pairs % n, weights)
+
+
 class _BankPick:
     """``rng.choice(m, size, replace=False, p=p)`` for size 1 or 2, without its overhead.
 
@@ -116,26 +135,7 @@ def generate_synthetic_economy(params: SyntheticParams, seed: int) -> EconomyGra
     codes = _sector_codes(params.sector_count)
     sector_idx = rng.integers(0, params.sector_count, size=n)
 
-    # supply network: directed random edges without self-loops
-    n_edges = int(round(n * params.mean_degree))
-    if n < 2:
-        n_edges = 0
-    if n_edges:
-        suppliers = rng.integers(0, n, size=2 * n_edges)
-        buyers = rng.integers(0, n, size=2 * n_edges)
-        keep = suppliers != buyers
-        # pair number supplier * n + buyer, built in place, sorts like the pair
-        pairs = suppliers
-        pairs *= n
-        pairs += buyers
-        pairs = np.unique(pairs[keep])
-        order = rng.permutation(pairs.size)[:n_edges]
-        pairs = pairs[np.sort(order)]
-        weights = _edge_weights(rng, params.weight_family, pairs.size)
-        supply = SupplyNetwork.from_edges(n, pairs // n, pairs % n, weights)
-    else:
-        supply = SupplyNetwork.from_edges(n, [], [], [])
-
+    supply = _supply_network(rng, n, params.mean_degree, params.weight_family)
     intermediate = np.asarray(supply.weights.sum(axis=1)).ravel()
 
     # financials: revenue covers intermediate sales plus final demand, so
