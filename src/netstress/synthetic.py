@@ -79,14 +79,16 @@ def _supply_network(rng: np.random.Generator, n: int, mean_degree: float, family
     n_edges = int(round(n * mean_degree)) if n >= 2 else 0
     if not n_edges:
         return SupplyNetwork.from_edges(n, [], [], [])
-    suppliers = rng.integers(0, n, size=2 * n_edges)
+    pairs = rng.integers(0, n, size=2 * n_edges)  # the suppliers, made pair numbers in place
     buyers = rng.integers(0, n, size=2 * n_edges)
-    keep = suppliers != buyers
-    # pair number supplier * n + buyer, built in place, sorts like the pair
-    pairs = suppliers
+    keep = pairs != buyers
+    # supplier * n + buyer sorts like the (supplier, buyer) pair
     pairs *= n
     pairs += buyers
-    pairs = np.unique(pairs[keep])
+    del buyers
+    pairs = pairs[keep]
+    pairs.sort()
+    pairs = pairs[np.insert(pairs[1:] != pairs[:-1], 0, True)]  # np.unique without its copies
     order = rng.permutation(pairs.size)[:n_edges]
     pairs = pairs[np.sort(order)]
     weights = _edge_weights(rng, family, pairs.size)
