@@ -41,16 +41,12 @@ class DefaultFlags:
 class BankLossLedger:
     """Per-bank loss fractions by channel.
 
-    ``di`` and ``sc`` are raw (unclamped) fractions of equity; clamping to
-    one full equity happens only at reporting boundaries via
-    ``total_without`` / ``total_with``. The interbank components are filled
-    by the solvency-contagion stage.
+    ``di`` and ``sc`` are raw (unclamped) fractions of equity; the contagion
+    seeds clamp them to one full equity.
     """
 
     di: np.ndarray
     sc: np.ndarray
-    ib_wo: np.ndarray | None = None
-    ib_w: np.ndarray | None = None
 
     def seed_without(self) -> np.ndarray:
         """Contagion seed for the regime without supply-chain effects."""
@@ -59,16 +55,6 @@ class BankLossLedger:
     def seed_with(self) -> np.ndarray:
         """Contagion seed for the regime with supply-chain effects."""
         return np.minimum(self.di + self.sc, 1.0)
-
-    def total_without(self) -> np.ndarray:
-        if self.ib_wo is None:
-            raise ValueError("interbank losses not filled in yet")
-        return np.minimum(self.seed_without() + self.ib_wo, 1.0)
-
-    def total_with(self) -> np.ndarray:
-        if self.ib_w is None:
-            raise ValueError("interbank losses not filled in yet")
-        return np.minimum(self.seed_with() + self.ib_w, 1.0)
 
 
 def _as_levels(h) -> np.ndarray:
