@@ -8,8 +8,10 @@ then seed the interbank solvency contagion separately.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -110,18 +112,24 @@ class BatchResult:
 _FIELDS = ("di", "sc", "ib_wo", "ib_w", "sc_converged", "dr_wo_converged", "dr_w_converged")
 _PER_FIRM_FIELDS = ("chi_wo", "chi_w", "dp_w")
 
+# at most this many bytes of shock vectors per block: the blocks in flight
+# sit in the parent, and so in every worker forked from it
+BLOCK_BYTES = 2 << 20
+
 # what every block of a pool worker shares: set once per worker process
 _shared: tuple | None = None
 
 
 def _run_block(g, cfg, dr_epsilon, dr_max_iter, keep_defaults, psi_block) -> dict[str, np.ndarray]:
     """Run a block of scenarios; per-firm arrays only when ``keep_defaults``."""
-    outcomes = [
+    fields = (_FIELDS + _PER_FIRM_FIELDS) if keep_defaults else _FIELDS
+    # keep only the wanted fields of each outcome, not its per-firm arrays
+    outcomes = (
         run_scenario(g, psi, cfg, dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter)
         for psi in psi_block
-    ]
-    fields = (_FIELDS + _PER_FIRM_FIELDS) if keep_defaults else _FIELDS
-    return {name: np.array([getattr(o, name) for o in outcomes]) for name in fields}
+    )
+    columns = zip(*([getattr(o, name) for name in fields] for o in outcomes))
+    return dict(zip(fields, map(np.array, columns)))
 
 
 def _init_worker(*shared) -> None:
@@ -131,6 +139,11 @@ def _init_worker(*shared) -> None:
 
 def _run_shared_block(psi_block) -> dict[str, np.ndarray]:
     return _run_block(*_shared, psi_block)
+
+
+def _block_rows(n: int, n_scenarios: int, workers: int) -> int:
+    """Scenarios per block: within ``BLOCK_BYTES``, and at least ``4 * workers`` blocks."""
+    return max(1, min(BLOCK_BYTES // (8 * max(n, 1)), -(-n_scenarios // (4 * workers))))
 
 
 def run_batch(
@@ -145,20 +158,29 @@ def run_batch(
 ) -> BatchResult:
     """Run a whole batch, optionally over a process pool.
 
-    Each pool worker receives the graph and settings once, and every block
-    only its slice of the shock batch. Results are reduced in scenario
-    order, so the output is identical for any worker count.
+    The batch is read block by block, so a generated batch is never held
+    whole. Each pool worker receives the graph and settings once, every
+    block only its shock vectors, and at most ``2 * workers`` blocks are
+    in flight. Results are reduced in scenario order, so the output is
+    identical for any worker count and block size.
     """
     shared = (g, cfg, dr_epsilon, dr_max_iter, keep_defaults)
     n_scenarios = len(batch)
+    blocks = batch.blocks(_block_rows(g.n, n_scenarios, workers))
     if workers > 1 and n_scenarios > 1:
-        blocks = np.array_split(batch.psi, min(workers * 4, n_scenarios))
+        parts = []
+        pending = deque()
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=shared
         ) as pool:
-            parts = list(pool.map(_run_shared_block, blocks))
+            for block in blocks:
+                pending.append(pool.submit(_run_shared_block, block))
+                if len(pending) == 2 * workers:
+                    parts.append(pending.popleft().result())
+            parts += [future.result() for future in pending]
     else:
-        parts = [_run_block(*shared, batch.psi)]
+        # map lets each block go before the next one is drawn
+        parts = list(map(partial(_run_block, *shared), blocks))
 
     return BatchResult(
         bank_ids=list(g.bank_ids),

@@ -9,7 +9,9 @@ identical at the industry level.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ _AGGREGATE_TOL = 1e-9
 
 @dataclass
 class ShockBatch:
-    """A stack of shock vectors, one row per scenario.
+    """A stack of shock vectors, one row per scenario, read in blocks of rows.
 
     ``residuals`` records (scenario, sector, gap) for the rare industries
     whose aggregate could not be met exactly because clipping to [0, 1]
@@ -48,8 +50,37 @@ class ShockBatch:
     def __len__(self) -> int:
         return self.psi.shape[0]
 
-    def __iter__(self):
-        return iter(self.psi)
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """The shock vectors in scenario order, at most ``rows`` scenarios a block."""
+        for start in range(0, len(self), rows):
+            yield self.psi[start:start + rows]
+
+
+class StreamedBatch(ShockBatch):
+    """A batch whose rows are drawn block by block, never all at once.
+
+    ``draw(rows)`` yields the blocks afresh on every call, in scenario
+    order. ``psi`` stacks the whole batch on first access, for callers
+    that want it dense; ``run_batch`` only reads ``blocks``.
+    """
+
+    def __init__(self, count: int, draw: Callable[[int], Iterator[np.ndarray]],
+                 seed: int | None, provenance: str, residuals: list | None = None):
+        self._count, self._draw = count, draw
+        self.seed, self.provenance = seed, provenance
+        self.residuals = [] if residuals is None else residuals
+        self.scenario_ids = list(range(count))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+        return self._draw(rows)
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        (psi,) = self.blocks(self._count)
+        return psi
 
 
 def single_firm_shock(g: EconomyGraph, firm_id: str) -> np.ndarray:
@@ -61,6 +92,15 @@ def single_firm_shock(g: EconomyGraph, firm_id: str) -> np.ndarray:
     psi = np.ones(g.n)
     psi[idx] = 0.0
     return psi
+
+
+def single_firm_batch(g: EconomyGraph) -> StreamedBatch:
+    """One scenario per firm, in firm order: that firm stops, all others run."""
+    def draw(rows: int) -> Iterator[np.ndarray]:
+        for start in range(0, g.n, rows):
+            yield 1.0 - np.eye(min(rows, g.n - start), g.n, start)
+
+    return StreamedBatch(g.n, draw, seed=None, provenance="single-firm")
 
 
 @dataclass
@@ -107,13 +147,15 @@ def _sampling_layout(g: EconomyGraph, table: EmpiricalShockTable) -> list[_Secto
         observed[index[fid]] = value
     has_data = ~np.isnan(observed)
 
-    sectors = np.asarray(g.sectors, dtype=object)
-    nace2 = np.asarray([s[:2] for s in g.sectors], dtype=object)
+    sectors = g.sectors
     output = g.total_output()
+    by_code: dict[str, list[int]] = {}
+    for i, sector in enumerate(sectors):
+        by_code.setdefault(sector[:2], []).append(i)
 
     groups: list[_SectorGroup] = []
-    for code in sorted(set(nace2)):
-        members = np.flatnonzero(nace2 == code)
+    for code in sorted(by_code):
+        members = np.asarray(by_code[code], dtype=np.intp)
         data_members = members[has_data[members]]
         if data_members.size == 0:
             raise DataFormatError(f"shock table has no observations for sector {code!r} to resample")
@@ -131,25 +173,17 @@ def _sampling_layout(g: EconomyGraph, table: EmpiricalShockTable) -> list[_Secto
 
         # firms with data resample from the industry pool; firms without
         # data are imputed from four-digit peers when any exist
-        pools: dict[str, np.ndarray] = {}
+        peers: dict[str, list[int]] = {}
+        for i in data_members.tolist():
+            peers.setdefault(sectors[i], []).append(i)
         pool_positions: dict[str, list[int]] = {}
-        for pos, i in enumerate(members):
-            if has_data[i]:
-                key = "@2"
-                values = pool2
-            else:
-                peers = data_members[sectors[data_members] == sectors[i]]
-                if peers.size:
-                    key = f"@4:{sectors[i]}"
-                    values = observed[peers]
-                else:
-                    key = "@2"
-                    values = pool2
-            pools.setdefault(key, values)
+        for pos, i in enumerate(members.tolist()):
+            key = "@4:" + sectors[i] if not has_data[i] and sectors[i] in peers else "@2"
             pool_positions.setdefault(key, []).append(pos)
         draw_groups = [
-            (np.asarray(pool_positions[key], dtype=np.intp), pools[key])
-            for key in sorted(pool_positions)
+            (np.asarray(positions, dtype=np.intp),
+             pool2 if key == "@2" else observed[peers[key[3:]]])
+            for key, positions in sorted(pool_positions.items())
         ]
         groups.append(_SectorGroup(code, members, target, weights, draw_groups))
     return groups
@@ -190,32 +224,44 @@ def _rescale_to_target(red: np.ndarray, weights: np.ndarray, target_mean: float)
 
 def covid_style_batch(
     g: EconomyGraph, table: EmpiricalShockTable, count: int, seed: int
-) -> ShockBatch:
+) -> StreamedBatch:
     """Bootstrap per-firm shocks that preserve two-digit industry aggregates.
 
     Every scenario draws each firm's production reduction (with
     replacement) from its industry's observed values -- firms without data
     from their four-digit peers when possible -- then rescales each
     industry to its observed output-weighted aggregate. Deterministic for
-    a given seed.
+    a given seed. The sampling layout is built (and the table checked)
+    here; the scenarios are drawn block by block as the batch is read,
+    and ``residuals`` is filled in once a pass over it is complete.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     groups = _sampling_layout(g, table)
-    rng = np.random.default_rng(seed)
-
-    psi = np.ones((count, g.n))
     residuals: list[tuple[int, str, float]] = []
-    for s in range(count):
-        for grp in groups:
-            red = np.empty(grp.members.size)
-            for positions, values in grp.draw_groups:
-                red[positions] = values[rng.integers(0, values.size, positions.size)]
-            gap = _rescale_to_target(red, grp.weights, grp.target_mean)
-            if abs(gap) > _AGGREGATE_TOL:
-                residuals.append((s, grp.code, gap))
-            psi[s, grp.members] = 1.0 - red
-    return ShockBatch(psi=psi, seed=seed, provenance="covid-style", residuals=residuals)
+
+    def block(rng: np.random.Generator, scenarios: range, found: list) -> np.ndarray:
+        psi = np.ones((len(scenarios), g.n))
+        for s, row in zip(scenarios, psi):
+            for grp in groups:
+                red = np.empty(grp.members.size)
+                for positions, values in grp.draw_groups:
+                    red[positions] = values[rng.integers(0, values.size, positions.size)]
+                gap = _rescale_to_target(red, grp.weights, grp.target_mean)
+                if abs(gap) > _AGGREGATE_TOL:
+                    found.append((s, grp.code, gap))
+                row[grp.members] = 1.0 - red
+        return psi
+
+    def draw(rows: int) -> Iterator[np.ndarray]:
+        rng = np.random.default_rng(seed)
+        found: list[tuple[int, str, float]] = []
+        for start in range(0, count, rows):
+            # drawn in a call, so no local here keeps a block the consumer is done with
+            yield block(rng, range(start, min(start + rows, count)), found)
+        residuals[:] = found  # every pass finds the same: keep one copy
+
+    return StreamedBatch(count, draw, seed=seed, provenance="covid-style", residuals=residuals)
 
 
 def gaussian_bank_seed_batch(reference, count: int, seed: int) -> np.ndarray:

@@ -1,11 +1,21 @@
-"""Scenario batches: the same arrays for any worker count."""
+"""Scenario batches: the same arrays for any worker count, block size and batch kind."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from netstress import ShockBatch, run_batch
+from netstress import (
+    ShockBatch,
+    SyntheticParams,
+    covid_style_batch,
+    generate_synthetic_economy,
+    pipeline,
+    run_batch,
+    synthetic_shock_table,
+)
 
 from .conftest import random_economy
 
@@ -33,3 +43,58 @@ def test_worker_count_does_not_change_results(keep_defaults):
             assert getattr(serial, name) is None and getattr(pooled, name) is None
     if keep_defaults:
         assert serial.chi_w.any()  # the shocks make some firms default
+
+
+def _covid_case(n=300, count=24, seed=3):
+    g = generate_synthetic_economy(SyntheticParams(n=n, m=5), seed=seed)
+    return g, synthetic_shock_table(g, seed=seed + 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("block_rows", [1, 100])
+def test_streamed_batch_matches_dense(monkeypatch, workers, block_rows):
+    g, table = _covid_case()
+    batch = covid_style_batch(g, table, count=24, seed=9)
+    dense = ShockBatch(psi=covid_style_batch(g, table, count=24, seed=9).psi, seed=9, provenance="test")
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n * block_rows)
+    streamed = run_batch(g, batch, workers=workers, keep_defaults=True)
+    reference = run_batch(g, dense, workers=workers, keep_defaults=True)
+    for name in PER_BANK + PER_FIRM:
+        assert getattr(streamed, name).shape[0] == 24
+        np.testing.assert_array_equal(getattr(streamed, name), getattr(reference, name))
+
+
+def test_residuals_are_kept_once_per_batch():
+    g, table = _covid_case(n=400)
+    nace2 = {fid: sector[:2] for fid, sector in zip(g.firm_ids, g.sectors)}
+    industry = nace2[g.firm_ids[0]]
+    rng = np.random.default_rng(0)
+    table.reductions = {
+        fid: float(rng.random() < 0.1) if nace2[fid] == industry else value
+        for fid, value in table.reductions.items()
+    }
+    expected = covid_style_batch(g, table, count=12, seed=1)
+    dense = expected.psi
+    assert expected.residuals  # the case needs some
+    batch = covid_style_batch(g, table, count=12, seed=1)
+    assert batch.residuals == []  # nothing is drawn before the batch is read
+    for block in batch.blocks(5):
+        assert block.shape[0] <= 5
+    assert batch.residuals == expected.residuals
+    np.testing.assert_array_equal(batch.psi, dense)  # a second pass
+    assert batch.residuals == expected.residuals
+
+
+def test_streamed_run_holds_one_block_at_a_time():
+    g, table = _covid_case(n=2000, seed=5)
+    count = 400  # four blocks of 100 scenarios (1.6 MB each) at workers=1
+    run_batch(g, ShockBatch(psi=np.ones((1, g.n)), seed=None, provenance="warm-up"))
+    tracemalloc.start()
+    try:
+        batch = covid_style_batch(g, table, count=count, seed=2)
+        result = run_batch(g, batch, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == count
+    assert peak < count * g.n * 8 / 2

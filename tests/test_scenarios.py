@@ -13,6 +13,7 @@ from netstress import (
     generate_synthetic_economy,
     random_interbank_network,
     read_batch,
+    single_firm_batch,
     single_firm_shock,
     synthetic_shock_table,
     toy_economy,
@@ -34,6 +35,24 @@ class TestSingleFirmShock:
     def test_unknown_id_rejected(self, toy):
         with pytest.raises(ValueError, match="unknown firm"):
             single_firm_shock(toy, "nope")
+
+
+class TestSingleFirmBatch:
+    @pytest.mark.parametrize("rows", [1, 4, 6, 100])
+    def test_blocks_stack_to_ones_with_zero_diagonal(self, toy, rows):
+        dense = np.ones((toy.n, toy.n))
+        np.fill_diagonal(dense, 0.0)
+        batch = single_firm_batch(toy)
+        blocks = list(batch.blocks(rows))
+        assert [b.shape[0] for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        np.testing.assert_array_equal(np.concatenate(blocks), dense)
+        np.testing.assert_array_equal(batch.psi, dense)
+        assert len(batch) == toy.n and batch.scenario_ids == list(range(toy.n))
+
+    def test_rows_match_single_firm_shock(self, toy):
+        rows = np.concatenate(list(single_firm_batch(toy).blocks(4)))
+        for i, fid in enumerate(toy.firm_ids):
+            np.testing.assert_array_equal(rows[i], single_firm_shock(toy, fid))
 
 
 def sector_aggregates(g, table, batch):
