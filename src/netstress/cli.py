@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,13 @@ from .economy import (
     ReferentialError,
     validate_economy,  # noqa: F401  kept in this namespace: benchmarks/tracing.py wraps it here
 )
-from .ingest import economy_files, load_economy, load_essentiality, write_economy
+from .ingest import (
+    IngestionSpec,
+    economy_files,
+    load_economy,
+    load_essentiality,
+    write_economy,
+)
 from .metrics import (
     CHANNELS,
     ChannelDecomposition,
@@ -42,7 +49,13 @@ from .metrics import (
 )
 from .pipeline import BatchResult, run_batch
 from .propagation import PropagationConfig
-from .scenarios import EmpiricalShockTable, ShockBatch, covid_style_batch, read_batch
+from .scenarios import (
+    EmpiricalShockTable,
+    ShockBatch,
+    covid_style_batch,
+    read_batch,
+    single_firm_batch,
+)
 from .synthetic import SyntheticParams, generate_synthetic_economy, synthetic_shock_table
 from .tables import Block, RowError, first_repeat, fmt, read_blocks
 from .tables import write_csv as _write_csv
@@ -136,37 +149,45 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
     return config
 
 
-def _settings(build, **values):
-    """``build(**values)``; a value it rejects is an input error (exit 3), not a crash."""
+@contextmanager
+def _settings(section: str):
+    """Read settings: a value that is not a number, or out of range, is an
+    input error (exit 3), not a crash."""
     try:
-        return build(**values)
-    except ValueError as exc:
-        raise DataFormatError(f"{build.__name__}: {exc}") from exc
+        yield
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{section}: {exc}") from exc
+
+
+_SYNTHETIC_FRACTIONS = (
+    "missing_financials_rate", "negative_income_rate", "loan_coverage",
+    "interbank_density", "essential_fraction",
+)
+
+
+def _economy_files(eco: dict) -> IngestionSpec:
+    with _settings("economy"):
+        lgd = float(eco.get("lgd", 1.0))
+    return economy_files(eco["dir"], lgd=lgd)
 
 
 def _economy_from_config(config: dict) -> EconomyGraph:
     eco = config["economy"]
     if eco["source"] == "synthetic":
-        extras = {
-            key: eco[key]
-            for key in (
-                "weight_family", "missing_financials_rate", "negative_income_rate",
-                "loan_coverage", "interbank_density", "essential_fraction",
+        with _settings("SyntheticParams"):
+            ratio = eco.get("target_exposure_ratio")
+            params = SyntheticParams(
+                n=int(eco["n"]), m=int(eco["m"]),
+                mean_degree=float(eco.get("mean_degree", 4.0)),
+                sector_count=int(eco.get("sector_count", 20)),
+                target_exposure_ratio=None if ratio is None else float(ratio),
+                weight_family=eco.get("weight_family", "lognormal"),
+                **{key: float(eco[key]) for key in _SYNTHETIC_FRACTIONS if key in eco},
             )
-            if key in eco
-        }
-        params = _settings(
-            SyntheticParams,
-            n=int(eco["n"]), m=int(eco["m"]),
-            mean_degree=float(eco.get("mean_degree", 4.0)),
-            sector_count=int(eco.get("sector_count", 20)),
-            target_exposure_ratio=eco.get("target_exposure_ratio"),
-            **extras,
-        )
-        graph = generate_synthetic_economy(params, seed=int(eco["seed"]))
+            seed = int(eco["seed"])
+        graph = generate_synthetic_economy(params, seed=seed)
     elif eco["source"] == "files":
-        spec = economy_files(eco["dir"], lgd=float(eco.get("lgd", 1.0)))
-        graph = load_economy(spec)
+        graph = load_economy(_economy_files(eco))
     else:
         raise DataFormatError(f"unknown economy source {eco['source']!r}")
     ess_path = config["propagation"].get("essentiality")
@@ -175,41 +196,53 @@ def _economy_from_config(config: dict) -> EconomyGraph:
     return graph
 
 
-def _propagation_config(config: dict, trace: bool = False) -> PropagationConfig:
+def _propagation_config(config: dict) -> PropagationConfig:
     prop = config["propagation"]
-    return _settings(
-        PropagationConfig,
-        epsilon=float(prop["epsilon"]),
-        max_iter=int(prop["max_iter"]),
-        nonessential_weight=float(prop["nonessential_weight"]),
-        record_trajectory=trace,
-    )
+    with _settings("PropagationConfig"):
+        return PropagationConfig(
+            epsilon=float(prop["epsilon"]),
+            max_iter=int(prop["max_iter"]),
+            nonessential_weight=float(prop["nonessential_weight"]),
+        )
+
+
+def _debtrank_settings(config: dict) -> tuple[float, int]:
+    """``(epsilon, max_iter)`` of the contagion stage, checked before any run."""
+    dr = config["debtrank"]
+    with _settings("debtrank"):
+        epsilon, max_iter = float(dr["epsilon"]), int(dr["max_iter"])
+        if not epsilon > 0.0:
+            raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    return epsilon, max_iter
 
 
 def _batch_from_config(config: dict, graph: EconomyGraph) -> ShockBatch:
     spec = config["scenarios"]
     kind = spec["kind"]
     if kind == "single-firm":
-        psi = np.ones((graph.n, graph.n))
-        np.fill_diagonal(psi, 0.0)
-        return ShockBatch(psi=psi, seed=None, provenance="single-firm")
+        return single_firm_batch(graph)
     if kind == "covid":
+        with _settings("scenarios"):
+            count, seed = int(spec["count"]), int(spec["seed"])
+            shocks_seed = int(spec.get("shocks_seed", 3))
+            if count < 1:
+                raise ValueError(f"count must be >= 1, got {count}")
         shocks = spec.get("shocks", "synthetic")
         if shocks == "synthetic":
-            table = synthetic_shock_table(graph, seed=int(spec.get("shocks_seed", 3)))
+            table = synthetic_shock_table(graph, seed=shocks_seed)
         else:
             table = EmpiricalShockTable.from_csv(shocks)
-        count = int(spec["count"])
-        if count < 1:
-            raise DataFormatError(f"scenario count must be >= 1, got {count}")
-        return covid_style_batch(graph, table, count=count, seed=int(spec["seed"]))
+        return covid_style_batch(graph, table, count=count, seed=seed)
     if kind == "file":
         return read_batch(graph, spec["batch_file"])
     raise DataFormatError(f"unknown scenario kind {kind!r}")
 
 
 def _workers(config: dict) -> int:
-    workers = int(config.get("workers", 0))
+    with _settings("workers"):
+        workers = int(config.get("workers", 0))
     if workers <= 0:
         workers = os.cpu_count() or 1
     return workers
@@ -238,8 +271,7 @@ def _write_manifest(out: Path, command: str, config: dict, extra: dict) -> None:
 
 
 def cmd_validate(config: dict) -> int:
-    eco = config["economy"]
-    spec = economy_files(eco["dir"], lgd=float(eco.get("lgd", 1.0)))
+    spec = _economy_files(config["economy"])
     try:
         load_economy(spec)
     except EconomyValidationError as exc:
@@ -274,10 +306,8 @@ def _write_profile(out: Path, records) -> None:
 def cmd_fsri(config: dict) -> int:
     graph = _economy_from_config(config)
     cfg = _propagation_config(config)
-    dr = config["debtrank"]
-    records = fsri_profile(
-        graph, cfg, dr_epsilon=float(dr["epsilon"]), dr_max_iter=int(dr["max_iter"])
-    )
+    dr_epsilon, dr_max_iter = _debtrank_settings(config)
+    records = fsri_profile(graph, cfg, dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_profile(out, records)
@@ -386,13 +416,13 @@ def _write_stats(out: Path, dec: ChannelDecomposition, regime: str) -> dict:
 def cmd_stress(config: dict) -> int:
     graph = _economy_from_config(config)
     cfg = _propagation_config(config)
+    dr_epsilon, dr_max_iter = _debtrank_settings(config)
+    workers = _workers(config)
     batch = _batch_from_config(config, graph)
-    dr = config["debtrank"]
     trace = bool(config.get("trace", False))
     result = run_batch(
         graph, batch, cfg,
-        dr_epsilon=float(dr["epsilon"]), dr_max_iter=int(dr["max_iter"]),
-        workers=_workers(config), keep_defaults=trace,
+        dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter, workers=workers, keep_defaults=trace,
     )
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -435,10 +465,8 @@ def cmd_stress(config: dict) -> int:
 
 def cmd_debtrank(config: dict) -> int:
     graph = _economy_from_config(config)
-    dr = config["debtrank"]
-    profile = debtrank_profile(
-        graph, epsilon=float(dr["epsilon"]), max_iter=int(dr["max_iter"])
-    )
+    epsilon, max_iter = _debtrank_settings(config)
+    profile = debtrank_profile(graph, epsilon=epsilon, max_iter=max_iter)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -453,10 +481,7 @@ def cmd_debtrank(config: dict) -> int:
         for k, bank_id in enumerate(graph.bank_ids):
             seed = np.zeros(graph.m)
             seed[k] = 1.0
-            result = debtrank(
-                graph, seed,
-                epsilon=float(dr["epsilon"]), max_iter=int(dr["max_iter"]), record_trace=True,
-            )
+            result = debtrank(graph, seed, epsilon=epsilon, max_iter=max_iter, record_trace=True)
             write_trace(result, graph.bank_ids, out / f"debtrank_trace_{bank_id}.csv")
     _write_manifest(out, "debtrank", config, {"banks": graph.m, "outputs": ["debtrank.csv"]})
     print(f"wrote full-default impact profile for {graph.m} banks to {out}")

@@ -353,6 +353,34 @@ def test_bad_parameter_values_exit_three(toy_dir, tmp_path, capsys, argv):
     assert one_line_error(capsys).startswith("input error: ")
 
 
+@pytest.mark.parametrize("command, config", [
+    ("stress", {"debtrank": {"epsilon": -1}}),
+    ("debtrank", {"debtrank": {"epsilon": -1}}),
+    ("fsri", {"debtrank": {"epsilon": 0}}),
+    ("stress", {"debtrank": {"max_iter": 0}}),
+    ("stress", {"debtrank": {"epsilon": "abc"}}),
+    ("stress", {"scenarios": {"count": "abc"}}),
+    ("stress", {"scenarios": {"seed": None}}),
+    ("stress", {"scenarios": {"shocks_seed": [3]}}),
+    ("stress", {"workers": "x"}),
+    ("stress", {"propagation": {"epsilon": "abc"}}),
+    ("stress", {"propagation": {"max_iter": "many"}}),
+    ("validate", {"economy": {"lgd": "x"}}),
+    ("generate", {"economy": {"n": "many"}}),
+    ("generate", {"economy": {"seed": "x"}}),
+    ("generate", {"economy": {"loan_coverage": "most"}}),
+], ids=lambda value: json.dumps(value) if isinstance(value, dict) else value)
+def test_bad_config_values_exit_three(toy_dir, tmp_path, capsys, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    if command != "generate":
+        argv += ["--economy-dir", str(toy_dir)]
+    assert run(argv) == 3
+    assert one_line_error(capsys).startswith("input error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_essentiality_table_with_a_repeated_pair_exits_three(toy_dir, tmp_path, capsys):
     path = tmp_path / "essentiality.csv"
     path.write_text("supplier_sector,buyer_sector,essential\n10,10,1\n1011,1012,0\n10,10,0\n")
