@@ -32,13 +32,7 @@ from .economy import (
     ReferentialError,
     validate_economy,  # noqa: F401  kept in this namespace: benchmarks/tracing.py wraps it here
 )
-from .ingest import (
-    IngestionSpec,
-    economy_files,
-    load_economy,
-    load_essentiality,
-    write_economy,
-)
+from .ingest import IngestionSpec, economy_files, load_economy, load_essentiality, write_economy
 from .metrics import (
     CHANNELS,
     ChannelDecomposition,
@@ -49,13 +43,7 @@ from .metrics import (
 )
 from .pipeline import BatchResult, run_batch
 from .propagation import PropagationConfig
-from .scenarios import (
-    EmpiricalShockTable,
-    ShockBatch,
-    covid_style_batch,
-    read_batch,
-    single_firm_batch,
-)
+from .scenarios import EmpiricalShockTable, ShockBatch, covid_style_batch, read_batch, single_firm_batch
 from .synthetic import SyntheticParams, generate_synthetic_economy, synthetic_shock_table
 from .tables import Block, RowError, first_repeat, fmt, read_blocks
 from .tables import write_csv as _write_csv

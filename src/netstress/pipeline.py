@@ -166,6 +166,8 @@ def run_batch(
     """
     shared = (g, cfg, dr_epsilon, dr_max_iter, keep_defaults)
     n_scenarios = len(batch)
+    if n_scenarios == 0:
+        raise ValueError("batch has no scenarios")
     blocks = batch.blocks(_block_rows(g.n, n_scenarios, workers))
     if workers > 1 and n_scenarios > 1:
         parts = []

@@ -45,6 +45,12 @@ def test_worker_count_does_not_change_results(keep_defaults):
         assert serial.chi_w.any()  # the shocks make some firms default
 
 
+def test_empty_batch_rejected():
+    g = random_economy(np.random.default_rng(1), n=5, m=2)
+    with pytest.raises(ValueError, match="no scenarios"):
+        run_batch(g, ShockBatch(psi=np.ones((0, g.n)), seed=None, provenance="test"))
+
+
 def _covid_case(n=300, count=24, seed=3):
     g = generate_synthetic_economy(SyntheticParams(n=n, m=5), seed=seed)
     return g, synthetic_shock_table(g, seed=seed + 1)
