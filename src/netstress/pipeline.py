@@ -141,11 +141,6 @@ def _run_shared_block(psi_block) -> dict[str, np.ndarray]:
     return _run_block(*_shared, psi_block)
 
 
-def _block_rows(n: int, n_scenarios: int, workers: int) -> int:
-    """Scenarios per block: within ``BLOCK_BYTES``, and at least ``4 * workers`` blocks."""
-    return max(1, min(BLOCK_BYTES // (8 * max(n, 1)), -(-n_scenarios // (4 * workers))))
-
-
 def run_batch(
     g: EconomyGraph,
     batch: ShockBatch,
@@ -168,7 +163,9 @@ def run_batch(
     n_scenarios = len(batch)
     if n_scenarios == 0:
         raise ValueError("batch has no scenarios")
-    blocks = batch.blocks(_block_rows(g.n, n_scenarios, workers))
+    # rows per block: within BLOCK_BYTES, and at least 4 * workers blocks
+    rows = min(BLOCK_BYTES // (8 * max(g.n, 1)), -(-n_scenarios // (4 * workers)))
+    blocks = batch.blocks(max(rows, 1))
     if workers > 1 and n_scenarios > 1:
         parts = []
         pending = deque()

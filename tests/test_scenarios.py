@@ -49,12 +49,6 @@ class TestSingleFirmBatch:
         np.testing.assert_array_equal(batch.psi, dense)
         assert len(batch) == toy.n and batch.scenario_ids == list(range(toy.n))
 
-    def test_rows_match_single_firm_shock(self, toy):
-        rows = np.concatenate(list(single_firm_batch(toy).blocks(4)))
-        for i, fid in enumerate(toy.firm_ids):
-            np.testing.assert_array_equal(rows[i], single_firm_shock(toy, fid))
-
-
 def sector_aggregates(g, table, batch):
     """Realized and target output-weighted aggregate reduction per sector."""
     nace2 = np.asarray([s[:2] for s in g.sectors], dtype=object)
