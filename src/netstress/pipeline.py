@@ -164,7 +164,7 @@ def run_batch(
     if n_scenarios == 0:
         raise ValueError("batch has no scenarios")
     # rows per block: within BLOCK_BYTES, and at least 4 * workers blocks
-    rows = min(BLOCK_BYTES // (8 * max(g.n, 1)), -(-n_scenarios // (4 * workers)))
+    rows = min(BLOCK_BYTES // (8 * max(g.n, 1)), -(-n_scenarios // (4 * max(workers, 1))))
     blocks = batch.blocks(max(rows, 1))
     if workers > 1 and n_scenarios > 1:
         parts = []

@@ -51,23 +51,23 @@ def test_empty_batch_rejected():
         run_batch(g, ShockBatch(psi=np.ones((0, g.n)), seed=None, provenance="test"))
 
 
-def _covid_case(n=300, count=24, seed=3):
+def _covid_case(n=300, seed=3):
     g = generate_synthetic_economy(SyntheticParams(n=n, m=5), seed=seed)
     return g, synthetic_shock_table(g, seed=seed + 1)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [0, 1, 2])
 @pytest.mark.parametrize("block_rows", [1, 100])
 def test_streamed_batch_matches_dense(monkeypatch, workers, block_rows):
     g, table = _covid_case()
     batch = covid_style_batch(g, table, count=24, seed=9)
     dense = ShockBatch(psi=covid_style_batch(g, table, count=24, seed=9).psi, seed=9, provenance="test")
+    reference = run_batch(g, dense, workers=1, keep_defaults=True)
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n * block_rows)
-    streamed = run_batch(g, batch, workers=workers, keep_defaults=True)
-    reference = run_batch(g, dense, workers=workers, keep_defaults=True)
-    for name in PER_BANK + PER_FIRM:
-        assert getattr(streamed, name).shape[0] == 24
-        np.testing.assert_array_equal(getattr(streamed, name), getattr(reference, name))
+    for result in (run_batch(g, b, workers=workers, keep_defaults=True) for b in (batch, dense)):
+        for name in PER_BANK + PER_FIRM:
+            assert getattr(result, name).shape[0] == 24
+            np.testing.assert_array_equal(getattr(result, name), getattr(reference, name))
 
 
 def test_residuals_are_kept_once_per_batch():
@@ -84,8 +84,7 @@ def test_residuals_are_kept_once_per_batch():
     assert expected.residuals  # the case needs some
     batch = covid_style_batch(g, table, count=12, seed=1)
     assert batch.residuals == []  # nothing is drawn before the batch is read
-    for block in batch.blocks(5):
-        assert block.shape[0] <= 5
+    run_batch(g, batch, workers=2)
     assert batch.residuals == expected.residuals
     np.testing.assert_array_equal(batch.psi, dense)  # a second pass
     assert batch.residuals == expected.residuals
@@ -104,3 +103,44 @@ def test_streamed_run_holds_one_block_at_a_time():
         tracemalloc.stop()
     assert len(result) == count
     assert peak < count * g.n * 8 / 2
+
+
+class _InlinePool:
+    """Stands in for the process pool: runs each block when its result is read."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+        self.in_flight = self.most_in_flight = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, fn, block):
+        self.in_flight += 1
+        self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        return self._Future(self, fn, block)
+
+    class _Future:
+        def __init__(self, pool, fn, block):
+            self.pool, self.fn, self.block = pool, fn, block
+
+        def result(self):
+            self.pool.in_flight -= 1
+            return self.fn(self.block)
+
+
+def test_pool_keeps_at_most_two_blocks_per_worker_in_flight(monkeypatch):
+    g, table = _covid_case()
+    batch = covid_style_batch(g, table, count=40, seed=9)
+    reference = run_batch(g, batch, workers=1)
+    pools = []
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", lambda **kw: pools.append(_InlinePool(**kw)) or pools[-1])
+    monkeypatch.setattr(pipeline, "_shared", None)
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n)  # one scenario a block
+    result = run_batch(g, batch, workers=3)
+    assert [pool.most_in_flight for pool in pools] == [6]
+    for name in PER_BANK:
+        np.testing.assert_array_equal(getattr(result, name), getattr(reference, name))
