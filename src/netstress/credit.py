@@ -18,7 +18,7 @@ import numpy as np
 
 from .economy import EconomyGraph
 from .propagation import ProductionProfile
-from .tables import fmt, write_csv
+from .tables import write_parts
 
 
 @dataclass
@@ -120,9 +120,9 @@ def dump_defaults(
     dp_rows,
     firm_ids: list[str],
 ) -> None:
-    """Write per-scenario default flags and profit shocks as long-format CSV."""
-    write_csv(path, ["scenario_id", "firm_id", "chi_wo", "chi_w", "dp"], (
-        [sid, fid, int(wo[i]), int(w[i]), fmt(dp[i])]
+    """Write per-scenario default flags and profit shocks as long-format CSV, a scenario at a time."""
+    n = len(firm_ids)
+    write_parts(path, ["scenario_id", "firm_id", "chi_wo", "chi_w", "dp"], (
+        [[sid] * n, firm_ids, np.asarray(wo, dtype=np.uint8), np.asarray(w, dtype=np.uint8), np.asarray(dp, dtype=float)]
         for sid, wo, w, dp in zip(scenario_ids, chi_wo_rows, chi_w_rows, dp_rows)
-        for i, fid in enumerate(firm_ids)
     ))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter, not_
+from operator import not_
 
 import numpy as np
 from scipy import sparse
@@ -39,7 +39,7 @@ class EconomyValidationError(ValueError):
 
 @dataclass
 class FirmNode:
-    """One firm: industry sector plus income-statement and buffer positions.
+    """One firm as an input record of :meth:`EconomyGraph.from_records`.
 
     ``eligible_for_default`` is False for firms with missing financials or
     non-positive equity, liquidity or net income; they stay in the supply
@@ -57,6 +57,14 @@ class FirmNode:
     eligible_for_default: bool = True
 
 
+@dataclass
+class BankSheet:
+    """One bank as an input record of :meth:`EconomyGraph.from_records`."""
+
+    id: str
+    tier1_equity: float
+
+
 def default_eligible(present, revenue, op_cost, equity, short_assets, short_liabs) -> np.ndarray:
     """Per firm: it can default only with financials and strictly positive buffers."""
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is not > 0
@@ -66,26 +74,15 @@ def default_eligible(present, revenue, op_cost, equity, short_assets, short_liab
 FINANCIAL_FIELDS = ("revenue", "op_cost", "equity", "short_assets", "short_liabs")
 
 
-def firm_nodes(ids: list[str], sectors: list[str], present: np.ndarray, *values) -> list[FirmNode]:
-    """Firms from columns: ids, sectors, a financials-present mask and an array per financial field.
+def firm_columns(present: np.ndarray, *values: np.ndarray) -> dict[str, np.ndarray]:
+    """The financial fields of :class:`EconomyGraph` from a financials-present mask and one array per field.
 
     Firms without financials get zero financials; eligibility follows
     :func:`default_eligible`.
     """
-    eligible = default_eligible(present, *values)
-    columns = [np.where(present, v, 0.0).tolist() for v in values]
-    return list(map(FirmNode, ids, sectors, *columns, present.tolist(), eligible.tolist()))
-
-
-def firm_column(firms: list[FirmNode], name: str, dtype=float) -> np.ndarray:
-    """One field of every firm as an array."""
-    return np.fromiter(map(attrgetter(name), firms), dtype=dtype, count=len(firms))
-
-
-@dataclass
-class BankSheet:
-    id: str
-    tier1_equity: float
+    columns = dict(zip(FINANCIAL_FIELDS, (np.where(present, v, 0.0) for v in values)))
+    eligible = default_eligible(present, *columns.values())
+    return dict(columns, financials_present=present, eligible_for_default=eligible)
 
 
 @dataclass(eq=False)
@@ -179,81 +176,79 @@ class EssentialityTable:
             return self.overrides[key2]
         return self.default_essential
 
+    def lookup(self, codes: list[str]) -> np.ndarray:
+        """:meth:`is_essential` of every pair of ``codes``: entry [s, b] for supplier s, buyer b."""
+        table = np.full((len(codes), len(codes)), self.default_essential)
+        for width in (2, None):  # two-digit prefixes first, so that exact pairs overwrite them
+            groups: dict[str, list[int]] = {}
+            for i, code in enumerate(codes):
+                groups.setdefault(code[:width], []).append(i)
+            for (sup, buy), flag in self.overrides.items():
+                if sup in groups and buy in groups:
+                    table[np.ix_(groups[sup], groups[buy])] = flag
+        return table
 
-@dataclass(eq=False)
+
+@dataclass(eq=False, kw_only=True)
 class EconomyGraph:
     """The complete simulation state: firms, supply links, banks, loans.
 
-    Treat instances as immutable once validated; derived arrays are cached
-    on first access and all simulation code reads the graph concurrently.
+    Firms and banks are stored as columns, one entry per firm or bank in
+    index order: ids and sectors as lists, financials as float arrays, the
+    two flags as bool arrays. :meth:`from_records` builds a graph from
+    :class:`FirmNode` and :class:`BankSheet` records. Treat instances as
+    immutable once validated; derived arrays are cached on first access and
+    all simulation code reads the graph concurrently.
     """
 
-    firms: list[FirmNode]
+    firm_ids: list[str]
+    sectors: list[str]
+    revenue: np.ndarray
+    op_cost: np.ndarray
+    equity: np.ndarray
+    short_assets: np.ndarray
+    short_liabs: np.ndarray
+    financials_present: np.ndarray
+    eligible_for_default: np.ndarray
+    bank_ids: list[str]
+    bank_equity: np.ndarray
     supply: SupplyNetwork
-    banks: list[BankSheet]
     interbank: InterbankNetwork
     loans: LoanBook
     essentiality: EssentialityTable = field(default_factory=EssentialityTable)
 
+    @classmethod
+    def from_records(cls, firms: list[FirmNode], supply: SupplyNetwork, banks: list[BankSheet],
+                     interbank: InterbankNetwork, loans: LoanBook,
+                     essentiality: EssentialityTable | None = None) -> "EconomyGraph":
+        """A graph from firm and bank records, their fields taken as given."""
+        def column(name: str, dtype=float) -> np.ndarray:
+            return np.array([getattr(f, name) for f in firms], dtype=dtype)
+
+        return cls(
+            firm_ids=[f.id for f in firms], sectors=[f.sector for f in firms],
+            **{name: column(name) for name in FINANCIAL_FIELDS},
+            financials_present=column("financials_present", bool),
+            eligible_for_default=column("eligible_for_default", bool),
+            bank_ids=[b.id for b in banks], bank_equity=np.array([b.tier1_equity for b in banks], dtype=float),
+            supply=supply, interbank=interbank, loans=loans, essentiality=essentiality or EssentialityTable(),
+        )
+
     @property
     def n(self) -> int:
-        return len(self.firms)
+        return len(self.firm_ids)
 
     @property
     def m(self) -> int:
-        return len(self.banks)
-
-    @cached_property
-    def firm_ids(self) -> list[str]:
-        return [f.id for f in self.firms]
+        return len(self.bank_ids)
 
     @cached_property
     def firm_index(self) -> dict[str, int]:
-        return {f.id: i for i, f in enumerate(self.firms)}
-
-    @cached_property
-    def sectors(self) -> list[str]:
-        return [f.sector for f in self.firms]
-
-    @cached_property
-    def bank_ids(self) -> list[str]:
-        return [b.id for b in self.banks]
+        return {fid: i for i, fid in enumerate(self.firm_ids)}
 
     @cached_property
     def bank_index(self) -> dict[str, int]:
-        return {b.id: k for k, b in enumerate(self.banks)}
-
-    @cached_property
-    def revenue(self) -> np.ndarray:
-        return np.array([f.revenue for f in self.firms], dtype=float)
-
-    @cached_property
-    def op_cost(self) -> np.ndarray:
-        return np.array([f.op_cost for f in self.firms], dtype=float)
-
-    @cached_property
-    def equity(self) -> np.ndarray:
-        return np.array([f.equity for f in self.firms], dtype=float)
-
-    @cached_property
-    def short_assets(self) -> np.ndarray:
-        return np.array([f.short_assets for f in self.firms], dtype=float)
-
-    @cached_property
-    def short_liabs(self) -> np.ndarray:
-        return np.array([f.short_liabs for f in self.firms], dtype=float)
-
-    @cached_property
-    def financials_present(self) -> np.ndarray:
-        return np.array([f.financials_present for f in self.firms], dtype=bool)
-
-    @cached_property
-    def eligible_for_default(self) -> np.ndarray:
-        return np.array([f.eligible_for_default for f in self.firms], dtype=bool)
-
-    @cached_property
-    def bank_equity(self) -> np.ndarray:
-        return np.array([b.tier1_equity for b in self.banks], dtype=float)
+        return {bid: k for k, bid in enumerate(self.bank_ids)}
 
     @cached_property
     def leverage(self) -> np.ndarray:
@@ -322,29 +317,34 @@ def _repeats(ids: list[str]) -> set[int]:
     return repeats
 
 
-def _check_firm(report: ValidationReport, f: FirmNode, repeated: bool) -> None:
-    ent = f"firm:{f.id}"
-    if not f.id:
+def _check_firm(report: ValidationReport, g: EconomyGraph, i: int, repeated: bool) -> None:
+    fid = g.firm_ids[i]
+    ent = f"firm:{fid}"
+    if not fid:
         report.add(ent, "empty-id", "firm id must be non-empty")
     if repeated:
         report.add(ent, "duplicate-id", "firm id appears more than once")
-    if not f.sector:
+    if not g.sectors[i]:
         report.add(ent, "empty-sector", "sector code must be non-empty")
-    if f.financials_present:
-        for name in FINANCIAL_FIELDS:
-            value = getattr(f, name)
+    f = {name: getattr(g, name)[i].item() for name in FINANCIAL_FIELDS}
+    present = g.financials_present[i]
+    if present:
+        for name, value in f.items():
             if not math.isfinite(value):
                 report.add(ent, "non-finite", f"{name} is {value}")
-    if f.eligible_for_default:
-        if not f.financials_present:
+    if g.eligible_for_default[i]:
+        if not present:
             report.add(ent, "eligibility", "eligible firm lacks financials")
         else:
-            if f.equity <= 0.0:
-                report.add(ent, "eligibility", f"eligible firm has equity {f.equity} <= 0")
-            if (f.short_assets - f.short_liabs) <= 0.0:
+            if f["equity"] <= 0.0:
+                report.add(ent, "eligibility", f"eligible firm has equity {f['equity']} <= 0")
+            if (f["short_assets"] - f["short_liabs"]) <= 0.0:
                 report.add(ent, "eligibility", "eligible firm has non-positive liquidity")
-            if (f.revenue - f.op_cost) <= 0.0:
+            if (f["revenue"] - f["op_cost"]) <= 0.0:
                 report.add(ent, "eligibility", "eligible firm has non-positive net income")
+
+
+_FIRM_COLUMNS = ("sectors", *FINANCIAL_FIELDS, "financials_present", "eligible_for_default")
 
 
 def validate_economy(g: EconomyGraph) -> ValidationReport:
@@ -354,34 +354,37 @@ def validate_economy(g: EconomyGraph) -> ValidationReport:
     """
     report = ValidationReport()
     n, m = g.n, g.m
+    for name, size in (dict.fromkeys(_FIRM_COLUMNS, n) | {"bank_equity": m}).items():
+        if len(getattr(g, name)) != size:
+            report.add("columns", "shape", f"{name} has {len(getattr(g, name))} entries, expected {size}")
+    if not report.ok:
+        return report
 
     # screen every firm with arrays; only flagged firms go through the
     # per-firm rules of _check_firm, which word the violations in firm order
-    firms = g.firms
-    ids = [f.id for f in firms]
-    repeated = _repeats(ids)
-    present = firm_column(firms, "financials_present", bool)
-    values = [firm_column(firms, name) for name in FINANCIAL_FIELDS]
+    repeated = _repeats(g.firm_ids)
+    present = g.financials_present
+    values = [getattr(g, name) for name in FINANCIAL_FIELDS]
     flagged = (
-        np.fromiter(map(not_, ids), dtype=bool, count=n)
-        | np.fromiter(map(not_, map(attrgetter("sector"), firms)), dtype=bool, count=n)
+        np.fromiter(map(not_, g.firm_ids), dtype=bool, count=n)
+        | np.fromiter(map(not_, g.sectors), dtype=bool, count=n)
         | (present & ~np.logical_and.reduce([np.isfinite(v) for v in values]))
-        | (firm_column(firms, "eligible_for_default", bool) & ~default_eligible(present, *values))
+        | (g.eligible_for_default & ~default_eligible(present, *values))
     )
     flagged[list(repeated)] = True
     for i in np.flatnonzero(flagged).tolist():
-        _check_firm(report, firms[i], i in repeated)
+        _check_firm(report, g, i, i in repeated)
 
     seen_banks: set[str] = set()
-    for b in g.banks:
-        ent = f"bank:{b.id}"
-        if not b.id:
+    for bid, equity in zip(g.bank_ids, g.bank_equity.tolist()):
+        ent = f"bank:{bid}"
+        if not bid:
             report.add(ent, "empty-id", "bank id must be non-empty")
-        if b.id in seen_banks:
+        if bid in seen_banks:
             report.add(ent, "duplicate-id", "bank id appears more than once")
-        seen_banks.add(b.id)
-        if not 0.0 < b.tier1_equity < math.inf:
-            report.add(ent, "equity", f"tier 1 equity {b.tier1_equity} must be finite and > 0")
+        seen_banks.add(bid)
+        if not 0.0 < equity < math.inf:
+            report.add(ent, "equity", f"tier 1 equity {equity} must be finite and > 0")
 
     w = g.supply.weights
     if w.shape != (n, n):

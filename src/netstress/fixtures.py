@@ -7,7 +7,6 @@ import numpy as np
 from .economy import (
     BankSheet,
     EconomyGraph,
-    EssentialityTable,
     FirmNode,
     InterbankNetwork,
     LoanBook,
@@ -33,7 +32,7 @@ def toy_economy() -> EconomyGraph:
         FirmNode("e", "1015", revenue=50.0, op_cost=30.0, equity=10.0, short_assets=40.0, short_liabs=20.0),
         FirmNode("f", "1016", revenue=100.0, op_cost=60.0, equity=30.0, short_assets=50.0, short_liabs=10.0),
     ]
-    index = {f.id: i for i, f in enumerate(firms)}
+    index = {fid: i for i, fid in enumerate("abcdef")}
     edges = [("f", "a", 10.0), ("f", "d", 15.0), ("f", "e", 5.0),
              ("c", "f", 20.0), ("b", "c", 12.0), ("d", "c", 8.0)]
     supply = SupplyNetwork.from_edges(
@@ -49,7 +48,7 @@ def toy_economy() -> EconomyGraph:
         BankSheet("3", 100.0),
         BankSheet("4", 100.0),
     ]
-    bank_index = {b.id: k for k, b in enumerate(banks)}
+    bank_index = {bid: k for k, bid in enumerate("1234")}
     ib_edges = [("3", "2", 30.0), ("4", "1", 20.0), ("2", "1", 15.0)]
     interbank = InterbankNetwork.from_edges(
         4,
@@ -67,14 +66,7 @@ def toy_economy() -> EconomyGraph:
         [a for _, _, a in loan_entries],
     )
 
-    return EconomyGraph(
-        firms=firms,
-        supply=supply,
-        banks=banks,
-        interbank=interbank,
-        loans=loans,
-        essentiality=EssentialityTable(),
-    )
+    return EconomyGraph.from_records(firms, supply, banks, interbank, loans)
 
 
 def ring_economy(n_firms: int = 5, n_banks: int = 3) -> EconomyGraph:
@@ -112,6 +104,4 @@ def ring_economy(n_firms: int = 5, n_banks: int = 3) -> EconomyGraph:
         [e[2] for e in ib_edges],
     )
 
-    return EconomyGraph(
-        firms=firms, supply=supply, banks=banks, interbank=interbank, loans=loans,
-    )
+    return EconomyGraph.from_records(firms, supply, banks, interbank, loans)

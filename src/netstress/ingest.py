@@ -27,19 +27,16 @@ import numpy as np
 
 from .economy import (
     FINANCIAL_FIELDS,
-    BankSheet,
     EconomyGraph,
     EconomyValidationError,
     EssentialityTable,
-    FirmNode,
     InterbankNetwork,
     LoanBook,
     SupplyNetwork,
-    firm_column,
-    firm_nodes,
+    firm_columns,
     validate_economy,
 )
-from .tables import Block, RowError, first_repeat, fmt, read_blocks, write_columns, write_csv
+from .tables import Block, RowError, first_repeat, read_blocks, write_columns, write_csv
 
 FIRM_COLUMNS = ["id", "sector", *FINANCIAL_FIELDS]
 SUPPLY_COLUMNS = ["supplier_id", "buyer_id", "weight"]
@@ -141,18 +138,26 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
     :class:`EconomyValidationError` when the assembled graph violates an
     invariant.
     """
-    firms: list[FirmNode] = []
+    firm_ids: list[str] = []
+    sectors: list[str] = []
+    present = [np.zeros(0, dtype=bool)]
+    values = [np.zeros((len(FINANCIAL_FIELDS), 0))]
     firm_index: dict[str, int] = {}
     for block in read_blocks(spec.firms, FIRM_COLUMNS):
-        ids, sectors, present, values = block.convert(lambda b: _firm_rows(b, firm_index))
-        firms += firm_nodes(ids, sectors, present, *values)
+        ids, block_sectors, block_present, block_values = block.convert(lambda b: _firm_rows(b, firm_index))
+        firm_ids += ids
+        sectors += block_sectors
+        present.append(block_present)
+        values.append(block_values)
         _index(ids, firm_index)
 
-    banks: list[BankSheet] = []
+    bank_ids: list[str] = []
+    bank_equity: list[float] = []
     bank_index: dict[str, int] = {}
     for block in read_blocks(spec.banks, BANK_COLUMNS):
         ids, equity = block.convert(lambda b: _bank_rows(b, bank_index))
-        banks += map(BankSheet, ids, equity)
+        bank_ids += ids
+        bank_equity += equity
         _index(ids, bank_index)
 
     supply = _Edges()
@@ -165,13 +170,15 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
             for fid in chain.from_iterable(zip(sup, buy)):
                 if fid not in firm_index:
                     # supply-only firms stay in the chain but carry no financials
-                    firm_index[fid] = len(firms)
-                    firms.append(FirmNode(
-                        id=fid, sector=UNKNOWN_SECTOR,
-                        financials_present=False, eligible_for_default=False,
-                    ))
+                    firm_index[fid] = len(firm_ids)
+                    firm_ids.append(fid)
+                    sectors.append(UNKNOWN_SECTOR)
             ends = [list(map(firm_index.get, sup)), list(map(firm_index.get, buy))]
         supply.add(*ends, weights)
+    # a blank row for each supply-only firm
+    blank = len(firm_ids) - sum(map(len, present))
+    present.append(np.zeros(blank, dtype=bool))
+    values.append(np.zeros((len(FINANCIAL_FIELDS), blank)))
 
     interbank = _Edges()
     for block in read_blocks(spec.interbank, INTERBANK_COLUMNS):
@@ -192,12 +199,17 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
         load_essentiality(spec.essentiality) if spec.essentiality is not None else EssentialityTable()
     )
 
+    n, m = len(firm_ids), len(bank_ids)
+    present, values = np.concatenate(present), np.concatenate(values, axis=1)
     graph = EconomyGraph(
-        firms=firms,
-        supply=SupplyNetwork.from_edges(len(firms), *supply.arrays()),
-        banks=banks,
-        interbank=InterbankNetwork.from_edges(len(banks), *interbank.arrays()),
-        loans=LoanBook.from_entries(len(firms), len(banks), *loans.arrays(), spec.lgd),
+        firm_ids=firm_ids,
+        sectors=sectors,
+        **firm_columns(present, *values),
+        bank_ids=bank_ids,
+        bank_equity=np.array(bank_equity, dtype=float),
+        supply=SupplyNetwork.from_edges(n, *supply.arrays()),
+        interbank=InterbankNetwork.from_edges(m, *interbank.arrays()),
+        loans=LoanBook.from_entries(n, m, *loans.arrays(), spec.lgd),
         essentiality=essentiality,
     )
     report = validate_economy(graph)
@@ -243,12 +255,12 @@ def write_economy(g: EconomyGraph, directory: str | Path) -> None:
     """Write an economy back to the CSV layout read by :func:`load_economy`."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    blank = ~firm_column(g.firms, "financials_present", bool)
+    blank = ~g.financials_present
     write_columns(d / "firms.csv", FIRM_COLUMNS, [
-        [f.id for f in g.firms], [f.sector for f in g.firms],
-        *(np.ma.masked_array(firm_column(g.firms, name), mask=blank) for name in FINANCIAL_FIELDS),
+        g.firm_ids, g.sectors,
+        *(np.ma.masked_array(getattr(g, name), mask=blank) for name in FINANCIAL_FIELDS),
     ])
-    write_csv(d / "banks.csv", BANK_COLUMNS, ([b.id, fmt(b.tier1_equity)] for b in g.banks))
+    write_columns(d / "banks.csv", BANK_COLUMNS, [g.bank_ids, g.bank_equity])
     for name, columns, matrix, row_ids, col_ids in (
         ("supply.csv", SUPPLY_COLUMNS, g.supply.weights, g.firm_ids, g.firm_ids),
         ("interbank.csv", INTERBANK_COLUMNS, g.interbank.liabilities, g.bank_ids, g.bank_ids),

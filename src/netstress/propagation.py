@@ -95,31 +95,24 @@ class _Plan:
 _PLANS: "weakref.WeakKeyDictionary[EconomyGraph, _Plan]" = weakref.WeakKeyDictionary()
 
 
+def _pools(g: EconomyGraph, suppliers: np.ndarray, buyers: np.ndarray):
+    """The (buyer, supplier-sector) pool of each edge; per pool its buyer and whether it is essential."""
+    sector_codes, sector_of = np.unique(np.asarray(g.sectors, dtype=object), return_inverse=True)
+    n_sectors = len(sector_codes)
+    pool_keys, edge_pool = np.unique(buyers * n_sectors + sector_of[suppliers], return_inverse=True)
+    pool_buyer = (pool_keys // n_sectors).astype(np.intp)
+    essential = g.essentiality.lookup(sector_codes.tolist())[pool_keys % n_sectors, sector_of[pool_buyer]]
+    return edge_pool, pool_buyer, essential
+
+
 def _build_plan(g: EconomyGraph) -> _Plan:
     w_csc = g.supply.weights.tocsc()
     n = g.n
     buyers = np.repeat(np.arange(n, dtype=np.int64), np.diff(w_csc.indptr))
     suppliers = w_csc.indices
     weights = w_csc.data.astype(float)
-
-    sector_codes, sector_of = np.unique(np.asarray(g.sectors, dtype=object), return_inverse=True)
-    n_sectors = len(sector_codes)
-    keys = buyers * n_sectors + sector_of[suppliers]
-    pool_keys, edge_pool = np.unique(keys, return_inverse=True)
-    n_pools = len(pool_keys)
-    pool_buyer = (pool_keys // n_sectors).astype(np.intp)
-    pool_sector = (pool_keys % n_sectors).astype(np.intp)
-
-    table = g.essentiality
-    sectors = g.sectors
-    essential = np.fromiter(
-        (
-            table.is_essential(str(sector_codes[s]), sectors[b])
-            for s, b in zip(pool_sector, pool_buyer)
-        ),
-        dtype=bool,
-        count=n_pools,
-    )
+    edge_pool, pool_buyer, essential = _pools(g, suppliers, buyers)
+    n_pools = pool_buyer.size
 
     # level j holds the j-th essential pool of every buyer with more than j;
     # buyers go by descending count, so every level is a prefix of level 0

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .economy import (
-    BankSheet,
     EconomyGraph,
     EconomyValidationError,
     EssentialityTable,
     InterbankNetwork,
     LoanBook,
     SupplyNetwork,
-    firm_nodes,
+    firm_columns,
     validate_economy,
 )
 from .scenarios import EmpiricalShockTable
@@ -154,14 +153,8 @@ def generate_synthetic_economy(params: SyntheticParams, seed: int) -> EconomyGra
     short_liabs = short_assets * rng.uniform(0.1, 0.8, size=n)
     missing = rng.random(n) < params.missing_financials_rate
 
-    firms = firm_nodes(
-        [f"f{i}" for i in range(n)], [codes[s] for s in sector_idx.tolist()], ~missing,
-        revenue, op_cost, equity, short_assets, short_liabs,
-    )
-
     bank_equity = rng.lognormal(mean=0.0, sigma=0.5, size=m)
     bank_equity *= revenue.sum() / bank_equity.sum() / 3.0
-    banks = [BankSheet(id=f"b{k}", tier1_equity=float(bank_equity[k])) for k in range(m)]
 
     # loan book: financially covered firms borrow from one or two banks
     loan_firms: list[int] = []
@@ -221,9 +214,12 @@ def generate_synthetic_economy(params: SyntheticParams, seed: int) -> EconomyGra
         essentiality = EssentialityTable(overrides=overrides)
 
     graph = EconomyGraph(
-        firms=firms,
+        firm_ids=[f"f{i}" for i in range(n)],
+        sectors=[codes[s] for s in sector_idx.tolist()],
+        **firm_columns(~missing, revenue, op_cost, equity, short_assets, short_liabs),
+        bank_ids=[f"b{k}" for k in range(m)],
+        bank_equity=bank_equity,
         supply=supply,
-        banks=banks,
         interbank=InterbankNetwork.from_edges(m, ib_borrowers, ib_lenders, ib_amounts),
         loans=LoanBook.from_entries(n, m, loan_firms, loan_banks, loan_amounts),
         essentiality=essentiality,
@@ -253,12 +249,10 @@ def synthetic_shock_table(
     }
     reductions: dict[str, float] = {}
     first_in_sector: set[str] = set()
-    for i, firm in enumerate(g.firms):
-        code = nace2[i]
+    for fid, code in zip(g.firm_ids, nace2):
         force = code not in first_in_sector
         first_in_sector.add(code)
         if not force and rng.random() >= coverage:
             continue
-        value = float(np.clip(rng.normal(sector_severity[code], 0.15), 0.0, 1.0))
-        reductions[firm.id] = value
+        reductions[fid] = min(max(rng.normal(sector_severity[code], 0.15), 0.0), 1.0)
     return EmpiricalShockTable(reductions=reductions)

@@ -187,6 +187,8 @@ def _text(column) -> list[str]:
                 for r in np.flatnonzero(column.mask):
                     cells[r] = ""
             return cells
+        if column.dtype.kind in "biu":  # numbers need no quoting
+            return list(map(str, column.tolist()))
         column = column.tolist()
     cells = list(map(str, column))
     joined = "".join(cells)
@@ -215,8 +217,13 @@ def write_columns(path: Path, header: list[str], columns: Sequence[Sequence]) ->
     A float array is written with :func:`fmt`, a masked cell as a blank;
     any other column is written as text.
     """
-    size = len(columns[0])
+    write_parts(path, header, [columns])
+
+
+def write_parts(path: Path, header: list[str], parts: Iterable[Sequence[Sequence]]) -> None:
+    """:func:`write_columns` for a stream of parts, each a list of equal-length columns, in turn."""
     _write(path, header, (
-        [column[start:start + BLOCK_ROWS] for column in columns]
-        for start in range(0, size, BLOCK_ROWS)
+        [column[start:start + BLOCK_ROWS] for column in part]
+        for part in parts
+        for start in range(0, len(part[0]), BLOCK_ROWS)
     ))

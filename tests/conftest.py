@@ -90,7 +90,7 @@ def random_economy(
                     ib_a.append(float(rng.uniform(5.0, 0.4 * banks[l].tier1_equity)))
     interbank = InterbankNetwork.from_edges(m, ib_b, ib_l, ib_a)
 
-    g = EconomyGraph(
+    g = EconomyGraph.from_records(
         firms=firms, supply=supply, banks=banks, interbank=interbank, loans=loans,
         essentiality=EssentialityTable(),
     )

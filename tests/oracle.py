@@ -59,13 +59,17 @@ def oracle_propagate(g, psi, epsilon=0.01, max_iter=1000, sigma=0.0):
 def oracle_defaults(g, h):
     """Balance-sheet arithmetic: default when equity or liquidity is exhausted."""
     chi = []
-    for i, firm in enumerate(g.firms):
-        if not firm.eligible_for_default:
+    for i in range(g.n):
+        if not g.eligible_for_default[i]:
             chi.append(0)
             continue
-        dp = (1.0 - h[i]) * (firm.revenue - firm.op_cost) if firm.financials_present else 0.0
-        equity_gone = (firm.equity - dp) <= 0.0
-        liquidity_gone = (firm.short_assets - firm.short_liabs - dp) <= 0.0
+        revenue, op_cost, equity, short_assets, short_liabs = (
+            float(g.revenue[i]), float(g.op_cost[i]), float(g.equity[i]),
+            float(g.short_assets[i]), float(g.short_liabs[i]),
+        )
+        dp = (1.0 - h[i]) * (revenue - op_cost) if g.financials_present[i] else 0.0
+        equity_gone = (equity - dp) <= 0.0
+        liquidity_gone = (short_assets - short_liabs - dp) <= 0.0
         chi.append(1 if (equity_gone or liquidity_gone) else 0)
     return chi
 
@@ -74,9 +78,9 @@ def oracle_bank_losses(g, chi):
     """Write-offs per bank as fractions of equity, by direct summation."""
     book = _dense(g.loans.principals)
     out = []
-    for k, bank in enumerate(g.banks):
+    for k, tier1_equity in enumerate(g.bank_equity.tolist()):
         total = sum(book[i][k] for i in range(g.n) if chi[i])
-        out.append(g.loans.lgd * total / bank.tier1_equity)
+        out.append(g.loans.lgd * total / tier1_equity)
     return out
 
 
@@ -84,7 +88,7 @@ def oracle_debtrank(g, seed, epsilon=0.01, max_iter=1000):
     """Explicit matrix iteration of the solvency-contagion fixed point."""
     m = g.m
     liab = _dense(g.interbank.liabilities)
-    equity = [b.tier1_equity for b in g.banks]
+    equity = g.bank_equity.tolist()
     lam = [[liab[l][k] / equity[k] for k in range(m)] for l in range(m)]
     total_equity = sum(equity)
 

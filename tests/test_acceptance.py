@@ -92,7 +92,7 @@ def test_criterion_2_closed_form_amplification():
         )
         hit = int(rng.integers(0, m))
         firm = FirmNode("x", "1000", 100.0, 60.0, 30.0, 50.0, 10.0)
-        g = EconomyGraph(
+        g = EconomyGraph.from_records(
             firms=[firm],
             supply=SupplyNetwork.from_edges(1, [], [], []),
             banks=banks,

@@ -31,7 +31,7 @@ from .oracle import oracle_bank_losses, oracle_defaults
 
 def single_firm_economy(revenue, op_cost, equity, short_assets, short_liabs) -> EconomyGraph:
     firm = FirmNode("x", "1000", revenue, op_cost, equity, short_assets, short_liabs)
-    return EconomyGraph(
+    return EconomyGraph.from_records(
         firms=[firm],
         supply=SupplyNetwork.from_edges(1, [], [], []),
         banks=[BankSheet("b0", 100.0)],
@@ -61,8 +61,8 @@ class TestProfitShock:
 
     def test_missing_financials_marked_zero(self):
         g = single_firm_economy(100.0, 60.0, 50.0, 80.0, 20.0)
-        g.firms[0].financials_present = False
-        g.firms[0].eligible_for_default = False
+        g.financials_present[0] = False
+        g.eligible_for_default[0] = False
         shock = profit_shock(g, np.array([0.0]))
         assert shock.dp[0] == 0.0
         assert not shock.has_financials[0]
@@ -93,7 +93,7 @@ class TestDefaultFlags:
 
     def test_ineligible_firm_never_defaults(self):
         g = single_firm_economy(100.0, 60.0, 5.0, 30.0, 20.0)
-        g.firms[0].eligible_for_default = False
+        g.eligible_for_default[0] = False
         flags = default_flags(g, profit_shock(g, np.array([0.0])))
         assert not flags.chi[0]
 
@@ -133,8 +133,7 @@ class TestBankLosses:
     def test_half_equity_loan_writes_off_half(self):
         g = single_firm_economy(100.0, 90.0, 5.0, 60.0, 10.0)
         g.loans = LoanBook.from_entries(1, 1, [0], [0], [500.0])
-        g.banks[0].tier1_equity = 1000.0
-        g.__dict__.pop("bank_equity", None)  # drop cache in case it was built
+        g.bank_equity[0] = 1000.0
         flags = default_flags(g, profit_shock(g, np.array([0.0])))
         assert bank_seed(g, flags)[0] == pytest.approx(0.50)
 

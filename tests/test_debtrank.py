@@ -32,7 +32,7 @@ def bank_only_economy(equities, ib_edges) -> EconomyGraph:
         [e[1] for e in ib_edges],
         [e[2] for e in ib_edges],
     )
-    return EconomyGraph(
+    return EconomyGraph.from_records(
         firms=[],
         supply=SupplyNetwork.from_edges(0, [], [], []),
         banks=banks,

@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netstress import (
-    BankSheet,
     DataFormatError,
-    EconomyGraph,
     EconomyValidationError,
     EssentialityTable,
-    FirmNode,
     InterbankNetwork,
     LoanBook,
     ReferentialError,
@@ -34,39 +33,35 @@ class TestValidation:
 
     def test_self_loop_reported(self, toy):
         bad = SupplyNetwork.from_edges(6, [0], [0], [5.0])
-        g = EconomyGraph(toy.firms, bad, toy.banks, toy.interbank, toy.loans)
+        g = replace(toy, supply=bad)
         report = validate_economy(g)
         assert any(v.rule == "self-loop" for v in report.violations)
 
     def test_negative_equity_eligible_firm_reported(self, toy):
-        firms = [FirmNode(**vars(f)) for f in toy.firms]
-        firms[0].equity = -5.0
-        firms[0].eligible_for_default = True
-        g = EconomyGraph(firms, toy.supply, toy.banks, toy.interbank, toy.loans)
-        report = validate_economy(g)
+        toy.equity[0] = -5.0
+        toy.eligible_for_default[0] = True
+        report = validate_economy(toy)
         assert not report.ok
         assert any(v.rule == "eligibility" and "firm:a" in v.entity for v in report.violations)
 
     def test_nonpositive_bank_equity_reported(self, toy):
-        banks = [BankSheet(b.id, b.tier1_equity) for b in toy.banks]
-        banks[2].tier1_equity = 0.0
-        g = EconomyGraph(toy.firms, toy.supply, banks, toy.interbank, toy.loans)
-        report = validate_economy(g)
+        toy.bank_equity[2] = 0.0
+        report = validate_economy(toy)
         assert any(v.rule == "equity" for v in report.violations)
 
     def test_invariant_perturbations_each_flag_one_rule(self, toy):
         # every single-field perturbation is caught by exactly the right rule
         cases = []
 
-        firms = [FirmNode(**vars(f)) for f in toy.firms]
-        firms[1].sector = ""
-        cases.append((EconomyGraph(firms, toy.supply, toy.banks, toy.interbank, toy.loans), "empty-sector"))
+        sectors = list(toy.sectors)
+        sectors[1] = ""
+        cases.append((replace(toy, sectors=sectors), "empty-sector"))
 
         loans = LoanBook.from_entries(6, 4, [0], [0], [-1.0])
-        cases.append((EconomyGraph(toy.firms, toy.supply, toy.banks, toy.interbank, loans), "loan-amount"))
+        cases.append((replace(toy, loans=loans), "loan-amount"))
 
         ib = InterbankNetwork.from_edges(4, [1], [1], [3.0])
-        cases.append((EconomyGraph(toy.firms, toy.supply, toy.banks, ib, toy.loans), "self-loop"))
+        cases.append((replace(toy, interbank=ib), "self-loop"))
 
         for graph, rule in cases:
             report = validate_economy(graph)
@@ -84,13 +79,13 @@ class TestExposureRatio:
 
     def test_equal_totals_give_one(self, toy):
         scaled = LoanBook(toy.loans.principals * (65.0 / 130.0), lgd=1.0)
-        g = EconomyGraph(toy.firms, toy.supply, toy.banks, toy.interbank, scaled)
+        g = replace(toy, loans=scaled)
         system, _ = exposure_ratio(g)
         assert system == pytest.approx(1.0)
 
     def test_zero_interbank_is_degenerate(self, toy):
         empty = InterbankNetwork.from_edges(4, [], [], [])
-        g = EconomyGraph(toy.firms, toy.supply, toy.banks, empty, toy.loans)
+        g = replace(toy, interbank=empty)
         with pytest.raises(ValueError):
             exposure_ratio(g)
 
@@ -99,12 +94,10 @@ class TestExposureRatio:
     def test_invariant_under_common_rescaling(self, scale):
         toy_graph = __import__("netstress").toy_economy()
         base, _ = exposure_ratio(toy_graph)
-        scaled = EconomyGraph(
-            toy_graph.firms,
-            toy_graph.supply,
-            toy_graph.banks,
-            InterbankNetwork(4, toy_graph.interbank.liabilities * scale),
-            LoanBook(toy_graph.loans.principals * scale, lgd=1.0),
+        scaled = replace(
+            toy_graph,
+            interbank=InterbankNetwork(4, toy_graph.interbank.liabilities * scale),
+            loans=LoanBook(toy_graph.loans.principals * scale, lgd=1.0),
         )
         rescaled, _ = exposure_ratio(scaled)
         assert rescaled == pytest.approx(base, rel=1e-12)
@@ -143,8 +136,8 @@ class TestIngestion:
         (tmp_path / "supply.csv").write_text(supply)
         g = load_economy(economy_files(tmp_path))
         assert g.n == 7
-        ghost = g.firms[g.firm_index["ghost"]]
-        assert not ghost.financials_present and not ghost.eligible_for_default
+        ghost = g.firm_index["ghost"]
+        assert not g.financials_present[ghost] and not g.eligible_for_default[ghost]
 
     def test_malformed_number_reports_line(self, toy_dir, tmp_path):
         for name in ("supply", "interbank", "loans", "banks"):
@@ -161,8 +154,8 @@ class TestIngestion:
         firms = (toy_dir / "firms.csv").read_text() + "g,2000,,,,,\n"
         (tmp_path / "firms.csv").write_text(firms)
         g = load_economy(economy_files(tmp_path))
-        node = g.firms[g.firm_index["g"]]
-        assert not node.financials_present and not node.eligible_for_default
+        node = g.firm_index["g"]
+        assert not g.financials_present[node] and not g.eligible_for_default[node]
 
     def test_negative_buffer_firm_loaded_ineligible(self, toy_dir, tmp_path):
         # mirrors the exclusion rule: such firms stay but cannot default
@@ -171,8 +164,8 @@ class TestIngestion:
         firms = (toy_dir / "firms.csv").read_text() + "g,2000,100.0,120.0,50.0,60.0,10.0\n"
         (tmp_path / "firms.csv").write_text(firms)
         g = load_economy(economy_files(tmp_path))
-        node = g.firms[g.firm_index["g"]]
-        assert node.financials_present and not node.eligible_for_default
+        node = g.firm_index["g"]
+        assert g.financials_present[node] and not g.eligible_for_default[node]
         assert validate_economy(g).ok
 
     def test_round_trip_preserves_everything(self, toy, tmp_path):
@@ -183,8 +176,11 @@ class TestIngestion:
         assert (g.supply.weights != toy.supply.weights).nnz == 0
         assert (g.interbank.liabilities != toy.interbank.liabilities).nnz == 0
         assert (g.loans.principals != toy.loans.principals).nnz == 0
-        for mine, theirs in zip(g.firms, toy.firms):
-            assert vars(mine) == vars(theirs)
+        assert g.bank_ids == toy.bank_ids
+        for name in ("revenue", "op_cost", "equity", "short_assets", "short_liabs",
+                     "financials_present", "eligible_for_default", "bank_equity"):
+            mine, theirs = getattr(g, name), getattr(toy, name)
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
         write_economy(g, tmp_path / "again")
         for name in ("firms", "supply", "interbank", "loans", "banks"):
             assert (tmp_path / f"{name}.csv").read_text() == (tmp_path / "again" / f"{name}.csv").read_text()
@@ -199,6 +195,17 @@ class TestEssentialityTable:
         table = EssentialityTable(overrides={("10", "20"): False, ("1011", "2020"): True})
         assert table.is_essential("1011", "2020")
         assert not table.is_essential("1099", "2099")
+
+    def test_lookup_matches_is_essential_on_every_pair(self):
+        codes = ["1011", "1012", "1099", "2011", "2020", "3", "30", "3000"]
+        table = EssentialityTable(
+            overrides={("10", "20"): True, ("1011", "2020"): False, ("30", "10"): True,
+                       ("3", "3000"): True, ("1099", "30"): True, ("99", "10"): True},
+            default_essential=False,
+        )
+        expected = [[table.is_essential(sup, buy) for buy in codes] for sup in codes]
+        assert table.lookup(codes).tolist() == expected
+        assert EssentialityTable().lookup(codes).all()
 
 
 class TestSyntheticGenerator:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,7 +158,7 @@ def hand_economy() -> EconomyGraph:
     banks = [BankSheet("A", 100.0), BankSheet("B", 200.0), BankSheet("C", 100.0)]
     interbank = InterbankNetwork.from_edges(3, [1, 1], [0, 2], [40.0, 30.0])
     loans = LoanBook.from_entries(2, 3, [0, 1], [0, 1], [20.0, 50.0])
-    return EconomyGraph(firms=firms, supply=supply, banks=banks, interbank=interbank, loans=loans)
+    return EconomyGraph.from_records(firms=firms, supply=supply, banks=banks, interbank=interbank, loans=loans)
 
 
 class TestSystemicRiskIndices:
@@ -170,7 +172,7 @@ class TestSystemicRiskIndices:
             FirmNode("lonely", "1000", 10.0, 5.0, 1.0, 3.0, 1.0),
             FirmNode("rest", "2000", 90.0, 50.0, 100.0, 200.0, 20.0),
         ]
-        g = EconomyGraph(
+        g = EconomyGraph.from_records(
             firms=firms,
             supply=SupplyNetwork.from_edges(2, [], [], []),
             banks=[BankSheet("b0", 100.0)],
@@ -180,10 +182,7 @@ class TestSystemicRiskIndices:
         assert fsri(g, "lonely") == 0.0
 
     def test_empty_interbank_equates_indices(self, toy):
-        g = EconomyGraph(
-            toy.firms, toy.supply, toy.banks,
-            InterbankNetwork.from_edges(4, [], [], []), toy.loans,
-        )
+        g = replace(toy, interbank=InterbankNetwork.from_edges(4, [], [], []))
         for firm_id in g.firm_ids:
             assert fsri_plus(g, firm_id) == pytest.approx(fsri(g, firm_id), abs=1e-15)
 
@@ -211,7 +210,7 @@ class TestSystemicRiskIndices:
             hit = int(rng.integers(0, m))
             principal = float(equities[hit] * 1e-4)
             firm = FirmNode("x", "1000", 100.0, 60.0, 30.0, 50.0, 10.0)
-            g = EconomyGraph(
+            g = EconomyGraph.from_records(
                 firms=[firm],
                 supply=SupplyNetwork.from_edges(1, [], [], []),
                 banks=banks,
@@ -229,7 +228,7 @@ class TestSystemicRiskIndices:
         firm = FirmNode("x", "1000", 100.0, 60.0, 30.0, 50.0, 10.0)
         banks = [BankSheet("A", 100.0), BankSheet("B", 200.0)]
         interbank = InterbankNetwork.from_edges(2, [1], [0], [40.0])  # B borrowed from A
-        g = EconomyGraph(
+        g = EconomyGraph.from_records(
             firms=[firm],
             supply=SupplyNetwork.from_edges(1, [], [], []),
             banks=banks,
@@ -241,8 +240,7 @@ class TestSystemicRiskIndices:
     def test_ranking_invariant_under_common_equity_rescaling(self, toy):
         base = [r.firm_id for r in fsri_profile(toy)]
         scaled = toy_economy()
-        for bank in scaled.banks:
-            bank.tier1_equity *= 7.5
+        scaled.bank_equity *= 7.5
         rescaled = [r.firm_id for r in fsri_profile(scaled)]
         assert base == rescaled
 
@@ -261,10 +259,7 @@ class TestSystemicRiskIndices:
         assert max(top) - min(top) < 1e-12
 
     def test_all_zero_profile_on_loanless_economy(self, toy):
-        g = EconomyGraph(
-            toy.firms, toy.supply, toy.banks, toy.interbank,
-            LoanBook.from_entries(6, 4, [], [], []),
-        )
+        g = replace(toy, loans=LoanBook.from_entries(6, 4, [], [], []))
         records = fsri_profile(g)
         assert all(r.fsri == 0.0 and r.fsri_plus == 0.0 for r in records)
         assert all(np.isnan(r.amplification) for r in records)

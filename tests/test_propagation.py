@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from netstress import (
     single_firm_shock,
     toy_economy,
 )
-from netstress.propagation import _plan_for, write_trajectory
+from netstress.propagation import _plan_for, _pools, write_trajectory
 
 from .oracle import oracle_propagate
 
@@ -37,7 +39,7 @@ def chain_economy(essential: bool = True) -> EconomyGraph:
     ]
     supply = SupplyNetwork.from_edges(3, [0, 1], [1, 2], [10.0, 10.0])
     table = EssentialityTable() if essential else EssentialityTable(default_essential=False)
-    return EconomyGraph(
+    return EconomyGraph.from_records(
         firms=firms,
         supply=supply,
         banks=[BankSheet("b0", 100.0)],
@@ -78,10 +80,7 @@ class TestPropagate:
         np.testing.assert_allclose(profile.h, [0.4, 0.4, 0.4], atol=1e-12)
 
     def test_removing_supply_edges_equates_regimes(self, toy):
-        g = EconomyGraph(
-            toy.firms, SupplyNetwork.from_edges(6, [], [], []),
-            toy.banks, toy.interbank, toy.loans,
-        )
+        g = replace(toy, supply=SupplyNetwork.from_edges(6, [], [], []))
         psi = np.array([0.2, 1.0, 0.7, 1.0, 0.0, 1.0])
         with_cascade = propagate(g, psi)
         np.testing.assert_array_equal(with_cascade.h, psi)
@@ -151,7 +150,7 @@ def pooled_economy(seed: int) -> EconomyGraph:
                 buyers.append(j)
     overrides = {(sup, buy): bool(rng.random() < 0.5) for sup in main for buy in main}
     overrides.update({(sup[:2], "30"): False for sup in main})
-    g = EconomyGraph(
+    g = EconomyGraph.from_records(
         firms=[FirmNode(f"f{i}", sector, 100.0, 60.0, 50.0, 80.0, 20.0) for i, sector in enumerate(sectors)],
         supply=SupplyNetwork.from_edges(n, suppliers, buyers, rng.uniform(1.0, 30.0, len(buyers))),
         banks=[BankSheet("b0", 100.0)],
@@ -162,6 +161,41 @@ def pooled_economy(seed: int) -> EconomyGraph:
     w = g.supply.weights
     assert w[:, 0].nnz == 0 and w[1].nnz == 0 and w[:, 2].nnz >= 2
     return g
+
+
+class TestEssentialPools:
+    def test_mask_matches_a_lookup_per_pool(self):
+        # exact pairs, two-digit prefixes, an exact pair against its prefix,
+        # codes shorter than four digits, and everything else non-essential
+        rng = np.random.default_rng(3)
+        codes = ["1011", "1012", "1099", "2011", "2012", "3000", "3", "30"]
+        n = 24
+        sectors = [codes[i % len(codes)] for i in range(n)]
+        overrides = {
+            ("1011", "2011"): True, ("1012", "2011"): False, ("10", "20"): True,
+            ("1011", "2012"): False, ("20", "10"): True, ("3", "30"): True,
+            ("30", "10"): True, ("3000", "1099"): False,
+        }
+        suppliers, buyers = zip(*[(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.4])
+        g = EconomyGraph.from_records(
+            firms=[FirmNode(f"f{i}", sector, 100.0, 60.0, 50.0, 80.0, 20.0) for i, sector in enumerate(sectors)],
+            supply=SupplyNetwork.from_edges(n, suppliers, buyers, rng.uniform(1.0, 30.0, len(buyers))),
+            banks=[BankSheet("b0", 100.0)],
+            interbank=InterbankNetwork.from_edges(1, [], [], []),
+            loans=LoanBook.from_entries(n, 1, [], [], []),
+            essentiality=EssentialityTable(overrides=overrides, default_essential=False),
+        )
+        w = g.supply.weights.tocsc()
+        edge_buyer = np.repeat(np.arange(n), np.diff(w.indptr))
+        edge_pool, pool_buyer, essential = _pools(g, w.indices, edge_buyer)
+        assert np.array_equal(pool_buyer[edge_pool], edge_buyer)
+        pool_sectors = {(p, sectors[s]) for p, s in zip(edge_pool.tolist(), w.indices.tolist())}
+        assert len(pool_sectors) == pool_buyer.size  # one supplier sector per pool
+        expected = np.zeros(pool_buyer.size, dtype=bool)
+        for p, sector in pool_sectors:
+            expected[p] = g.essentiality.is_essential(sector, sectors[pool_buyer[p]])
+        assert essential.dtype == bool and np.array_equal(essential, expected)
+        assert 0 < expected.sum() < expected.size
 
 
 class TestAgainstOracle:
@@ -238,7 +272,7 @@ class TestEsri:
             FirmNode("solo", "1000", 10.0, 5.0, 5.0, 8.0, 2.0),
             FirmNode("rest", "2000", 90.0, 50.0, 100.0, 200.0, 20.0),
         ]
-        g = EconomyGraph(
+        g = EconomyGraph.from_records(
             firms=firms,
             supply=SupplyNetwork.from_edges(2, [], [], []),
             banks=[BankSheet("b0", 100.0)],
@@ -255,7 +289,7 @@ class TestEsri:
             FirmNode("ghost", "1000", financials_present=False, eligible_for_default=False),
             FirmNode("rest", "2000", 90.0, 50.0, 100.0, 200.0, 20.0),
         ]
-        g = EconomyGraph(
+        g = EconomyGraph.from_records(
             firms=firms,
             supply=SupplyNetwork.from_edges(2, [], [], []),
             banks=[BankSheet("b0", 100.0)],

@@ -80,7 +80,7 @@ class TestCovidStyleBatch:
     def test_zero_table_gives_all_ones(self):
         g = generate_synthetic_economy(SyntheticParams(n=100, m=4), seed=1)
         table = EmpiricalShockTable(
-            reductions={f.id: 0.0 for f in g.firms[:: 2]}
+            reductions={fid: 0.0 for fid in g.firm_ids[:: 2]}
         )
         batch = covid_style_batch(g, table, count=5, seed=9)
         np.testing.assert_array_equal(batch.psi, np.ones((5, g.n)))
@@ -124,12 +124,10 @@ class TestCovidStyleBatch:
         # two firms share NACE-4 code 1011 (one observed at 0.8), a third sits
         # in 1099; the unobserved 1011 firm must draw from its 1011 peer only
         g = toy_economy()
-        g.firms[0].sector = "1011"  # a, observed
-        g.firms[1].sector = "1011"  # b, imputed from a
-        g.firms[2].sector = "1099"  # c, observed at a different level
-        for f in g.firms[3:]:
-            f.sector = "1099"
-        g.__dict__.pop("sectors", None)
+        g.sectors[0] = "1011"  # a, observed
+        g.sectors[1] = "1011"  # b, imputed from a
+        g.sectors[2] = "1099"  # c, observed at a different level
+        g.sectors[3:] = ["1099"] * 3
         table = EmpiricalShockTable(reductions={"a": 0.8, "c": 0.1, "d": 0.1, "e": 0.1, "f": 0.1})
         batch = covid_style_batch(g, table, count=50, seed=4)
         # before rescaling b's draw is always 0.8 (its only 1011 peer);

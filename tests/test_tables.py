@@ -117,10 +117,8 @@ class TestQuotedIds:
 
     def renamed_toy(self):
         g = toy_economy()
-        for f in g.firms:
-            f.id = self.IDS.get(f.id, f.id)
-        for b in g.banks:
-            b.id = self.BANKS.get(b.id, b.id)
+        g.firm_ids = [self.IDS.get(fid, fid) for fid in g.firm_ids]
+        g.bank_ids = [self.BANKS.get(bid, bid) for bid in g.bank_ids]
         return g
 
     def test_round_trip_keeps_the_bytes_of_every_id(self, tmp_path):
