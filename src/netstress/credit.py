@@ -123,6 +123,7 @@ def dump_defaults(
     """Write per-scenario default flags and profit shocks as long-format CSV, a scenario at a time."""
     n = len(firm_ids)
     write_parts(path, ["scenario_id", "firm_id", "chi_wo", "chi_w", "dp"], (
-        [[sid] * n, firm_ids, np.asarray(wo, dtype=np.uint8), np.asarray(w, dtype=np.uint8), np.asarray(dp, dtype=float)]
+        [[sid] * n, firm_ids, np.asarray(wo, dtype=np.uint8), np.asarray(w, dtype=np.uint8),
+         np.asarray(dp, dtype=float)]
         for sid, wo, w, dp in zip(scenario_ids, chi_wo_rows, chi_w_rows, dp_rows)
     ))

@@ -138,25 +138,21 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
     :class:`EconomyValidationError` when the assembled graph violates an
     invariant.
     """
-    firm_ids: list[str] = []
     sectors: list[str] = []
     present = [np.zeros(0, dtype=bool)]
     values = [np.zeros((len(FINANCIAL_FIELDS), 0))]
     firm_index: dict[str, int] = {}
     for block in read_blocks(spec.firms, FIRM_COLUMNS):
         ids, block_sectors, block_present, block_values = block.convert(lambda b: _firm_rows(b, firm_index))
-        firm_ids += ids
         sectors += block_sectors
         present.append(block_present)
         values.append(block_values)
         _index(ids, firm_index)
 
-    bank_ids: list[str] = []
     bank_equity: list[float] = []
     bank_index: dict[str, int] = {}
     for block in read_blocks(spec.banks, BANK_COLUMNS):
         ids, equity = block.convert(lambda b: _bank_rows(b, bank_index))
-        bank_ids += ids
         bank_equity += equity
         _index(ids, bank_index)
 
@@ -170,13 +166,12 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
             for fid in chain.from_iterable(zip(sup, buy)):
                 if fid not in firm_index:
                     # supply-only firms stay in the chain but carry no financials
-                    firm_index[fid] = len(firm_ids)
-                    firm_ids.append(fid)
+                    firm_index[fid] = len(firm_index)
                     sectors.append(UNKNOWN_SECTOR)
             ends = [list(map(firm_index.get, sup)), list(map(firm_index.get, buy))]
         supply.add(*ends, weights)
     # a blank row for each supply-only firm
-    blank = len(firm_ids) - sum(map(len, present))
+    blank = len(firm_index) - sum(map(len, present))
     present.append(np.zeros(blank, dtype=bool))
     values.append(np.zeros((len(FINANCIAL_FIELDS), blank)))
 
@@ -199,13 +194,14 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
         load_essentiality(spec.essentiality) if spec.essentiality is not None else EssentialityTable()
     )
 
-    n, m = len(firm_ids), len(bank_ids)
+    # the indexes hold every id once, in file order
+    n, m = len(firm_index), len(bank_index)
     present, values = np.concatenate(present), np.concatenate(values, axis=1)
     graph = EconomyGraph(
-        firm_ids=firm_ids,
+        firm_ids=list(firm_index),
         sectors=sectors,
         **firm_columns(present, *values),
-        bank_ids=bank_ids,
+        bank_ids=list(bank_index),
         bank_equity=np.array(bank_equity, dtype=float),
         supply=SupplyNetwork.from_edges(n, *supply.arrays()),
         interbank=InterbankNetwork.from_edges(m, *interbank.arrays()),

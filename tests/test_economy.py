@@ -63,6 +63,9 @@ class TestValidation:
         ib = InterbankNetwork.from_edges(4, [1], [1], [3.0])
         cases.append((replace(toy, interbank=ib), "self-loop"))
 
+        cases.append((replace(toy, revenue=toy.revenue[:5]), "shape"))
+        cases.append((replace(toy, bank_equity=toy.bank_equity[:3]), "shape"))
+
         for graph, rule in cases:
             report = validate_economy(graph)
             assert any(v.rule == rule for v in report.violations), rule
