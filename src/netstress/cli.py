@@ -55,6 +55,8 @@ EXIT_IO = 3
 
 LEDGER_COLUMNS = ["scenario_id", "bank_id", "di", "sc", "ib_wo", "ib_w", "total_wo", "total_w"]
 
+REGIMES = ("w", "wo", "both")
+
 DEFAULT_CONFIG = {
     "economy": {"source": "files", "dir": ".", "lgd": 1.0, "seed": 7,
                 "n": 1000, "m": 19, "mean_degree": 4.0, "sector_count": 20,
@@ -65,7 +67,7 @@ DEFAULT_CONFIG = {
                     "nonessential_weight": 0.0, "essentiality": None},
     "debtrank": {"epsilon": 0.01, "max_iter": 1000},
     "regime": "both",
-    "workers": 0,   # 0 = available parallelism
+    "workers": 0,   # 0 = the CPUs this process may run on
     "out": "out",
     "trace": False,
 }
@@ -82,16 +84,36 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def _load_config(path: str | None) -> dict:
+    """The defaults merged with the JSON file at ``path``. A file whose shape
+    does not fit them is an input error: a top level or section that is not
+    an object, a path that is not a string (``None`` where the file is
+    optional), or a regime not in :data:`REGIMES`."""
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
-    if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                user = json.load(fh)
-        except OSError as exc:
-            raise DataFormatError(f"{path}: cannot open ({exc})") from exc
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-        config = _merge(config, user)
+    if not path:
+        return config
+    try:
+        with open(path, encoding="utf-8") as fh:
+            user = json.load(fh)
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot open ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(user, dict):
+        raise DataFormatError(f"{path}: the top level must be a JSON object")
+    config = _merge(config, user)
+    for section, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict) and not isinstance(config[section], dict):
+            raise DataFormatError(f"{path}: {section!r} must be a JSON object")
+    eco, spec, prop = config["economy"], config["scenarios"], config["propagation"]
+    for name, value, optional in (
+        ("economy.dir", eco["dir"], False), ("scenarios.shocks", spec["shocks"], False),
+        ("out", config["out"], False), ("scenarios.batch_file", spec["batch_file"], True),
+        ("propagation.essentiality", prop["essentiality"], True),
+    ):
+        if not (isinstance(value, str) or (optional and value is None)):
+            raise DataFormatError(f"{path}: {name} must be a path string, got {value!r}")
+    if config["regime"] not in REGIMES:
+        raise DataFormatError(f"{path}: regime must be one of {', '.join(REGIMES)}, got {config['regime']!r}")
     return config
 
 
@@ -143,8 +165,15 @@ def _settings(section: str):
     input error (exit 3), not a crash."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{section}: {exc}") from exc
+
+
+def _seed(value) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 _SYNTHETIC_FRACTIONS = (
@@ -172,7 +201,7 @@ def _economy_from_config(config: dict) -> EconomyGraph:
                 weight_family=eco.get("weight_family", "lognormal"),
                 **{key: float(eco[key]) for key in _SYNTHETIC_FRACTIONS if key in eco},
             )
-            seed = int(eco["seed"])
+            seed = _seed(eco["seed"])
         graph = generate_synthetic_economy(params, seed=seed)
     elif eco["source"] == "files":
         graph = load_economy(_economy_files(eco))
@@ -213,8 +242,8 @@ def _batch_from_config(config: dict, graph: EconomyGraph) -> ShockBatch:
         return single_firm_batch(graph)
     if kind == "covid":
         with _settings("scenarios"):
-            count, seed = int(spec["count"]), int(spec["seed"])
-            shocks_seed = int(spec.get("shocks_seed", 3))
+            count, seed = int(spec["count"]), _seed(spec["seed"])
+            shocks_seed = _seed(spec.get("shocks_seed", 3))
             if count < 1:
                 raise ValueError(f"count must be >= 1, got {count}")
         shocks = spec.get("shocks", "synthetic")
@@ -229,11 +258,15 @@ def _batch_from_config(config: dict, graph: EconomyGraph) -> ShockBatch:
 
 
 def _workers(config: dict) -> int:
+    """The configured worker count; 0 or less means the CPUs this process may
+    run on (its affinity mask, which ``taskset`` and cpusets narrow)."""
     with _settings("workers"):
         workers = int(config.get("workers", 0))
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    return workers
+    if workers > 0:
+        return workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _write_manifest(out: Path, command: str, config: dict, extra: dict) -> None:
@@ -542,9 +575,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--workers", type=int, help="scenario worker count (0 = all cores)")
+        p.add_argument("--workers", type=int, help="scenario worker count (0 = the usable CPUs)")
         p.add_argument("--seed", type=int, help="scenario RNG seed")
-        p.add_argument("--regime", choices=("w", "wo", "both"), help="which regimes to report")
+        p.add_argument("--regime", choices=REGIMES, help="which regimes to report")
         p.add_argument("--trace", action="store_true", help="write iteration/default dumps")
         p.add_argument("--economy-dir", help="directory with economy CSV files")
         p.add_argument("--synthetic", action="store_true", help="generate a synthetic economy")

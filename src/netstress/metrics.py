@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .credit import bank_seed, default_flags, profit_shock
 from .debtrank import DEFAULT_EPSILON, DEFAULT_MAX_ITER, debtrank
@@ -398,8 +397,11 @@ def welch_test(a, b) -> WelchResult:
 
     The statistic and the Welch-Satterthwaite degrees of freedom are
     computed directly; the two-sided p-value comes from the t-distribution
-    survival function.
+    survival function. ``scipy.stats`` is imported here, on the first
+    call, so that importing the package does not load it.
     """
+    from scipy import stats
+
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.size < 2 or b.size < 2:
@@ -411,5 +413,5 @@ def welch_test(a, b) -> WelchResult:
     sa, sb = va / a.size, vb / b.size
     t = (float(a.mean()) - float(b.mean())) / np.sqrt(sa + sb)
     df = (sa + sb) ** 2 / (sa**2 / (a.size - 1) + sb**2 / (b.size - 1))
-    p = 2.0 * float(_scipy_stats.t.sf(abs(t), df))
+    p = 2.0 * float(stats.t.sf(abs(t), df))
     return WelchResult(t_statistic=float(t), p_value=p, df=float(df))

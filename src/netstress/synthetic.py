@@ -47,8 +47,8 @@ class SyntheticParams:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("need at least one firm and one bank")
-        if self.mean_degree < 0:
-            raise ValueError("mean_degree must be >= 0")
+        if not 0.0 <= self.mean_degree < float("inf"):
+            raise ValueError(f"mean_degree must be finite and >= 0, got {self.mean_degree}")
         if self.sector_count < 1:
             raise ValueError("sector_count must be >= 1")
         if self.weight_family not in ("lognormal", "pareto", "uniform"):

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from netstress import cli
 from netstress.cli import main
 
 
@@ -345,6 +346,8 @@ class TestScenarioIds:
     ["stress", "--sigma", "2"],
     ["stress", "--epsilon", "-1"],
     ["stress", "--count", "0"],
+    ["stress", "--seed", "-1"],
+    ["generate", "--economy-seed", "-1"],
 ], ids=" ".join)
 def test_bad_parameter_values_exit_three(toy_dir, tmp_path, capsys, argv):
     if argv[0] == "stress":
@@ -369,7 +372,21 @@ def test_bad_parameter_values_exit_three(toy_dir, tmp_path, capsys, argv):
     ("generate", {"economy": {"n": "many"}}),
     ("generate", {"economy": {"seed": "x"}}),
     ("generate", {"economy": {"loan_coverage": "most"}}),
-], ids=lambda value: json.dumps(value) if isinstance(value, dict) else value)
+    ("stress", [1, 2]),
+    ("stress", {"economy": 5}),
+    ("stress", {"scenarios": None}),
+    ("stress", {"propagation": {"essentiality": 5}}),
+    ("stress", {"scenarios": {"shocks": 7}}),
+    ("stress", {"scenarios": {"kind": "file", "batch_file": ["b.csv"]}}),
+    ("stress", {"workers": float("inf")}),
+    ("stress", {"scenarios": {"count": float("inf")}}),
+    ("stress", {"regime": "bogus"}),
+    ("debtrank", {"regime": None}),
+    ("stress", {"scenarios": {"seed": -1}}),
+    ("stress", {"scenarios": {"shocks_seed": -1}}),
+    ("generate", {"economy": {"seed": -1}}),
+    ("generate", {"economy": {"mean_degree": float("inf")}}),
+], ids=lambda value: json.dumps(value) if isinstance(value, (dict, list)) else value)
 def test_bad_config_values_exit_three(toy_dir, tmp_path, capsys, command, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -379,6 +396,22 @@ def test_bad_config_values_exit_three(toy_dir, tmp_path, capsys, command, config
     assert run(argv) == 3
     assert one_line_error(capsys).startswith("input error: ")
     assert not (tmp_path / "out").exists()
+
+
+class TestWorkerCount:
+    def test_zero_means_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        assert cli._workers({"workers": 0}) == 1
+        assert cli._workers({"workers": -1}) == 1
+        assert cli._workers({"workers": 5}) == 5
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
+        assert cli._workers({"workers": 0}) == 6
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._workers({"workers": 0}) == 1
 
 
 def test_essentiality_table_with_a_repeated_pair_exits_three(toy_dir, tmp_path, capsys):

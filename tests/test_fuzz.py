@@ -1,20 +1,25 @@
-"""Fuzz the CLI's file boundary with one-cell mutations of the toy inputs.
+"""Fuzz the CLI's file boundary with one-cell mutations of the toy inputs
+and one-key mutations of a config file run through ``stress`` and
+``generate``.
 
 Every mutated input must end in a documented exit code (0, 1 or 3) without
 an exception escaping ``main``, and an economy that ``validate`` accepts
-must also run through ``stress``.
+must also run through ``stress``. A mutated config may also end in 2 (a
+tolerance or iteration cap that stops convergence).
 """
 
 from __future__ import annotations
 
 import ast
+import copy
+import json
 import shutil
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netstress.cli import main
+from netstress.cli import DEFAULT_CONFIG, main
 
 TOY = Path(__file__).resolve().parents[1] / "data" / "toy"
 
@@ -70,6 +75,44 @@ def test_mutated_inputs_end_in_a_documented_exit_code(tmp_path_factory, target, 
         assert code in (0, 1, 3)
         if code == 0:
             assert main(stress) == 0
+
+
+def _key_paths(config: dict, prefix: tuple = ()) -> list[tuple]:
+    paths = []
+    for key, value in config.items():
+        paths.append(prefix + (key,))
+        if isinstance(value, dict):
+            paths += _key_paths(value, prefix + (key,))
+    return paths
+
+
+CONFIG_KEYS = _key_paths(DEFAULT_CONFIG)
+CONFIG_VALUES = ["null", "list", "string", "1e400", "-1", "object"]
+
+
+# few enough pairs of key and value that the examples cover every one of them
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(CONFIG_KEYS), value=st.sampled_from(CONFIG_VALUES))
+def test_mutated_config_ends_in_a_documented_exit_code(tmp_path_factory, key, value):
+    work = tmp_path_factory.mktemp("config")
+    config = copy.deepcopy(DEFAULT_CONFIG)
+    config["economy"]["dir"] = str(TOY)
+    config["scenarios"]["count"] = 3
+    config["economy"].update(n=30, m=3)
+    config["workers"] = 1
+    config["out"] = str(work / "run")
+    section = config
+    for name in key[:-1]:
+        section = section[name]
+    section[key[-1]] = {
+        "null": None, "list": [1, "x"], "string": str(work / "text"),
+        "1e400": float("inf"), "-1": -1, "object": {"x": 1},
+    }[value]
+    path = work / "config.json"
+    path.write_text(json.dumps(config).replace("Infinity", "1e400"))
+    assert main(["stress", "--config", str(path)]) in (0, 1, 2, 3)
+    # generate reads the synthetic economy's keys, which stress leaves alone
+    assert main(["generate", "--config", str(path), "--out", str(work / "economy")]) in (0, 1, 3)
 
 
 def test_only_the_tables_module_imports_csv():

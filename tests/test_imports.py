@@ -1,0 +1,58 @@
+"""The package's import graph: every CLI command runs on numpy and
+``scipy.sparse`` alone, and ``scipy.stats`` loads only when ``welch_test``
+is first called.
+
+Each forked scenario worker carries whatever the parent has imported, so a
+heavy module pulled in at import time is paid once per process.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+HEAVY = ("scipy.stats", "scipy.optimize", "scipy.special", "scipy.linalg", "scipy.spatial")
+
+SCRIPT = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+
+    import netstress
+    from netstress.cli import main
+
+    heavy, toy, tmp = sys.argv[1].split(","), sys.argv[2], Path(sys.argv[3])
+    eco = ["--economy-dir", toy]
+    runs = [
+        ["validate", *eco],
+        ["generate", "--n", "40", "--m", "3", "--out", str(tmp / "gen")],
+        ["stress", *eco, "--count", "4", "--workers", "1", "--out", str(tmp / "s1")],
+        ["stress", *eco, "--count", "4", "--workers", "2", "--out", str(tmp / "s2")],
+        ["fsri", *eco, "--out", str(tmp / "fsri")],
+        ["debtrank", *eco, "--out", str(tmp / "dr")],
+        ["report", "--ledgers", str(tmp / "s1" / "ledgers.csv"), "--out", str(tmp / "rep")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    loaded = [name for name in heavy if name in sys.modules]
+    assert not loaded, f"loaded by the commands: {loaded}"
+
+    netstress.welch_test([1.0, 2.0, 4.0], [2.0, 3.0, 7.0])
+    assert "scipy.stats" in sys.modules
+    print("ok")
+""")
+
+
+def test_commands_leave_heavy_scipy_modules_unloaded(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, ",".join(HEAVY), str(ROOT / "data" / "toy"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"

@@ -25,6 +25,7 @@ from netstress import (
 )
 from netstress.propagation import _plan_for, _pools, write_trajectory
 
+from .conftest import random_economy
 from .oracle import oracle_propagate
 
 TIGHT = PropagationConfig(epsilon=1e-12, max_iter=10_000)
@@ -264,6 +265,31 @@ class TestProperties:
         profile = propagate(g, np.asarray(psi), cfg)
         diffs = np.diff(profile.trajectory, axis=0)
         assert np.all(diffs <= 1e-15)
+
+
+class TestWeightScaling:
+    """Scaling every supply weight by a power of two scales each pool sum and
+    each firm's sales exactly, so the cascade must not move by one bit."""
+
+    @pytest.mark.parametrize("k", [-3, 5])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_cascade_bit_for_bit(self, seed, sigma, k):
+        rng = np.random.default_rng(seed)
+        g = random_economy(rng, n=25, m=3, edge_prob=0.2)
+        sectors = g.sectors
+        g.essentiality = EssentialityTable(overrides={
+            (sectors[i], sectors[j]): False
+            for i, j in rng.integers(0, g.n, (60, 2)).tolist()
+        })
+        scaled = replace(g, supply=SupplyNetwork(g.n, g.supply.weights * 2.0**k))
+        assert scaled.supply.weights.nnz == g.supply.weights.nnz
+        for cfg in (PropagationConfig(nonessential_weight=sigma),
+                    PropagationConfig(epsilon=1e-12, max_iter=10_000, nonessential_weight=sigma)):
+            for psi in (rng.uniform(0.0, 1.0, g.n), np.where(rng.random(g.n) < 0.2, 0.0, 1.0)):
+                base, other = propagate(g, psi, cfg), propagate(scaled, psi, cfg)
+                assert base.h.tobytes() == other.h.tobytes()
+                assert (base.iterations, base.converged) == (other.iterations, other.converged)
 
 
 class TestEsri:
