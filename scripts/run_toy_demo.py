@@ -8,7 +8,6 @@ two systemic-risk indices for the worst firm. Takes no arguments.
 from __future__ import annotations
 
 from netstress import (
-    PropagationConfig,
     bank_losses,
     compute_esri,
     debtrank,
@@ -30,7 +29,7 @@ def main() -> None:
     psi = single_firm_shock(g, "f")
     print("\nshock: firm f stops;", "psi =", psi)
 
-    h_wo = propagate(g, psi, PropagationConfig(enabled=False)).h
+    h_wo = psi  # without the cascade, production is the shock itself
     profile = propagate(g, psi)
     print("remaining production without cascade:", h_wo)
     print(f"remaining production with cascade:    {profile.h} "

@@ -44,6 +44,7 @@ from .metrics import (
 from .pipeline import BatchResult, run_batch
 from .propagation import PropagationConfig
 from .scenarios import EmpiricalShockTable, ShockBatch, covid_style_batch, read_batch, single_firm_batch
+from .synthetic import FRACTIONS as _SYNTHETIC_FRACTIONS
 from .synthetic import SyntheticParams, generate_synthetic_economy, synthetic_shock_table
 from .tables import Block, RowError, first_repeat, fmt, read_blocks
 from .tables import write_csv as _write_csv
@@ -174,12 +175,6 @@ def _seed(value) -> int:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
-
-
-_SYNTHETIC_FRACTIONS = (
-    "missing_financials_rate", "negative_income_rate", "loan_coverage",
-    "interbank_density", "essential_fraction",
-)
 
 
 def _economy_files(eco: dict) -> IngestionSpec:

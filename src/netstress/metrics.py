@@ -3,9 +3,12 @@
 The per-firm indices weight each bank's clamped equity loss by its share
 of total banking-system equity: the base index stops after the credit
 losses, the extended index additionally runs interbank solvency
-contagion. Batch statistics cover expected loss / value at risk /
-expected shortfall per channel, interbank amplification distributions and
-the regression and test utilities used to summarise them.
+contagion. Both are the with-cascade system losses (``di_sc`` and
+``di_sc_ib``) of single-firm scenarios run through ``run_batch``; the
+output-loss index ESRI propagates the same single-firm shock. Batch
+statistics cover expected loss / value at risk / expected shortfall per
+channel, interbank amplification distributions and the regression and
+test utilities used to summarise them.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .credit import bank_seed, default_flags, profit_shock
-from .debtrank import DEFAULT_EPSILON, DEFAULT_MAX_ITER, debtrank
+# benchmarks/tracing.py wraps bank_seed, default_flags, profit_shock and debtrank in this namespace
+from .credit import bank_seed, default_flags, profit_shock  # noqa: F401
+from .debtrank import DEFAULT_EPSILON, DEFAULT_MAX_ITER, debtrank  # noqa: F401
 from .economy import EconomyGraph
 from .pipeline import BatchResult, run_batch
 from .propagation import PropagationConfig, propagate
-from .scenarios import ShockBatch, single_firm_shock
+from .scenarios import ShockBatch, single_firm_batch, single_firm_shock
 
 CHANNELS = ("di", "di_sc", "di_ib", "di_sc_ib")
 CHANNEL_REGIME = {"di": "wo", "di_sc": "w", "di_ib": "wo", "di_sc_ib": "w"}
@@ -79,22 +83,29 @@ class FirmRiskRecord:
         return self.fsri_plus / self.fsri
 
 
-def _firm_loss_seed(g: EconomyGraph, firm_id: str, cfg: PropagationConfig) -> np.ndarray:
-    psi = single_firm_shock(g, firm_id)
-    profile = propagate(g, psi, cfg)
-    flags = default_flags(g, profit_shock(g, profile.h))
-    return bank_seed(g, flags)
+def _indices(g: EconomyGraph, batch: ShockBatch, cfg: PropagationConfig,
+             dr_epsilon: float, dr_max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """FSRI and FSRI+ per scenario: the equity-weighted with-cascade losses."""
+    result = run_batch(g, batch, cfg, dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter)
+    system = ChannelDecomposition(result).system_losses()
+    return system["di_sc"], system["di_sc_ib"]
+
+
+def _one_firm(g: EconomyGraph, firm_id: str, cfg: PropagationConfig,
+              dr_epsilon: float = DEFAULT_EPSILON, dr_max_iter: int = DEFAULT_MAX_ITER):
+    """FSRI and FSRI+ of one firm's failure, each as a one-element array."""
+    batch = ShockBatch(psi=single_firm_shock(g, firm_id)[None, :], seed=None, provenance="single-firm")
+    return _indices(g, batch, cfg, dr_epsilon, dr_max_iter)
 
 
 def fsri(g: EconomyGraph, firm_id: str, cfg: PropagationConfig = PropagationConfig()) -> float:
     """Equity-weighted banking-system loss from one firm's failure.
 
-    Runs the single-firm shock through the supply chain and the credit
-    channel; no interbank step.
+    The loss after the supply-chain cascade and the credit channel, before
+    interbank contagion.
     """
-    seed = _firm_loss_seed(g, firm_id, cfg)
-    weights = g.bank_equity / g.bank_equity.sum()
-    return float(weights @ np.minimum(seed, 1.0))
+    base, _ = _one_firm(g, firm_id, cfg)
+    return float(base[0])
 
 
 def fsri_plus(
@@ -106,10 +117,8 @@ def fsri_plus(
     dr_max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Like :func:`fsri` but with interbank solvency contagion on top."""
-    seed = _firm_loss_seed(g, firm_id, cfg)
-    result = debtrank(g, np.minimum(seed, 1.0), epsilon=dr_epsilon, max_iter=dr_max_iter)
-    weights = g.bank_equity / g.bank_equity.sum()
-    return float(weights @ np.minimum(result.final, 1.0))
+    _, plus = _one_firm(g, firm_id, cfg, dr_epsilon, dr_max_iter)
+    return float(plus[0])
 
 
 def fsri_profile(
@@ -119,17 +128,28 @@ def fsri_profile(
     dr_epsilon: float = DEFAULT_EPSILON,
     dr_max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[FirmRiskRecord]:
-    """Both indices for every firm, rank ordered by the base index."""
-    weights = g.bank_equity / g.bank_equity.sum()
-    records = []
-    for i, firm_id in enumerate(g.firm_ids):
-        seed = _firm_loss_seed(g, firm_id, cfg)
-        base = float(weights @ np.minimum(seed, 1.0))
-        result = debtrank(g, np.minimum(seed, 1.0), epsilon=dr_epsilon, max_iter=dr_max_iter)
-        plus = float(weights @ np.minimum(result.final, 1.0))
-        records.append((i, FirmRiskRecord(firm_id=firm_id, fsri=base, fsri_plus=plus)))
-    records.sort(key=lambda pair: (-pair[1].fsri, pair[0]))
-    return [rec for _, rec in records]
+    """Both indices for every firm, rank ordered by the base index, then firm order."""
+    base, plus = _indices(g, single_firm_batch(g), cfg, dr_epsilon, dr_max_iter)
+    return [
+        FirmRiskRecord(firm_id=g.firm_ids[i], fsri=float(base[i]), fsri_plus=float(plus[i]))
+        for i in np.argsort(-base, kind="stable").tolist()
+    ]
+
+
+def compute_esri(
+    g: EconomyGraph, firm_id: str, cfg: PropagationConfig = PropagationConfig()
+) -> float:
+    """Fraction of total system output lost if one firm stops producing.
+
+    Output weights are intermediate sales plus the final-demand proxy, so a
+    firm with 10% of total output and no supply links scores exactly 0.10.
+    """
+    profile = propagate(g, single_firm_shock(g, firm_id), cfg)
+    out = g.total_output()
+    total = out.sum()
+    if total <= 0.0:
+        raise ValueError("economy has zero total output; impact share undefined")
+    return float(out @ (1.0 - profile.h) / total)
 
 
 def ccdf(values) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Supply-chain shock propagation and the economic systemic risk index.
+"""Supply-chain shock propagation.
 
 Shocks ``psi`` give each firm's remaining production capacity in [0, 1]
 (1 = unshocked, 0 = full stop). Propagation iterates a generalized
@@ -46,14 +46,12 @@ from .tables import fmt, write_csv
 class PropagationConfig:
     """Knobs for one propagation run.
 
-    ``enabled = False`` short-circuits the cascade entirely and returns
-    ``h = psi`` (the no-supply-chain regime). ``nonessential_weight`` is the
-    substitutability weight sigma described in the module docstring.
+    ``nonessential_weight`` is the substitutability weight sigma described
+    in the module docstring.
     """
 
     epsilon: float = 0.01
     max_iter: int = 1000
-    enabled: bool = True
     nonessential_weight: float = 0.0
     record_trajectory: bool = False
 
@@ -210,11 +208,6 @@ def propagate(
     ``converged = False`` and the caller decides what to do.
     """
     psi = check_shock_vector(psi, g.n)
-    if not cfg.enabled:
-        h = psi.copy()
-        traj = np.asarray([h]) if cfg.record_trajectory else None
-        return ProductionProfile(h=h, iterations=0, converged=True, trajectory=traj)
-
     plan = _plan_for(g)
     sigma = cfg.nonessential_weight
     h = psi.copy()
@@ -236,28 +229,6 @@ def propagate(
         converged=converged,
         trajectory=np.asarray(traj) if traj is not None else None,
     )
-
-
-def compute_esri(
-    g: EconomyGraph, firm_id: str, cfg: PropagationConfig = PropagationConfig()
-) -> float:
-    """Fraction of total system output lost if one firm stops producing.
-
-    Output weights are intermediate sales plus the final-demand proxy, so a
-    firm with 10% of total output and no supply links scores exactly 0.10.
-    """
-    try:
-        idx = g.firm_index[firm_id]
-    except KeyError:
-        raise ValueError(f"unknown firm id {firm_id!r}") from None
-    psi = np.ones(g.n)
-    psi[idx] = 0.0
-    profile = propagate(g, psi, cfg)
-    out = g.total_output()
-    total = out.sum()
-    if total <= 0.0:
-        raise ValueError("economy has zero total output; impact share undefined")
-    return float(out @ (1.0 - profile.h) / total)
 
 
 def write_trajectory(profile: ProductionProfile, firm_ids: list[str], path: str | Path) -> None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .economy import (
+    DataFormatError,
     EconomyGraph,
     EconomyValidationError,
     EssentialityTable,
@@ -26,6 +27,12 @@ from .economy import (
     validate_economy,
 )
 from .scenarios import EmpiricalShockTable
+
+# the parameters that are fractions of something, each in [0, 1]
+FRACTIONS = (
+    "missing_financials_rate", "negative_income_rate", "loan_coverage",
+    "interbank_density", "essential_fraction",
+)
 
 
 @dataclass(frozen=True)
@@ -47,16 +54,18 @@ class SyntheticParams:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("need at least one firm and one bank")
-        if not 0.0 <= self.mean_degree < float("inf"):
-            raise ValueError(f"mean_degree must be finite and >= 0, got {self.mean_degree}")
+        # at most n - 1 suppliers per buyer, and so a bounded candidate draw
+        if not 0.0 <= self.mean_degree <= self.n - 1:
+            raise ValueError(f"mean_degree must lie in [0, n - 1] = [0, {self.n - 1}], got {self.mean_degree}")
         if self.sector_count < 1:
             raise ValueError("sector_count must be >= 1")
         if self.weight_family not in ("lognormal", "pareto", "uniform"):
             raise ValueError(f"unknown weight family {self.weight_family!r}")
         if self.target_exposure_ratio is not None and self.target_exposure_ratio <= 0.0:
             raise ValueError("target exposure ratio must be positive (or None to skip)")
-        if not 0.0 <= self.essential_fraction <= 1.0:
-            raise ValueError("essential_fraction must lie in [0, 1]")
+        for name in FRACTIONS:
+            if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails too
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
 
 def _sector_codes(count: int) -> list[str]:
@@ -198,7 +207,7 @@ def generate_synthetic_economy(params: SyntheticParams, seed: int) -> EconomyGra
             ib_total = ib_amounts[0]
         if ib_total > 0.0:
             if loans_total <= 0.0:
-                raise ValueError(
+                raise DataFormatError(
                     "target exposure ratio is unreachable: generated economy has no loans"
                 )
             scale = loans_total / (params.target_exposure_ratio * ib_total)

@@ -122,3 +122,18 @@ def oracle_scenario(g, psi, epsilon=0.01, max_iter=1000, dr_epsilon=0.01, dr_max
     ib_wo = [f - s for f, s in zip(final_wo, seed_wo)]
     ib_w = [f - s for f, s in zip(final_w, seed_w)]
     return di, sc, ib_wo, ib_w
+
+
+def oracle_fsri(g, firm_id, epsilon=0.01, max_iter=1000, sigma=0.0, dr_epsilon=0.01, dr_max_iter=1000):
+    """Serial (FSRI, FSRI+) of one firm's failure: the cascade, the defaults it
+    leaves, their write-offs clamped at one equity and weighted by equity;
+    FSRI+ runs interbank contagion on the clamped write-offs first."""
+    psi = [0.0 if fid == firm_id else 1.0 for fid in g.firm_ids]
+    h = oracle_propagate(g, psi, epsilon=epsilon, max_iter=max_iter, sigma=sigma)
+    seed = [min(v, 1.0) for v in oracle_bank_losses(g, oracle_defaults(g, h))]
+    final = oracle_debtrank(g, seed, epsilon=dr_epsilon, max_iter=dr_max_iter)
+    equity = g.bank_equity.tolist()
+    total = sum(equity)
+    base = sum(e * s for e, s in zip(equity, seed)) / total
+    plus = sum(e * min(f, 1.0) for e, f in zip(equity, final)) / total
+    return base, plus

@@ -17,7 +17,6 @@ from netstress import (
     FirmNode,
     InterbankNetwork,
     LoanBook,
-    PropagationConfig,
     SupplyNetwork,
     SyntheticParams,
     bank_losses,
@@ -54,7 +53,7 @@ def test_criterion_1_toy_fixture_exactness():
     g = toy_economy()
     psi = single_firm_shock(g, "f")
 
-    h_wo = propagate(g, psi, PropagationConfig(enabled=False)).h
+    h_wo = psi
     h_w = propagate(g, psi).h
     chi_wo = default_flags(g, profit_shock(g, h_wo))
     chi_w = default_flags(g, profit_shock(g, h_w))

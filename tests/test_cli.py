@@ -341,6 +341,7 @@ class TestScenarioIds:
 
 @pytest.mark.parametrize("argv", [
     ["generate", "--n", "0"],
+    ["generate", "--n", "4"],  # the default mean_degree of 4 needs n >= 5
     ["generate", "--m", "0"],
     ["generate", "--ratio", "-1"],
     ["stress", "--sigma", "2"],
@@ -386,6 +387,12 @@ def test_bad_parameter_values_exit_three(toy_dir, tmp_path, capsys, argv):
     ("stress", {"scenarios": {"shocks_seed": -1}}),
     ("generate", {"economy": {"seed": -1}}),
     ("generate", {"economy": {"mean_degree": float("inf")}}),
+    ("generate", {"economy": {"n": 10, "mean_degree": 10}}),
+    ("generate", {"economy": {"n": 30, "m": 3, "interbank_density": 2}}),
+    ("generate", {"economy": {"n": 30, "m": 3, "missing_financials_rate": float("nan")}}),
+    ("generate", {"economy": {"n": 30, "m": 3, "negative_income_rate": -0.5}}),
+    ("generate", {"economy": {"n": 30, "m": 3, "loan_coverage": 1.5}}),
+    ("generate", {"economy": {"n": 30, "loan_coverage": 0}}),
 ], ids=lambda value: json.dumps(value) if isinstance(value, (dict, list)) else value)
 def test_bad_config_values_exit_three(toy_dir, tmp_path, capsys, command, config):
     path = tmp_path / "config.json"

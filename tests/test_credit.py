@@ -14,7 +14,6 @@ from netstress import (
     FirmNode,
     InterbankNetwork,
     LoanBook,
-    PropagationConfig,
     SupplyNetwork,
     bank_losses,
     bank_seed,
@@ -167,8 +166,7 @@ class TestBankLosses:
 
     def test_sc_identically_zero_when_cascade_disabled(self, toy):
         psi = single_firm_shock(toy, "f")
-        h = propagate(toy, psi, PropagationConfig(enabled=False)).h
-        chi = default_flags(toy, profit_shock(toy, h))
+        chi = default_flags(toy, profit_shock(toy, psi))
         ledger = bank_losses(toy, chi_w=chi, chi_wo=chi)
         assert not ledger.sc.any()
 

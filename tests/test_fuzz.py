@@ -19,7 +19,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netstress.cli import DEFAULT_CONFIG, main
+from netstress.cli import _SYNTHETIC_FRACTIONS, DEFAULT_CONFIG, main
 
 TOY = Path(__file__).resolve().parents[1] / "data" / "toy"
 
@@ -86,7 +86,10 @@ def _key_paths(config: dict, prefix: tuple = ()) -> list[tuple]:
     return paths
 
 
-CONFIG_KEYS = _key_paths(DEFAULT_CONFIG)
+# the synthetic economy's optional keys, which DEFAULT_CONFIG does not list
+CONFIG_KEYS = _key_paths(DEFAULT_CONFIG) + [
+    ("economy", key) for key in ("weight_family", *_SYNTHETIC_FRACTIONS)
+]
 CONFIG_VALUES = ["null", "list", "string", "1e400", "-1", "object"]
 
 

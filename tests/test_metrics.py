@@ -14,6 +14,7 @@ from netstress import (
     AmplificationRecord,
     BankSheet,
     EconomyGraph,
+    EssentialityTable,
     FirmNode,
     InterbankNetwork,
     LoanBook,
@@ -32,6 +33,9 @@ from netstress import (
     toy_economy,
     welch_test,
 )
+
+from .conftest import random_economy
+from .oracle import oracle_fsri
 
 
 class TestRiskMeasures:
@@ -263,6 +267,28 @@ class TestSystemicRiskIndices:
         records = fsri_profile(g)
         assert all(r.fsri == 0.0 and r.fsri_plus == 0.0 for r in records)
         assert all(np.isnan(r.amplification) for r in records)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("seed, m", [(2, 4), (5, 4), (7, 2)])  # at seed 7 some losses pass one equity
+    def test_indices_match_the_serial_oracle(self, seed, m, sigma):
+        rng = np.random.default_rng(seed)
+        g = random_economy(rng, n=10, m=m)
+        # about half the sector pairs essential, so sigma acts on the others
+        g.essentiality = EssentialityTable(overrides={
+            (s, b): bool(rng.random() < 0.5) for s in g.sectors for b in g.sectors
+        })
+        cfg = PropagationConfig(nonessential_weight=sigma)
+        records = fsri_profile(g, cfg)
+        assert any(r.fsri_plus > r.fsri > 0.0 for r in records)
+        keys = [(-r.fsri, g.firm_index[r.firm_id]) for r in records]
+        assert keys == sorted(keys)
+        for r in records:
+            want_base, want_plus = oracle_fsri(g, r.firm_id, sigma=sigma)
+            base, plus = fsri(g, r.firm_id, cfg), fsri_plus(g, r.firm_id, cfg)
+            for got, want in ((base, want_base), (r.fsri, want_base), (plus, want_plus), (r.fsri_plus, want_plus)):
+                assert abs(got - want) <= 1e-12
+            # one row and many rows of a matrix product may round differently
+            assert abs(base - r.fsri) <= 1e-15 and abs(plus - r.fsri_plus) <= 1e-15
 
 
 class TestCcdf:

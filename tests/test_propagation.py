@@ -56,12 +56,6 @@ class TestPropagate:
         np.testing.assert_array_equal(profile.h, np.zeros(6))
         assert profile.converged
 
-    def test_disabled_regime_returns_shock_unchanged(self, toy):
-        psi = single_firm_shock(toy, "f")
-        profile = propagate(toy, psi, PropagationConfig(enabled=False))
-        np.testing.assert_array_equal(profile.h, psi)
-        assert profile.converged
-
     def test_all_ones_is_fixed_point_in_one_iteration(self, toy):
         profile = propagate(toy, np.ones(6))
         np.testing.assert_array_equal(profile.h, np.ones(6))
