@@ -87,16 +87,19 @@ def _supply_network(rng: np.random.Generator, n: int, mean_degree: float, family
     n_edges = int(round(n * mean_degree)) if n >= 2 else 0
     if not n_edges:
         return SupplyNetwork.from_edges(n, [], [], [])
-    pairs = rng.integers(0, n, size=2 * n_edges)  # the suppliers, made pair numbers in place
-    buyers = rng.integers(0, n, size=2 * n_edges)
-    keep = pairs != buyers
-    # supplier * n + buyer sorts like the (supplier, buyer) pair
-    pairs *= n
-    pairs += buyers
-    del buyers
-    pairs = pairs[keep]
-    pairs.sort()
-    pairs = pairs[np.insert(pairs[1:] != pairs[:-1], 0, True)]  # np.unique without its copies
+    pairs = np.empty(0, dtype=np.int64)
+    while pairs.size < n_edges:  # a dense request can need more than one round of candidates
+        drawn = rng.integers(0, n, size=2 * n_edges)  # the suppliers, made pair numbers in place
+        buyers = rng.integers(0, n, size=2 * n_edges)
+        keep = drawn != buyers
+        # supplier * n + buyer sorts like the (supplier, buyer) pair
+        drawn *= n
+        drawn += buyers
+        del buyers
+        pairs = np.concatenate((pairs, drawn[keep])) if pairs.size else drawn[keep]
+        del drawn, keep
+        pairs.sort()
+        pairs = pairs[np.insert(pairs[1:] != pairs[:-1], 0, True)]  # np.unique without its copies
     order = rng.permutation(pairs.size)[:n_edges]
     pairs = pairs[np.sort(order)]
     weights = _edge_weights(rng, family, pairs.size)
@@ -104,11 +107,11 @@ def _supply_network(rng: np.random.Generator, n: int, mean_degree: float, family
 
 
 class _BankPick:
-    """``rng.choice(m, size, replace=False, p=p)`` for size 1 or 2, without its overhead.
+    """The distributions of ``rng.choice(m, size, replace=False, p=p)`` for size 1 or 2.
 
-    It draws the same numbers and picks the same banks: a uniform draw per
-    pick, searched in the cumulative distribution, and after a repeat one
-    more draw searched with the first bank's probability set to zero.
+    ``_loan_book`` draws the same numbers and picks the same banks: a uniform
+    draw per pick, searched in the cumulative distribution, and after a
+    repeat one more draw searched with the first bank's probability set to zero.
     """
 
     def __init__(self, p: np.ndarray):
@@ -123,14 +126,55 @@ class _BankPick:
         cdf /= cdf[-1]
         return cdf.tolist()
 
-    def __call__(self, rng: np.random.Generator, size: int) -> tuple[int, ...]:
-        first = bisect_right(self.cdf, rng.random())
-        if size == 1:
-            return (first,)
-        second = bisect_right(self.cdf, rng.random())
-        if second == first:
-            second = bisect_right(self.without[first], rng.random())
-        return first, second
+
+# eligible firms per block of pre-drawn uniforms in _loan_book
+LOAN_CHUNK = 4096
+
+
+def _loan_book(rng: np.random.Generator, eligible: list[int], revenue: list[float], pick: _BankPick,
+               coverage: float, m: int) -> tuple[list[int], list[int], list[float]]:
+    """Each eligible firm borrows with probability ``coverage``, from two banks
+    with probability 0.3 (if m > 1), ``revenue * uniform(0.05, 0.3)`` per loan.
+
+    The draws are those of one scalar ``rng`` call each, in the same order.
+    A chunk pre-draws seven doubles per firm, the most one firm reads
+    (coverage, loan count, two banks, a redraw after a repeat, two amounts),
+    then rewinds and redraws the count it read, so ``rng`` ends where the
+    scalar calls leave it; ``advance`` would drop PCG64's cached 32-bit half.
+    """
+    firms: list[int] = []
+    banks: list[int] = []
+    amounts: list[float] = []
+    cdf, without = pick.cdf, pick.without
+    for start in range(0, len(eligible), LOAN_CHUNK):
+        chunk = eligible[start:start + LOAN_CHUNK]
+        state = rng.bit_generator.state
+        u = rng.random(7 * len(chunk)).tolist()
+        j = 0  # the next unread double
+        for i in chunk:
+            if u[j] >= coverage:
+                j += 1
+                continue
+            first = bisect_right(cdf, u[j + 2])
+            if u[j + 1] < 0.3 and m > 1:
+                second = bisect_right(cdf, u[j + 3])
+                j += 4
+                if second == first:
+                    second = bisect_right(without[first], u[j])
+                    j += 1
+                picked = (first, second)
+            else:
+                j += 3
+                picked = (first,)
+            for k in picked:
+                firms.append(i)
+                banks.append(k)
+                # what rng.uniform(0.05, 0.3) computes from its double
+                amounts.append(revenue[i] * (0.05 + (0.3 - 0.05) * u[j]))
+                j += 1
+        rng.bit_generator.state = state
+        rng.random(j)
+    return firms, banks, amounts
 
 
 def generate_synthetic_economy(params: SyntheticParams, seed: int) -> EconomyGraph:
@@ -166,18 +210,10 @@ def generate_synthetic_economy(params: SyntheticParams, seed: int) -> EconomyGra
     bank_equity *= revenue.sum() / bank_equity.sum() / 3.0
 
     # loan book: financially covered firms borrow from one or two banks
-    loan_firms: list[int] = []
-    loan_banks: list[int] = []
-    loan_amounts: list[float] = []
-    pick = _BankPick(bank_equity / bank_equity.sum())
-    for i in np.flatnonzero(~missing).tolist():
-        if rng.random() >= params.loan_coverage:
-            continue
-        n_loans = 1 + int(rng.random() < 0.3)
-        for k in pick(rng, min(n_loans, m)):
-            loan_firms.append(i)
-            loan_banks.append(k)
-            loan_amounts.append(float(revenue[i] * rng.uniform(0.05, 0.3)))
+    loan_firms, loan_banks, loan_amounts = _loan_book(
+        rng, np.flatnonzero(~missing).tolist(), revenue.tolist(),
+        _BankPick(bank_equity / bank_equity.sum()), params.loan_coverage, m,
+    )
 
     # interbank layer: each bank borrows a slice of its equity from a few peers
     ib_borrowers: list[int] = []

@@ -137,3 +137,19 @@ def oracle_fsri(g, firm_id, epsilon=0.01, max_iter=1000, sigma=0.0, dr_epsilon=0
     base = sum(e * s for e, s in zip(equity, seed)) / total
     plus = sum(e * min(f, 1.0) for e, f in zip(equity, final)) / total
     return base, plus
+
+
+
+def oracle_loan_book(rng, eligible, revenue, p, coverage, m):
+    """The generator's loan book with one scalar ``rng`` call per draw and
+    ``rng.choice`` for the banks."""
+    firms, banks, amounts = [], [], []
+    for i in eligible:
+        if rng.random() >= coverage:
+            continue
+        n_loans = 1 + int(rng.random() < 0.3)
+        for k in rng.choice(m, size=min(n_loans, m), replace=False, p=p).tolist():
+            firms.append(i)
+            banks.append(k)
+            amounts.append(float(revenue[i] * rng.uniform(0.05, 0.3)))
+    return firms, banks, amounts
