@@ -509,7 +509,14 @@ def _ledger_rows(b: Block, seen: dict) -> dict[tuple[int, str], tuple[float, ...
     r = first_repeat(keys, seen)
     if r is not None:
         raise RowError(r, f"second row for scenario {keys[r][0]} and bank {keys[r][1]!r}")
-    return dict(zip(keys, zip(*(b.numbers(c) for c in ("di", "sc", "ib_wo", "ib_w")))))
+    names = LEDGER_COLUMNS[2:6]
+    losses = np.array([b.numbers(c) for c in names], dtype=float)
+    bad = ~(np.isfinite(losses) & (losses >= 0.0))
+    if bad.any():
+        r = int(np.flatnonzero(bad.any(axis=0))[0])
+        c = names[int(np.argmax(bad[:, r]))]
+        raise RowError(r, f"column {c} is {b.cells[c][r].strip()}, not a finite loss >= 0")
+    return dict(zip(keys, zip(*losses.tolist())))
 
 
 def cmd_report(config: dict, ledgers: str) -> int:

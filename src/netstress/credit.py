@@ -17,16 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .economy import EconomyGraph
-from .propagation import ProductionProfile
 from .tables import write_parts
 
 
 @dataclass
 class ProfitShock:
-    """Per-firm profit reduction; meaningless (zero) for firms without financials."""
+    """Per-firm profit reduction; zero for firms without financials."""
 
     dp: np.ndarray
-    has_financials: np.ndarray
 
 
 @dataclass
@@ -57,23 +55,17 @@ class BankLossLedger:
         return np.minimum(self.di + self.sc, 1.0)
 
 
-def _as_levels(h) -> np.ndarray:
-    if isinstance(h, ProductionProfile):
-        return h.h
-    return np.asarray(h, dtype=float)
-
-
 def profit_shock(g: EconomyGraph, h) -> ProfitShock:
     """Profit lost per firm given remaining production levels ``h``.
 
     ``dp[i] = (1 - h[i]) * (revenue[i] - op_cost[i])`` for firms with
-    financials; firms without financials get zero and are marked.
+    financials; firms without financials get zero.
     """
-    levels = _as_levels(h)
+    levels = np.asarray(h, dtype=float)
     if levels.shape != (g.n,):
         raise ValueError(f"production levels have shape {levels.shape}, expected ({g.n},)")
     dp = np.where(g.financials_present, (1.0 - levels) * (g.revenue - g.op_cost), 0.0)
-    return ProfitShock(dp=dp, has_financials=g.financials_present.copy())
+    return ProfitShock(dp=dp)
 
 
 def default_flags(g: EconomyGraph, shock: ProfitShock) -> DefaultFlags:

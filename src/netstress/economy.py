@@ -125,14 +125,6 @@ class InterbankNetwork:
         eq = np.asarray(bank_equity, dtype=float)
         return self.liabilities.toarray() / eq[None, :]
 
-    def assets(self) -> np.ndarray:
-        """Per-bank interbank assets (money lent to other banks)."""
-        return np.asarray(self.liabilities.sum(axis=0)).ravel()
-
-    def borrowings(self) -> np.ndarray:
-        """Per-bank interbank liabilities (money borrowed from other banks)."""
-        return np.asarray(self.liabilities.sum(axis=1)).ravel()
-
 
 @dataclass(eq=False)
 class LoanBook:
@@ -167,17 +159,8 @@ class EssentialityTable:
     overrides: dict[tuple[str, str], bool] = field(default_factory=dict)
     default_essential: bool = True
 
-    def is_essential(self, supplier_sector: str, buyer_sector: str) -> bool:
-        key = (supplier_sector, buyer_sector)
-        if key in self.overrides:
-            return self.overrides[key]
-        key2 = (supplier_sector[:2], buyer_sector[:2])
-        if key2 in self.overrides:
-            return self.overrides[key2]
-        return self.default_essential
-
     def lookup(self, codes: list[str]) -> np.ndarray:
-        """:meth:`is_essential` of every pair of ``codes``: entry [s, b] for supplier s, buyer b."""
+        """Whether each pair of ``codes`` is essential: entry [s, b] for supplier s, buyer b."""
         table = np.full((len(codes), len(codes)), self.default_essential)
         for width in (2, None):  # two-digit prefixes first, so that exact pairs overwrite them
             groups: dict[str, list[int]] = {}
@@ -451,7 +434,7 @@ def exposure_ratio(g: EconomyGraph) -> tuple[float, np.ndarray]:
     if ib_total <= 0.0:
         raise ValueError("interbank network has zero total volume; exposure ratio undefined")
     per_bank_loans = np.asarray(g.loans.principals.sum(axis=0)).ravel()
-    ib_assets = g.interbank.assets()
+    ib_assets = np.asarray(g.interbank.liabilities.sum(axis=0)).ravel()
     per_bank = np.full(g.m, np.nan)
     has = ib_assets > 0.0
     per_bank[has] = per_bank_loans[has] / ib_assets[has]

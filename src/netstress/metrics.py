@@ -228,25 +228,6 @@ class ChannelDecomposition:
         ]
 
 
-def channel_decomposition(
-    g: EconomyGraph,
-    batch: ShockBatch,
-    cfg: PropagationConfig = PropagationConfig(),
-    *,
-    dr_epsilon: float = DEFAULT_EPSILON,
-    dr_max_iter: int = DEFAULT_MAX_ITER,
-    workers: int = 1,
-    keep_defaults: bool = False,
-) -> ChannelDecomposition:
-    """Run both regimes over a batch and wrap the per-channel statistics."""
-    result = run_batch(
-        g, batch, cfg,
-        dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter,
-        workers=workers, keep_defaults=keep_defaults,
-    )
-    return ChannelDecomposition(result=result)
-
-
 # ---------------------------------------------------------------------------
 # interbank amplification statistics
 # ---------------------------------------------------------------------------

@@ -23,57 +23,6 @@ from .scenarios import ShockBatch
 
 
 @dataclass
-class ScenarioOutcome:
-    """Per-bank channel losses for one scenario, raw (unclamped) fractions."""
-
-    di: np.ndarray
-    sc: np.ndarray
-    ib_wo: np.ndarray
-    ib_w: np.ndarray
-    chi_wo: np.ndarray
-    chi_w: np.ndarray
-    dp_w: np.ndarray
-    sc_iterations: int
-    sc_converged: bool
-    dr_wo_converged: bool
-    dr_w_converged: bool
-
-
-def run_scenario(
-    g: EconomyGraph,
-    psi,
-    cfg: PropagationConfig = PropagationConfig(),
-    *,
-    dr_epsilon: float = DEFAULT_EPSILON,
-    dr_max_iter: int = DEFAULT_MAX_ITER,
-) -> ScenarioOutcome:
-    """Run one shock through both regimes end to end."""
-    shock_wo = profit_shock(g, psi)
-    chi_wo = default_flags(g, shock_wo)
-
-    profile = propagate(g, psi, cfg)
-    shock_w = profit_shock(g, profile.h)
-    chi_w = default_flags(g, shock_w)
-
-    ledger = bank_losses(g, chi_w=chi_w, chi_wo=chi_wo)
-    result_wo = debtrank(g, ledger.seed_without(), epsilon=dr_epsilon, max_iter=dr_max_iter)
-    result_w = debtrank(g, ledger.seed_with(), epsilon=dr_epsilon, max_iter=dr_max_iter)
-    return ScenarioOutcome(
-        di=ledger.di,
-        sc=ledger.sc,
-        ib_wo=result_wo.ib_marginal,
-        ib_w=result_w.ib_marginal,
-        chi_wo=chi_wo.chi,
-        chi_w=chi_w.chi,
-        dp_w=shock_w.dp,
-        sc_iterations=profile.iterations,
-        sc_converged=profile.converged,
-        dr_wo_converged=result_wo.converged,
-        dr_w_converged=result_w.converged,
-    )
-
-
-@dataclass
 class BatchResult:
     """Stacked channel losses over a scenario batch; one row per scenario.
 
@@ -109,9 +58,6 @@ class BatchResult:
         )
 
 
-_FIELDS = ("di", "sc", "ib_wo", "ib_w", "sc_converged", "dr_wo_converged", "dr_w_converged")
-_PER_FIRM_FIELDS = ("chi_wo", "chi_w", "dp_w")
-
 # at most this many bytes of shock vectors per block: the blocks in flight
 # sit in the parent, and so in every worker forked from it
 BLOCK_BYTES = 2 << 20
@@ -121,15 +67,33 @@ _shared: tuple | None = None
 
 
 def _run_block(g, cfg, dr_epsilon, dr_max_iter, keep_defaults, psi_block) -> dict[str, np.ndarray]:
-    """Run a block of scenarios; per-firm arrays only when ``keep_defaults``."""
-    fields = (_FIELDS + _PER_FIRM_FIELDS) if keep_defaults else _FIELDS
-    # keep only the wanted fields of each outcome, not its per-firm arrays
-    outcomes = (
-        run_scenario(g, psi, cfg, dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter)
-        for psi in psi_block
-    )
-    columns = zip(*([getattr(o, name) for name in fields] for o in outcomes))
-    return dict(zip(fields, map(np.array, columns)))
+    """Run a block of scenarios through both regimes, one row per scenario.
+
+    Per-firm arrays only when ``keep_defaults``.
+    """
+    rows = len(psi_block)
+    out = {name: np.empty((rows, g.m)) for name in ("di", "sc", "ib_wo", "ib_w")}
+    for name in ("sc_converged", "dr_wo_converged", "dr_w_converged"):
+        out[name] = np.empty(rows, dtype=bool)
+    if keep_defaults:
+        out.update(chi_wo=np.empty((rows, g.n), dtype=bool), chi_w=np.empty((rows, g.n), dtype=bool),
+                   dp_w=np.empty((rows, g.n)))
+    # each stage is looked up here per scenario: benchmarks/tracing.py wraps them in this namespace
+    for k, psi in enumerate(psi_block):
+        chi_wo = default_flags(g, profit_shock(g, psi))
+        profile = propagate(g, psi, cfg)
+        shock_w = profit_shock(g, profile.h)
+        chi_w = default_flags(g, shock_w)
+        ledger = bank_losses(g, chi_w=chi_w, chi_wo=chi_wo)
+        result_wo = debtrank(g, ledger.seed_without(), epsilon=dr_epsilon, max_iter=dr_max_iter)
+        result_w = debtrank(g, ledger.seed_with(), epsilon=dr_epsilon, max_iter=dr_max_iter)
+        out["di"][k], out["sc"][k] = ledger.di, ledger.sc
+        out["ib_wo"][k], out["ib_w"][k] = result_wo.ib_marginal, result_w.ib_marginal
+        out["sc_converged"][k] = profile.converged
+        out["dr_wo_converged"][k], out["dr_w_converged"][k] = result_wo.converged, result_w.converged
+        if keep_defaults:
+            out["chi_wo"][k], out["chi_w"][k], out["dp_w"][k] = chi_wo.chi, chi_w.chi, shock_w.dp
+    return out
 
 
 def _init_worker(*shared) -> None:

@@ -33,13 +33,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
 from .economy import EconomyGraph
-from .tables import fmt, write_csv
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,6 @@ class PropagationConfig:
     epsilon: float = 0.01
     max_iter: int = 1000
     nonessential_weight: float = 0.0
-    record_trajectory: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -71,7 +68,6 @@ class ProductionProfile:
     h: np.ndarray
     iterations: int
     converged: bool
-    trajectory: np.ndarray | None = None  # (iterations + 1, n) including the initial state
 
 
 @dataclass
@@ -211,32 +207,13 @@ def propagate(
     plan = _plan_for(g)
     sigma = cfg.nonessential_weight
     h = psi.copy()
-    traj = [h.copy()] if cfg.record_trajectory else None
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         h_new = _step(plan, psi, h, sigma)
         drop = float(np.max(h - h_new)) if h.size else 0.0
         h = h_new
-        if traj is not None:
-            traj.append(h.copy())
         if drop <= cfg.epsilon:
             converged = True
             break
-    return ProductionProfile(
-        h=h,
-        iterations=iterations,
-        converged=converged,
-        trajectory=np.asarray(traj) if traj is not None else None,
-    )
-
-
-def write_trajectory(profile: ProductionProfile, firm_ids: list[str], path: str | Path) -> None:
-    """Dump a recorded trajectory as (iteration, firm_id, h) rows."""
-    if profile.trajectory is None:
-        raise ValueError("profile carries no trajectory; run with record_trajectory=True")
-    write_csv(path, ["iteration", "firm_id", "h"], (
-        [t, fid, fmt(value)]
-        for t, row in enumerate(profile.trajectory)
-        for fid, value in zip(firm_ids, row)
-    ))
+    return ProductionProfile(h=h, iterations=iterations, converged=converged)

@@ -1,4 +1,4 @@
-"""Shock inputs: single-firm failures, pandemic-style batches, random networks.
+"""Shock inputs: single-firm failures, pandemic-style batches, batch files.
 
 Pandemic-style batches bootstrap observed per-firm production reductions
 within each two-digit industry and then rescale every industry so its
@@ -15,9 +15,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
-from .economy import DataFormatError, EconomyGraph, InterbankNetwork, ReferentialError
+from .economy import DataFormatError, EconomyGraph, ReferentialError
 from .tables import Block, RowError, first_repeat, fmt, read_blocks, write_csv
 
 SHOCK_TABLE_COLUMNS = ["firm_id", "reduction"]
@@ -262,41 +261,6 @@ def covid_style_batch(
         residuals[:] = found  # every pass finds the same: keep one copy
 
     return StreamedBatch(count, draw, seed=seed, provenance="covid-style", residuals=residuals)
-
-
-def gaussian_bank_seed_batch(reference, count: int, seed: int) -> np.ndarray:
-    """Per-bank loss seeds drawn from normals matching the reference moments.
-
-    ``reference`` holds one row per observed scenario and one column per
-    bank; draws are independent across banks and floored at zero.
-    """
-    ref = np.asarray(reference, dtype=float)
-    if ref.ndim != 2 or ref.shape[0] < 2:
-        raise ValueError("reference needs at least two samples per bank")
-    mu = ref.mean(axis=0)
-    sigma = ref.std(axis=0, ddof=1)
-    rng = np.random.default_rng(seed)
-    draws = rng.normal(mu, sigma, size=(count, ref.shape[1]))
-    return np.maximum(draws, 0.0)
-
-
-def random_interbank_network(m: int, seed: int, bank_equity=None) -> InterbankNetwork:
-    """Maximally random interbank layer: leverage entries uniform on (0, 0.05).
-
-    The liability matrix is reconstructed from the leverage draws and the
-    bank equities (unit equities when none are given), keeping every
-    bank's total exposure below (m - 1) * 0.05 of its equity.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    rng = np.random.default_rng(seed)
-    leverage = rng.uniform(0.0, 0.05, size=(m, m))
-    np.fill_diagonal(leverage, 0.0)
-    equity = np.ones(m) if bank_equity is None else np.asarray(bank_equity, dtype=float)
-    if equity.shape != (m,):
-        raise ValueError(f"bank_equity has shape {equity.shape}, expected ({m},)")
-    liabilities = leverage * equity[None, :]
-    return InterbankNetwork(m=m, liabilities=sparse.csr_matrix(liabilities))
 
 
 def write_batch(batch: ShockBatch, firm_ids: list[str], path: str | Path) -> None:

@@ -14,6 +14,17 @@ def _dense(matrix) -> list[list[float]]:
     return [[float(v) for v in row] for row in np.asarray(matrix.todense())]
 
 
+def is_essential(table, supplier_sector: str, buyer_sector: str) -> bool:
+    """One pair's essentiality: the exact pair, then two-digit prefixes, then the default."""
+    key = (supplier_sector, buyer_sector)
+    if key in table.overrides:
+        return table.overrides[key]
+    key2 = (supplier_sector[:2], buyer_sector[:2])
+    if key2 in table.overrides:
+        return table.overrides[key2]
+    return table.default_essential
+
+
 def oracle_propagate(g, psi, epsilon=0.01, max_iter=1000, sigma=0.0):
     """Per-firm loop version of the production-shock cascade."""
     n = g.n
@@ -36,7 +47,7 @@ def oracle_propagate(g, psi, epsilon=0.01, max_iter=1000, sigma=0.0):
             ne_alphas = []
             for sector, (avail, tot) in pools.items():
                 alpha = avail / tot
-                if table.is_essential(sector, sectors[j]):
+                if is_essential(table, sector, sectors[j]):
                     d = min(d, alpha)
                 else:
                     ne_alphas.append(alpha)

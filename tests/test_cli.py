@@ -309,6 +309,28 @@ class TestBadInput:
         assert "scenario 1" in err and "bank '2'" in err
 
 
+    @pytest.mark.parametrize("row, column, cell", [
+        (1, "di", "nan"),
+        (2, "ib_wo", "-inf"),
+        (3, "sc", "-0.25"),
+        (4, "ib_w", "inf"),
+    ])
+    def test_report_on_bad_loss(self, toy_dir, tmp_path, capsys, row, column, cell):
+        run_dir = tmp_path / "run"
+        assert run(["stress", "--economy-dir", str(toy_dir), "--count", "5",
+                    "--out", str(run_dir), "--workers", "1"]) == 0
+        lines = (run_dir / "ledgers.csv").read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[lines[0].split(",").index(column)] = cell
+        lines[row] = ",".join(cells)
+        (tmp_path / "ledgers.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["report", "--ledgers", str(tmp_path / "ledgers.csv"),
+                    "--out", str(tmp_path / "report")]) == 3
+        err = one_line_error(capsys)
+        assert f"ledgers.csv line {row + 1}: column {column} is {cell}" in err
+
+
 class TestScenarioIds:
     BATCH = "scenario_id,firm_id,psi\n7,f,0.0\n3,d,0.0\n3,b,0.5\n"
 

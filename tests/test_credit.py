@@ -64,7 +64,6 @@ class TestProfitShock:
         g.eligible_for_default[0] = False
         shock = profit_shock(g, np.array([0.0]))
         assert shock.dp[0] == 0.0
-        assert not shock.has_financials[0]
 
 
 class TestDefaultFlags:

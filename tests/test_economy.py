@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from netstress import (
     DataFormatError,
-    EconomyValidationError,
     EssentialityTable,
     InterbankNetwork,
     LoanBook,
@@ -25,6 +24,8 @@ from netstress import (
     validate_economy,
     write_economy,
 )
+
+from .oracle import is_essential
 
 
 class TestValidation:
@@ -192,12 +193,12 @@ class TestIngestion:
 class TestEssentialityTable:
     def test_default_everything_essential(self):
         table = EssentialityTable()
-        assert table.is_essential("1011", "2020")
+        assert is_essential(table, "1011", "2020")
 
     def test_exact_match_beats_prefix(self):
         table = EssentialityTable(overrides={("10", "20"): False, ("1011", "2020"): True})
-        assert table.is_essential("1011", "2020")
-        assert not table.is_essential("1099", "2099")
+        assert is_essential(table, "1011", "2020")
+        assert not is_essential(table, "1099", "2099")
 
     def test_lookup_matches_is_essential_on_every_pair(self):
         codes = ["1011", "1012", "1099", "2011", "2020", "3", "30", "3000"]
@@ -206,7 +207,7 @@ class TestEssentialityTable:
                        ("3", "3000"): True, ("1099", "30"): True, ("99", "10"): True},
             default_essential=False,
         )
-        expected = [[table.is_essential(sup, buy) for buy in codes] for sup in codes]
+        expected = [[is_essential(table, sup, buy) for buy in codes] for sup in codes]
         assert table.lookup(codes).tolist() == expected
         assert EssentialityTable().lookup(codes).all()
 

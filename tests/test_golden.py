@@ -16,16 +16,12 @@ import shutil
 from netstress import (
     EmpiricalShockTable,
     EssentialityTable,
-    PropagationConfig,
     covid_style_batch,
-    propagate,
-    single_firm_shock,
     toy_economy,
     write_batch,
     write_economy,
 )
 from netstress.cli import main
-from netstress.propagation import write_trajectory
 
 BATCH = "scenario_id,firm_id,psi\n0,f,0.0\n0,a,1.0\n1,d,0.25\n1,b,0.5\n"
 
@@ -49,7 +45,6 @@ GOLDEN = {
     "api/economy/loans.csv": "0b14dc35aa3f139e029403dbab60830a57fadcb2827f9bc6683baed8ad5edc5b",
     "api/economy/supply.csv": "0ec901a1e820ff94fdb4029eca0aed30a1eca54033175aeaa7adcff00a2899b9",
     "api/shocks.csv": "3f39f5caa368735cb9b696505ddfee3027c7fef82b7b703b30def2d5cc07d021",
-    "api/trajectory.csv": "225c070b1c2aefebd330b71744e4e62dc598c457e2cb68c174e55175527d9643",
     "batch/amplification.csv": "c0ca5d5f3b07367536f3a3cfbfb869376e4aca75a36ab48485487c6fca1a23e1",
     "batch/ccdf.csv": "bb71be1b632c1d7fdf543cf8cc7aa9ce7b2ec80020a0590ba5afbd24a4802015",
     "batch/fits.json": "761c488d9f183d9f4133aaab689ec7b2bcfca6bf9275f0ad5300e8187f3891b8",
@@ -103,8 +98,6 @@ def _api_dumps(out) -> None:
     table = EmpiricalShockTable(reductions={"a": 0.3, "d": 0.5, "f": 0.125})
     table.write_csv(out / "shocks.csv")
     write_batch(covid_style_batch(g, table, count=3, seed=2), g.firm_ids, out / "batch.csv")
-    profile = propagate(g, single_firm_shock(g, "f"), PropagationConfig(record_trajectory=True))
-    write_trajectory(profile, g.firm_ids, out / "trajectory.csv")
 
 
 def test_output_bytes_unchanged(toy_dir, tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
 """The package's import graph: every CLI command runs on numpy and
 ``scipy.sparse`` alone, and ``scipy.stats`` loads only when ``welch_test``
-is first called.
+is first called; and no module imports a name it never uses.
 
 Each forked scenario worker carries whatever the parent has imported, so a
 heavy module pulled in at import time is paid once per process.
@@ -8,6 +8,7 @@ heavy module pulled in at import time is paid once per process.
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -56,3 +57,33 @@ def test_commands_leave_heavy_scipy_modules_unloaded(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "ok"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``file:line: name`` for each imported name the module never reads.
+
+    A name listed in ``__all__`` counts as read, and so does one whose own
+    line carries ``# noqa: F401``.
+    """
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{path.relative_to(ROOT)}:{alias.lineno}: {name}")
+    return unused
+
+
+def test_no_unused_imports():
+    files = sorted((ROOT / "src" / "netstress").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert files
+    assert [entry for path in files for entry in _unused_imports(path)] == []

@@ -13,6 +13,7 @@ from scipy import stats as scipy_stats
 from netstress import (
     AmplificationRecord,
     BankSheet,
+    ChannelDecomposition,
     EconomyGraph,
     EssentialityTable,
     FirmNode,
@@ -22,13 +23,13 @@ from netstress import (
     ShockBatch,
     SupplyNetwork,
     ccdf,
-    channel_decomposition,
     fsri,
     fsri_plus,
     fsri_profile,
     ib_amplification,
     ols_fit,
     ring_economy,
+    run_batch,
     risk_measures,
     toy_economy,
     welch_test,
@@ -306,7 +307,7 @@ class TestCcdf:
 class TestChannelDecomposition:
     def test_zero_shock_batch_all_zero(self, toy):
         batch = ShockBatch(psi=np.ones((3, 6)), seed=None, provenance="custom")
-        dec = channel_decomposition(toy, batch)
+        dec = ChannelDecomposition(run_batch(toy, batch))
         for name, losses in dec.channel_losses().items():
             assert not losses.any(), name
 
@@ -315,7 +316,7 @@ class TestChannelDecomposition:
         batch = ShockBatch(
             psi=np.array([[0.0, 1.0]]), seed=None, provenance="custom"
         )
-        dec = channel_decomposition(g, batch)
+        dec = ChannelDecomposition(run_batch(g, batch))
         r = dec.result
         np.testing.assert_allclose(r.di[0], [0.2, 0.0, 0.0])
         np.testing.assert_allclose(r.sc[0], [0.0, 0.25, 0.0])
@@ -330,7 +331,7 @@ class TestChannelDecomposition:
     def test_loanless_bank_exposed_only_through_interbank(self):
         g = hand_economy()
         batch = ShockBatch(psi=np.array([[0.0, 1.0]]), seed=None, provenance="custom")
-        dec = channel_decomposition(g, batch)
+        dec = ChannelDecomposition(run_batch(g, batch))
         r = dec.result
         c = g.bank_index["C"]
         assert r.di[0, c] == 0.0 and r.sc[0, c] == 0.0
@@ -338,7 +339,7 @@ class TestChannelDecomposition:
 
     def test_summaries_shape_and_regimes(self, toy):
         batch = ShockBatch(psi=np.ones((2, 6)), seed=None, provenance="custom")
-        rows = channel_decomposition(toy, batch).summaries()
+        rows = ChannelDecomposition(run_batch(toy, batch)).summaries()
         assert len(rows) == (1 + 4) * 4
         assert rows[0][0] == "system"
         regimes = {channel: regime for _, channel, regime, _ in rows}
@@ -348,8 +349,8 @@ class TestChannelDecomposition:
         rng = np.random.default_rng(2)
         psi = rng.uniform(0.4, 1.0, size=(6, 6))
         batch = ShockBatch(psi=psi, seed=None, provenance="custom")
-        serial = channel_decomposition(toy, batch, workers=1).result
-        pooled = channel_decomposition(toy, batch, workers=2).result
+        serial = run_batch(toy, batch, workers=1)
+        pooled = run_batch(toy, batch, workers=2)
         np.testing.assert_array_equal(serial.di, pooled.di)
         np.testing.assert_array_equal(serial.sc, pooled.sc)
         np.testing.assert_array_equal(serial.ib_w, pooled.ib_w)
@@ -407,7 +408,7 @@ def test_regime_consistency_on_nontrivial_batch(toy):
     rng = np.random.default_rng(7)
     psi = rng.uniform(0.0, 1.0, size=(25, 6))
     batch = ShockBatch(psi=psi, seed=None, provenance="custom")
-    dec = channel_decomposition(toy, batch, cfg=PropagationConfig())
+    dec = ChannelDecomposition(run_batch(toy, batch, PropagationConfig()))
     r = dec.result
     assert np.all(r.ib_w >= r.ib_wo - 1e-15)
     losses = dec.channel_losses()

@@ -1,4 +1,4 @@
-"""Scenario generators: single-firm shocks, bootstrap batches, random layers."""
+"""Scenario generators: single-firm shocks, bootstrap batches, batch files."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ from netstress import (
     EmpiricalShockTable,
     SyntheticParams,
     covid_style_batch,
-    gaussian_bank_seed_batch,
     generate_synthetic_economy,
-    random_interbank_network,
     read_batch,
     single_firm_batch,
     single_firm_shock,
@@ -137,62 +135,6 @@ class TestCovidStyleBatch:
         reductions_b = 1.0 - batch.psi[:, 1]
         reductions_c = 1.0 - batch.psi[:, 2]
         assert reductions_b.mean() > reductions_c.mean()
-
-
-class TestGaussianSeeds:
-    def test_constant_reference_reproduced(self):
-        ref = np.full((5, 3), 0.2)
-        draws = gaussian_bank_seed_batch(ref, count=10, seed=1)
-        np.testing.assert_array_equal(draws, np.full((10, 3), 0.2))
-
-    def test_large_sample_mean_matches(self):
-        rng = np.random.default_rng(0)
-        ref = rng.normal([1.0, 2.0], [0.2, 0.1], size=(500, 2))
-        draws = gaussian_bank_seed_batch(ref, count=100_000, seed=7)
-        mu = ref.mean(axis=0)
-        sd = ref.std(axis=0, ddof=1)
-        bound = 3.0 * sd / np.sqrt(100_000)
-        assert np.all(np.abs(draws.mean(axis=0) - mu) < bound)
-
-    def test_never_negative(self):
-        ref = np.array([[0.0, 0.01], [0.02, 0.0], [0.01, 0.02]])
-        draws = gaussian_bank_seed_batch(ref, count=1000, seed=3)
-        assert np.all(draws >= 0.0)
-
-    def test_deterministic(self):
-        ref = np.array([[0.1, 0.2], [0.3, 0.1]])
-        a = gaussian_bank_seed_batch(ref, count=50, seed=11)
-        b = gaussian_bank_seed_batch(ref, count=50, seed=11)
-        np.testing.assert_array_equal(a, b)
-
-    def test_degenerate_reference_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_bank_seed_batch(np.array([[0.1, 0.2]]), count=5, seed=1)
-
-
-class TestRandomInterbank:
-    def test_single_bank_empty(self):
-        net = random_interbank_network(1, seed=4)
-        assert net.liabilities.nnz == 0
-
-    def test_leverage_entries_in_band(self):
-        equity = np.linspace(50.0, 500.0, 19)
-        net = random_interbank_network(19, seed=4, bank_equity=equity)
-        leverage = net.leverage(equity)
-        off_diag = leverage[~np.eye(19, dtype=bool)]
-        assert np.all(off_diag > 0.0) and np.all(off_diag < 0.05)
-        assert np.all(np.diag(leverage) == 0.0)
-
-    def test_liabilities_reconstructed_from_equity(self):
-        equity = np.array([100.0, 400.0])
-        net = random_interbank_network(2, seed=9, bank_equity=equity)
-        lev = net.liabilities.toarray() / equity[None, :]
-        assert 0.0 < lev[0, 1] < 0.05 and 0.0 < lev[1, 0] < 0.05
-
-    def test_deterministic(self):
-        a = random_interbank_network(6, seed=13)
-        b = random_interbank_network(6, seed=13)
-        assert (a.liabilities != b.liabilities).nnz == 0
 
 
 class TestBatchIO:
