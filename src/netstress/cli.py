@@ -46,7 +46,7 @@ from .propagation import PropagationConfig
 from .scenarios import EmpiricalShockTable, ShockBatch, covid_style_batch, read_batch, single_firm_batch
 from .synthetic import FRACTIONS as _SYNTHETIC_FRACTIONS
 from .synthetic import SyntheticParams, generate_synthetic_economy, synthetic_shock_table
-from .tables import Block, RowError, first_repeat, fmt, read_blocks
+from .tables import Block, RowError, first_repeat, fmt, read_blocks, write_columns
 from .tables import write_csv as _write_csv
 
 EXIT_OK = 0
@@ -346,16 +346,12 @@ def cmd_fsri(config: dict) -> int:
 
 
 def _write_ledgers(out: Path, result: BatchResult) -> None:
-    dec = ChannelDecomposition(result)
-    losses = dec.channel_losses()
-    _write_csv(out / "ledgers.csv", LEDGER_COLUMNS, (
-        [scenario, bank_id,
-         fmt(result.di[s, k]), fmt(result.sc[s, k]),
-         fmt(result.ib_wo[s, k]), fmt(result.ib_w[s, k]),
-         fmt(losses["di_ib"][s, k]), fmt(losses["di_sc_ib"][s, k])]
-        for s, scenario in enumerate(result.scenario_ids)
-        for k, bank_id in enumerate(result.bank_ids)
-    ))
+    losses = ChannelDecomposition(result).channel_losses()
+    write_columns(out / "ledgers.csv", LEDGER_COLUMNS, [
+        np.repeat(result.scenario_ids, len(result.bank_ids)),
+        result.bank_ids * len(result),
+        *(a.ravel() for a in (result.di, result.sc, result.ib_wo, result.ib_w, losses["di_ib"], losses["di_sc_ib"])),
+    ])
 
 
 def _regime_channels(regime: str) -> tuple[str, ...]:
@@ -516,6 +512,13 @@ def _ledger_rows(b: Block, seen: dict) -> dict[tuple[int, str], tuple[float, ...
         r = int(np.flatnonzero(bad.any(axis=0))[0])
         c = names[int(np.argmax(bad[:, r]))]
         raise RowError(r, f"column {c} is {b.cells[c][r].strip()}, not a finite loss >= 0")
+    di, sc, ib_wo, ib_w = losses  # each total is its row's channels clamped as _write_ledgers does
+    for c, total in zip(LEDGER_COLUMNS[6:], (np.minimum(np.minimum(di, 1.0) + ib_wo, 1.0),
+                                            np.minimum(np.minimum(di + sc, 1.0) + ib_w, 1.0))):
+        want = list(map(fmt, total))  # fmt round-trips, so equal text is equal bits
+        r = next((r for r, (cell, w) in enumerate(zip(b.text(c), want)) if cell != w), None)
+        if r is not None:
+            raise RowError(r, f"column {c} is {b.cells[c][r].strip()}, not {want[r]} from the row's channels")
     return dict(zip(keys, zip(*losses.tolist())))
 
 

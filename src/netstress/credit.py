@@ -58,12 +58,12 @@ class BankLossLedger:
 def profit_shock(g: EconomyGraph, h) -> ProfitShock:
     """Profit lost per firm given remaining production levels ``h``.
 
-    ``dp[i] = (1 - h[i]) * (revenue[i] - op_cost[i])`` for firms with
-    financials; firms without financials get zero.
+    ``dp[i] = (1 - h[i]) * (revenue[i] - op_cost[i])`` for firms with financials, zero for
+    the others. ``h`` is a vector or (S, n) rows, one scenario each; the flags and seeds keep its rows.
     """
     levels = np.asarray(h, dtype=float)
-    if levels.shape != (g.n,):
-        raise ValueError(f"production levels have shape {levels.shape}, expected ({g.n},)")
+    if levels.ndim not in (1, 2) or levels.shape[-1:] != (g.n,):
+        raise ValueError(f"production levels have shape {levels.shape}, expected ({g.n},) or (S, {g.n})")
     dp = np.where(g.financials_present, (1.0 - levels) * (g.revenue - g.op_cost), 0.0)
     return ProfitShock(dp=dp)
 
@@ -81,9 +81,9 @@ def default_flags(g: EconomyGraph, shock: ProfitShock) -> DefaultFlags:
 
 
 def bank_seed(g: EconomyGraph, flags: DefaultFlags) -> np.ndarray:
-    """Per-bank loss fraction from writing off the defaulted firms' loans."""
-    written_off = g.loans.by_bank @ flags.chi.astype(float)
-    return g.loans.lgd * np.asarray(written_off).ravel() / g.bank_equity
+    """Per-bank loss fraction from writing off the defaulted firms' loans; one row per row of flags."""
+    written_off = g.loans.by_bank @ flags.chi.T.astype(float)
+    return g.loans.lgd * written_off.T / g.bank_equity
 
 
 def bank_losses(g: EconomyGraph, chi_w: DefaultFlags, chi_wo: DefaultFlags) -> BankLossLedger:
@@ -94,7 +94,7 @@ def bank_losses(g: EconomyGraph, chi_w: DefaultFlags, chi_wo: DefaultFlags) -> B
     """
     regression = chi_wo.chi & ~chi_w.chi
     if regression.any():
-        fid = g.firm_ids[int(np.flatnonzero(regression)[0])]
+        fid = g.firm_ids[int(np.flatnonzero(regression)[0]) % g.n]
         raise ValueError(
             f"firm {fid!r} defaults without supply-chain contagion but not with it; "
             "contagion can only add defaults"

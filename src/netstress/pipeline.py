@@ -18,7 +18,7 @@ import numpy as np
 from .credit import bank_losses, default_flags, profit_shock
 from .debtrank import DEFAULT_EPSILON, DEFAULT_MAX_ITER, debtrank
 from .economy import EconomyGraph
-from .propagation import PropagationConfig, propagate
+from .propagation import PropagationConfig, chunk_size, propagate
 from .scenarios import ShockBatch
 
 
@@ -67,10 +67,7 @@ _shared: tuple | None = None
 
 
 def _run_block(g, cfg, dr_epsilon, dr_max_iter, keep_defaults, psi_block) -> dict[str, np.ndarray]:
-    """Run a block of scenarios through both regimes, one row per scenario.
-
-    Per-firm arrays only when ``keep_defaults``.
-    """
+    """Run a block of scenarios through both regimes, a chunk at a time; per-firm arrays if ``keep_defaults``."""
     rows = len(psi_block)
     out = {name: np.empty((rows, g.m)) for name in ("di", "sc", "ib_wo", "ib_w")}
     for name in ("sc_converged", "dr_wo_converged", "dr_w_converged"):
@@ -78,22 +75,30 @@ def _run_block(g, cfg, dr_epsilon, dr_max_iter, keep_defaults, psi_block) -> dic
     if keep_defaults:
         out.update(chi_wo=np.empty((rows, g.n), dtype=bool), chi_w=np.empty((rows, g.n), dtype=bool),
                    dp_w=np.empty((rows, g.n)))
-    # each stage is looked up here per scenario: benchmarks/tracing.py wraps them in this namespace
-    for k, psi in enumerate(psi_block):
-        chi_wo = default_flags(g, profit_shock(g, psi))
-        profile = propagate(g, psi, cfg)
-        shock_w = profit_shock(g, profile.h)
-        chi_w = default_flags(g, shock_w)
-        ledger = bank_losses(g, chi_w=chi_w, chi_wo=chi_wo)
-        result_wo = debtrank(g, ledger.seed_without(), epsilon=dr_epsilon, max_iter=dr_max_iter)
-        result_w = debtrank(g, ledger.seed_with(), epsilon=dr_epsilon, max_iter=dr_max_iter)
-        out["di"][k], out["sc"][k] = ledger.di, ledger.sc
-        out["ib_wo"][k], out["ib_w"][k] = result_wo.ib_marginal, result_w.ib_marginal
-        out["sc_converged"][k] = profile.converged
-        out["dr_wo_converged"][k], out["dr_w_converged"][k] = result_wo.converged, result_w.converged
-        if keep_defaults:
-            out["chi_wo"][k], out["chi_w"][k], out["dp_w"][k] = chi_wo.chi, chi_w.chi, shock_w.dp
+    step = chunk_size(g)
+    for start in range(0, rows, step):
+        _run_chunk(g, cfg, dr_epsilon, dr_max_iter, psi_block[start:start + step], out, start)
     return out
+
+
+def _run_chunk(g, cfg, dr_epsilon, dr_max_iter, psi, out, start) -> None:
+    """Run the scenarios ``psi`` into rows ``start, ...`` of ``out``; their arrays go on return."""
+    # each stage is looked up here per chunk: benchmarks/tracing.py wraps them in this namespace
+    part = slice(start, start + len(psi))
+    chi_wo = default_flags(g, profit_shock(g, psi))
+    profile = propagate(g, psi, cfg)
+    shock_w = profit_shock(g, profile.h)
+    chi_w = default_flags(g, shock_w)
+    ledger = bank_losses(g, chi_w=chi_w, chi_wo=chi_wo)
+    out["di"][part], out["sc"][part] = ledger.di, ledger.sc
+    out["sc_converged"][part] = profile.done
+    if "chi_w" in out:
+        out["chi_wo"][part], out["chi_w"][part], out["dp_w"][part] = chi_wo.chi, chi_w.chi, shock_w.dp
+    for k, seed_wo, seed_w in zip(range(start, part.stop), ledger.seed_without(), ledger.seed_with()):
+        result_wo = debtrank(g, seed_wo, epsilon=dr_epsilon, max_iter=dr_max_iter)
+        result_w = debtrank(g, seed_w, epsilon=dr_epsilon, max_iter=dr_max_iter)
+        out["ib_wo"][k], out["ib_w"][k] = result_wo.ib_marginal, result_w.ib_marginal
+        out["dr_wo_converged"][k], out["dr_w_converged"][k] = result_wo.converged, result_w.converged
 
 
 def _init_worker(*shared) -> None:

@@ -27,6 +27,12 @@ level on contiguous slices. Non-essential pools follow, in (buyer, sector)
 order. Within a row the edges keep the supply matrix's buyer-major order,
 so every sum accumulates from 0 in the same order as a per-edge loop and
 the results do not depend on the layout.
+
+A call runs S scenarios as one n × S block ``H``: ``pool_csr @ H`` sums
+each (row, column) from 0 in edge order, so every column gets the bits of
+a run on its own. At the step a column's largest drop reaches ``epsilon``
+it is frozen and compacted out of two preallocated workspaces. The
+pipeline passes :func:`chunk_size` scenarios a call.
 """
 
 from __future__ import annotations
@@ -63,11 +69,13 @@ class PropagationConfig:
 
 @dataclass
 class ProductionProfile:
-    """Converged remaining production levels after a propagation run."""
+    """Remaining production levels after a propagation run, shaped like the shocks."""
 
     h: np.ndarray
-    iterations: int
-    converged: bool
+    iterations: int    # updates, summed over the scenarios
+    converged: bool    # whether every scenario is done
+    steps: np.ndarray  # per scenario: updates made
+    done: np.ndarray   # per scenario: whether its decrement fell to epsilon
 
 
 @dataclass
@@ -75,18 +83,20 @@ class _Plan:
     """Graph-derived arrays reused across propagation runs (layout above)."""
 
     pool_csr: sparse.csr_matrix  # (pools, n): one row per pool, edges in buyer-major order
-    pool_weight: np.ndarray      # total input weight per row
+    pool_weight: np.ndarray      # (pools, 1): total input weight per row
     ess_buyer: np.ndarray        # buyer per level-0 row: every firm with an essential pool
     levels: list[tuple[int, int]]  # (first row, length) of each level past level 0
     ne_start: int                # first non-essential row
     ne_buyer: np.ndarray         # buyer per non-essential row
     ne_count: np.ndarray         # per firm: number of non-essential supplier sectors
     weights_csr: sparse.csr_matrix
-    out_weight: np.ndarray       # per firm: total intermediate sales, 1 for firms selling nothing
+    out_weight: np.ndarray       # (n, 1): total intermediate sales, 1 for firms selling nothing
     no_sales: np.ndarray         # firms without customers
 
 
 _PLANS: "weakref.WeakKeyDictionary[EconomyGraph, _Plan]" = weakref.WeakKeyDictionary()
+# the most one step's arrays may hold for a chunk of scenarios (see chunk_size)
+WORKSET_BYTES = 32 << 20
 
 
 def _pools(g: EconomyGraph, suppliers: np.ndarray, buyers: np.ndarray):
@@ -134,14 +144,14 @@ def _build_plan(g: EconomyGraph) -> _Plan:
     ne_buyer = pool_buyer[ne_pool]
     return _Plan(
         pool_csr=pool_csr,
-        pool_weight=pool_weight,
+        pool_weight=pool_weight[:, None],
         ess_buyer=order,
         levels=[(int(s), int(k)) for s, k in zip(starts[1:], sizes[1:])],
         ne_start=int(ess_pool.size),
         ne_buyer=ne_buyer,
         ne_count=np.bincount(ne_buyer, minlength=n).astype(float),
         weights_csr=g.supply.weights.tocsr(),
-        out_weight=np.where(sales > 0.0, sales, 1.0),
+        out_weight=np.where(sales > 0.0, sales, 1.0)[:, None],
         no_sales=np.flatnonzero(sales <= 0.0),
     )
 
@@ -154,18 +164,24 @@ def _plan_for(g: EconomyGraph) -> _Plan:
     return plan
 
 
+def chunk_size(g: EconomyGraph) -> int:
+    """Scenarios per call: 8 (a 64-byte cache line of a firm's levels), or 1 if 8 outgrow ``WORKSET_BYTES``."""
+    per_scenario = 8 * (_plan_for(g).pool_csr.shape[0] + 4 * g.n)
+    return 8 if 8 * per_scenario <= WORKSET_BYTES else 1
+
+
 def check_shock_vector(psi, n: int) -> np.ndarray:
-    """Validate and convert a shock vector: length n, all entries in [0, 1]."""
+    """Validate and convert shocks: a length-n vector or (S, n) rows, all entries in [0, 1]."""
     arr = np.asarray(psi, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"shock vector has shape {arr.shape}, expected ({n},)")
+    if arr.ndim not in (1, 2) or arr.shape[-1] != n:
+        raise ValueError(f"shock vector has shape {arr.shape}, expected ({n},) or (S, {n})")
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("shock vector entries must lie in [0, 1]")
     return arr
 
 
-def _step(plan: _Plan, psi: np.ndarray, h: np.ndarray, sigma: float) -> np.ndarray:
-    n = h.size
+def _step(plan: _Plan, h: np.ndarray, d: np.ndarray, sigma: float) -> np.ndarray:
+    """Update the n × k levels ``h`` into ``d`` (no ``psi`` term: ``h <= psi``); return each column's drop."""
     alpha = plan.pool_csr @ h
     alpha /= plan.pool_weight
 
@@ -174,46 +190,60 @@ def _step(plan: _Plan, psi: np.ndarray, h: np.ndarray, sigma: float) -> np.ndarr
     d_ess = alpha[: plan.ess_buyer.size]
     for start, size in plan.levels:
         np.minimum(d_ess[:size], alpha[start : start + size], out=d_ess[:size])
-    d = np.ones(n)
+    d.fill(1.0)
     d[plan.ess_buyer] = d_ess
     if sigma > 0.0 and plan.ne_buyer.size:
-        ne_sum = np.bincount(plan.ne_buyer, weights=alpha[plan.ne_start :], minlength=n)
-        ne_mean = np.ones(n)
-        has = plan.ne_count > 0
-        ne_mean[has] = ne_sum[has] / plan.ne_count[has]
-        d *= 1.0 - sigma * (1.0 - ne_mean)
+        # add.at sums each buyer's pools in row order from 0, as bincount does
+        ne_sum = np.zeros_like(d)
+        np.add.at(ne_sum, plan.ne_buyer, alpha[plan.ne_start :])
+        has = plan.ne_count > 0  # the others keep d: they would be scaled by 1.0
+        d[has] *= 1.0 - sigma * (1.0 - ne_sum[has] / plan.ne_count[has, None])
 
     u = plan.weights_csr @ h
     u /= plan.out_weight
     u[plan.no_sales] = 1.0
 
     np.minimum(d, u, out=d)
-    np.minimum(psi, h, out=u)
-    return np.minimum(u, d, out=u)
+    np.minimum(h, d, out=d)
+    drop = np.subtract(h, d, out=u)
+    rows = h.shape[0]  # fold the rows in halves: a 2-D max(axis=0) is slow for few columns
+    while rows > 1:
+        half = rows // 2
+        np.maximum(drop[:half], drop[rows - half : rows], out=drop[:half])
+        rows -= half
+    return drop[:1].max(axis=0, initial=-np.inf)
 
 
 def propagate(
     g: EconomyGraph, psi, cfg: PropagationConfig = PropagationConfig()
 ) -> ProductionProfile:
-    """Propagate a production shock through the supply network.
+    """Propagate production shocks through the supply network.
 
-    Returns the converged remaining-production profile; trajectories are
-    monotone non-increasing, bounded to [0, h(start)] and deterministic.
-    When the decrement never falls below ``cfg.epsilon`` within
-    ``cfg.max_iter`` updates the profile comes back with
-    ``converged = False`` and the caller decides what to do.
+    ``psi`` is one vector of length n or (S, n) rows, one scenario each;
+    ``h`` comes back in its shape, each row as if run alone. Trajectories
+    are monotone non-increasing, bounded to [0, h(start)] and deterministic.
+    A scenario still dropping by more than ``cfg.epsilon`` after
+    ``cfg.max_iter`` updates has ``done`` False; the caller decides.
     """
     psi = check_shock_vector(psi, g.n)
     plan = _plan_for(g)
-    sigma = cfg.nonessential_weight
-    h = psi.copy()
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        h_new = _step(plan, psi, h, sigma)
-        drop = float(np.max(h - h_new)) if h.size else 0.0
-        h = h_new
-        if drop <= cfg.epsilon:
-            converged = True
-            break
-    return ProductionProfile(h=h, iterations=iterations, converged=converged)
+    rows = np.atleast_2d(psi)
+    count, n = rows.shape
+    h, steps, done = np.empty((count, n)), np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
+    # the k live columns fill the first n * k entries of each workspace
+    cur, new = np.empty(n * count), np.empty(n * count)
+    cur.reshape(n, count)[...] = rows.T
+    live = np.arange(count)  # the row of h behind each live column
+    step = 0
+    while live.size:
+        step += 1
+        levels, update = (a[: n * live.size].reshape(n, live.size) for a in (cur, new))
+        below = _step(plan, levels, update, cfg.nonessential_weight) <= cfg.epsilon
+        stop = below | (step == cfg.max_iter)
+        if not stop.any():
+            cur, new = new, cur
+            continue
+        h[live[stop]], steps[live[stop]], done[live[stop]] = update.T[stop], step, below[stop]
+        live = live[~stop]
+        np.take(update, np.flatnonzero(~stop), axis=1, out=cur[: n * live.size].reshape(n, live.size), mode="clip")
+    return ProductionProfile(h.reshape(psi.shape), int(steps.sum()), bool(done.all()), steps, done)

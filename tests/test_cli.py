@@ -314,6 +314,9 @@ class TestBadInput:
         (2, "ib_wo", "-inf"),
         (3, "sc", "-0.25"),
         (4, "ib_w", "inf"),
+        (1, "total_wo", "x"),
+        (1, "total_w", "-5"),
+        (2, "total_w", "0.125"),
     ])
     def test_report_on_bad_loss(self, toy_dir, tmp_path, capsys, row, column, cell):
         run_dir = tmp_path / "run"

@@ -1,4 +1,4 @@
-"""Scenario batches: the same arrays for any worker count, block size and batch kind."""
+"""Scenario batches: the same arrays for any worker count, block size, chunk size and batch kind."""
 
 from __future__ import annotations
 
@@ -8,11 +8,18 @@ import numpy as np
 import pytest
 
 from netstress import (
+    DefaultFlags,
+    PropagationConfig,
     ShockBatch,
     SyntheticParams,
+    bank_losses,
+    bank_seed,
     covid_style_batch,
+    default_flags,
     generate_synthetic_economy,
     pipeline,
+    profit_shock,
+    propagate,
     run_batch,
     synthetic_shock_table,
 )
@@ -103,6 +110,60 @@ def test_streamed_run_holds_one_block_at_a_time():
         tracemalloc.stop()
     assert len(result) == count
     assert peak < count * g.n * 8 / 2
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_chunks_do_not_change_results(monkeypatch, chunk, sigma):
+    g, table = _covid_case()
+    batch = ShockBatch(psi=covid_style_batch(g, table, count=20, seed=4).psi, seed=4, provenance="test")
+    cfg = PropagationConfig(nonessential_weight=sigma)
+    assert pipeline.chunk_size(g) == 8
+    reference = run_batch(g, batch, cfg, keep_defaults=True)
+    monkeypatch.setattr(pipeline, "chunk_size", lambda g: chunk)
+    for workers in (1, 2):
+        result = run_batch(g, batch, cfg, workers=workers, keep_defaults=True)
+        for name in PER_BANK + PER_FIRM:
+            np.testing.assert_array_equal(getattr(result, name), getattr(reference, name))
+    assert reference.chi_w.sum() > reference.chi_wo.sum()  # the cascade adds defaults
+
+
+@pytest.mark.parametrize("chunk", [1, 8])
+def test_convergence_flags_follow_each_scenario(monkeypatch, chunk):
+    g, table = _covid_case()
+    batch = ShockBatch(psi=covid_style_batch(g, table, count=20, seed=4).psi, seed=4, provenance="test")
+    cfg = PropagationConfig(max_iter=8)  # these cascades take 7 to 9 steps
+    monkeypatch.setattr(pipeline, "chunk_size", lambda g: chunk)
+    expected = [propagate(g, psi, cfg).converged for psi in batch.psi]
+    assert 0 < sum(expected) < len(expected)
+    assert run_batch(g, batch, cfg).sc_converged.tolist() == expected
+
+
+def test_credit_on_a_block_matches_its_rows():
+    g, table = _covid_case()
+    psi = covid_style_batch(g, table, count=6, seed=8).psi
+    h = propagate(g, psi).h
+    shock_wo, shock_w = profit_shock(g, psi), profit_shock(g, h)
+    chi_wo, chi_w = default_flags(g, shock_wo), default_flags(g, shock_w)
+    ledger = bank_losses(g, chi_w=chi_w, chi_wo=chi_wo)
+    assert chi_w.chi.shape == (6, g.n) and ledger.di.shape == ledger.sc.shape == (6, g.m)
+    assert chi_w.count() > chi_wo.count() > 0
+    for k in range(6):
+        row_wo, row_w = profit_shock(g, psi[k]), profit_shock(g, h[k])
+        assert row_wo.dp.tobytes() == shock_wo.dp[k].tobytes() and row_w.dp.tobytes() == shock_w.dp[k].tobytes()
+        flags_wo, flags_w = default_flags(g, row_wo), default_flags(g, row_w)
+        assert np.array_equal(flags_wo.chi, chi_wo.chi[k]) and np.array_equal(flags_w.chi, chi_w.chi[k])
+        assert bank_seed(g, flags_w).tobytes() == bank_seed(g, chi_w)[k].tobytes()
+        row = bank_losses(g, chi_w=flags_w, chi_wo=flags_wo)
+        assert row.di.tobytes() == ledger.di[k].tobytes() and row.sc.tobytes() == ledger.sc[k].tobytes()
+
+
+def test_regression_names_the_firm_in_a_later_row():
+    g, _ = _covid_case(n=50)
+    chi_w = np.ones((3, g.n), dtype=bool)
+    chi_w[2, 17] = False
+    with pytest.raises(ValueError, match=f"firm {g.firm_ids[17]!r} defaults without"):
+        bank_losses(g, chi_w=DefaultFlags(chi_w), chi_wo=DefaultFlags(np.ones((3, g.n), dtype=bool)))
 
 
 class _InlinePool:

@@ -23,7 +23,7 @@ from netstress import (
     single_firm_shock,
     toy_economy,
 )
-from netstress.propagation import _plan_for, _pools
+from netstress.propagation import _plan_for, _pools, chunk_size
 
 from .conftest import random_economy
 from .oracle import is_essential, oracle_propagate
@@ -202,6 +202,77 @@ class TestAgainstOracle:
             mine = propagate(g, psi, cfg).h
             theirs = oracle_propagate(g, psi, epsilon=1e-12, max_iter=10_000, sigma=sigma)
             np.testing.assert_allclose(mine, theirs, rtol=0.0, atol=1e-10)
+
+
+def oracle_run(g, psi, cfg):
+    """The loop oracle one update at a time: levels, updates made, and whether the drop fell to epsilon."""
+    h = list(psi)
+    for step in range(1, cfg.max_iter + 1):
+        new = oracle_propagate(g, h, epsilon=cfg.epsilon, max_iter=1, sigma=cfg.nonessential_weight)
+        drop = max((a - b for a, b in zip(h, new)), default=0.0)
+        h = new
+        if drop <= cfg.epsilon:
+            return h, step, True
+    return h, cfg.max_iter, False
+
+
+class TestBlocks:
+    """An (S, n) block against the loop oracle, one column at a time."""
+
+    def check(self, g, psi, cfg):
+        profile = propagate(g, psi, cfg)
+        assert profile.h.shape == psi.shape
+        assert profile.steps.shape == profile.done.shape == (len(psi),)
+        for row, h, steps, done in zip(psi, profile.h, profile.steps, profile.done):
+            want, want_steps, want_done = oracle_run(g, row, cfg)
+            np.testing.assert_allclose(h, want, rtol=0.0, atol=1e-10)
+            assert (steps, done) == (want_steps, want_done)
+            alone = propagate(g, row, cfg)
+            assert alone.h.tobytes() == h.tobytes()
+            assert (alone.iterations, alone.converged) == (steps, done)
+        assert profile.iterations == profile.steps.sum()
+        assert profile.converged == profile.done.all()
+        return profile
+
+    @staticmethod
+    def shocks(g, count, seed):
+        rng = np.random.default_rng(seed)
+        psi = np.where(rng.random((count, g.n)) < 0.4, rng.uniform(0.0, 1.0, (count, g.n)), 1.0)
+        psi[::3] = 1.0  # unshocked columns stop at the first step
+        return psi
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_columns_stop_at_their_own_step(self, seed, sigma):
+        g = pooled_economy(seed)
+        cfg = PropagationConfig(epsilon=1e-3, nonessential_weight=sigma)
+        profile = self.check(g, self.shocks(g, 11, seed), cfg)
+        assert profile.steps[0] == 1 and len(set(profile.steps.tolist())) >= 3
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    def test_column_at_max_iter_beside_converged_ones(self, sigma):
+        g = pooled_economy(1)
+        psi = self.shocks(g, 6, 7)
+        psi[4] = np.random.default_rng(0).uniform(0.0, 1.0, g.n)  # 9 or more steps to 1e-12
+        cfg = PropagationConfig(epsilon=1e-12, max_iter=6, nonessential_weight=sigma)
+        profile = self.check(g, psi, cfg)
+        assert not profile.done[4] and profile.steps[4] == 6
+        assert profile.done[0] and profile.steps[0] == 1
+        assert not profile.converged
+
+    @pytest.mark.parametrize("count", [1, 3 * 8 + 1])
+    def test_one_column_and_more_than_a_chunk(self, count):
+        g = pooled_economy(2)
+        assert chunk_size(g) == 8
+        self.check(g, self.shocks(g, count, 3), PropagationConfig(epsilon=1e-3, nonessential_weight=0.5))
+
+    def test_vector_is_a_block_of_one(self, toy):
+        psi = np.array([1.0, 0.5, 1.0, 1.0, 0.3, 1.0])
+        vector, block = propagate(toy, psi), propagate(toy, psi[None, :])
+        assert vector.h.shape == (6,) and block.h.shape == (1, 6)
+        assert vector.h.tobytes() == block.h.tobytes()
+        assert vector.steps.tolist() == block.steps.tolist() == [vector.iterations]
+        assert isinstance(vector.iterations, int) and isinstance(vector.converged, bool)
 
 
 @st.composite
