@@ -515,10 +515,10 @@ def _ledger_rows(b: Block, seen: dict) -> dict[tuple[int, str], tuple[float, ...
     di, sc, ib_wo, ib_w = losses  # each total is its row's channels clamped as _write_ledgers does
     for c, total in zip(LEDGER_COLUMNS[6:], (np.minimum(np.minimum(di, 1.0) + ib_wo, 1.0),
                                             np.minimum(np.minimum(di + sc, 1.0) + ib_w, 1.0))):
-        want = list(map(fmt, total))  # fmt round-trips, so equal text is equal bits
-        r = next((r for r, (cell, w) in enumerate(zip(b.text(c), want)) if cell != w), None)
-        if r is not None:
-            raise RowError(r, f"column {c} is {b.cells[c][r].strip()}, not {want[r]} from the row's channels")
+        wrong = np.flatnonzero(np.array(b.numbers(c), dtype=float) != total)
+        if wrong.size:
+            r = int(wrong[0])
+            raise RowError(r, f"column {c} is {b.cells[c][r].strip()}, not {fmt(total[r])} from the row's channels")
     return dict(zip(keys, zip(*losses.tolist())))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .credit import bank_losses, default_flags, profit_shock
 from .debtrank import DEFAULT_EPSILON, DEFAULT_MAX_ITER, debtrank
 from .economy import EconomyGraph
-from .propagation import PropagationConfig, chunk_size, propagate
+from .propagation import PropagationConfig, propagate
 from .scenarios import ShockBatch
 
 
@@ -61,6 +61,8 @@ class BatchResult:
 # at most this many bytes of shock vectors per block: the blocks in flight
 # sit in the parent, and so in every worker forked from it
 BLOCK_BYTES = 2 << 20
+# scenarios per cascade and credit call: eight levels of a firm fill a 64-byte cache line
+CHUNK = 8
 
 # what every block of a pool worker shares: set once per worker process
 _shared: tuple | None = None
@@ -75,9 +77,8 @@ def _run_block(g, cfg, dr_epsilon, dr_max_iter, keep_defaults, psi_block) -> dic
     if keep_defaults:
         out.update(chi_wo=np.empty((rows, g.n), dtype=bool), chi_w=np.empty((rows, g.n), dtype=bool),
                    dp_w=np.empty((rows, g.n)))
-    step = chunk_size(g)
-    for start in range(0, rows, step):
-        _run_chunk(g, cfg, dr_epsilon, dr_max_iter, psi_block[start:start + step], out, start)
+    for start in range(0, rows, CHUNK):
+        _run_chunk(g, cfg, dr_epsilon, dr_max_iter, psi_block[start:start + CHUNK], out, start)
     return out
 
 
@@ -132,9 +133,10 @@ def run_batch(
     n_scenarios = len(batch)
     if n_scenarios == 0:
         raise ValueError("batch has no scenarios")
-    # rows per block: within BLOCK_BYTES, and at least 4 * workers blocks
+    # rows per block: within BLOCK_BYTES, at least 4 * workers blocks, and whole chunks
+    # where a block holds more than one: a narrow chunk steps little faster than one scenario
     rows = min(BLOCK_BYTES // (8 * max(g.n, 1)), -(-n_scenarios // (4 * max(workers, 1))))
-    blocks = batch.blocks(max(rows, 1))
+    blocks = batch.blocks(max(rows - rows % CHUNK if rows > CHUNK else rows, 1))
     if workers > 1 and n_scenarios > 1:
         parts = []
         pending = deque()

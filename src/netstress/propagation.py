@@ -32,7 +32,7 @@ A call runs S scenarios as one n × S block ``H``: ``pool_csr @ H`` sums
 each (row, column) from 0 in edge order, so every column gets the bits of
 a run on its own. At the step a column's largest drop reaches ``epsilon``
 it is frozen and compacted out of two preallocated workspaces. The
-pipeline passes :func:`chunk_size` scenarios a call.
+pipeline passes eight scenarios a call (``pipeline.CHUNK``).
 """
 
 from __future__ import annotations
@@ -87,16 +87,15 @@ class _Plan:
     ess_buyer: np.ndarray        # buyer per level-0 row: every firm with an essential pool
     levels: list[tuple[int, int]]  # (first row, length) of each level past level 0
     ne_start: int                # first non-essential row
-    ne_buyer: np.ndarray         # buyer per non-essential row
-    ne_count: np.ndarray         # per firm: number of non-essential supplier sectors
+    ne_firms: np.ndarray         # firms with a non-essential pool, ascending
+    ne_csr: sparse.csr_matrix    # (ne_firms, non-essential rows): 1 where the row is the firm's
+    ne_count: np.ndarray         # (ne_firms, 1): number of non-essential supplier sectors
     weights_csr: sparse.csr_matrix
     out_weight: np.ndarray       # (n, 1): total intermediate sales, 1 for firms selling nothing
     no_sales: np.ndarray         # firms without customers
 
 
 _PLANS: "weakref.WeakKeyDictionary[EconomyGraph, _Plan]" = weakref.WeakKeyDictionary()
-# the most one step's arrays may hold for a chunk of scenarios (see chunk_size)
-WORKSET_BYTES = 32 << 20
 
 
 def _pools(g: EconomyGraph, suppliers: np.ndarray, buyers: np.ndarray):
@@ -141,15 +140,19 @@ def _build_plan(g: EconomyGraph) -> _Plan:
     pool_weight = np.bincount(edge_row, weights=weights, minlength=n_pools)
 
     sales = g.intermediate_sales
-    ne_buyer = pool_buyer[ne_pool]
+    # non-essential rows go by buyer, so each row of ne_csr holds its firm's rows in order
+    ne_firms, ne_row, ne_count = np.unique(pool_buyer[ne_pool], return_inverse=True, return_counts=True)
+    ne_csr = sparse.csr_matrix((np.ones(ne_pool.size), (ne_row, np.arange(ne_pool.size))),
+                               shape=(ne_firms.size, ne_pool.size))
     return _Plan(
         pool_csr=pool_csr,
         pool_weight=pool_weight[:, None],
         ess_buyer=order,
         levels=[(int(s), int(k)) for s, k in zip(starts[1:], sizes[1:])],
         ne_start=int(ess_pool.size),
-        ne_buyer=ne_buyer,
-        ne_count=np.bincount(ne_buyer, minlength=n).astype(float),
+        ne_firms=ne_firms,
+        ne_csr=ne_csr,
+        ne_count=ne_count.astype(float)[:, None],
         weights_csr=g.supply.weights.tocsr(),
         out_weight=np.where(sales > 0.0, sales, 1.0)[:, None],
         no_sales=np.flatnonzero(sales <= 0.0),
@@ -162,12 +165,6 @@ def _plan_for(g: EconomyGraph) -> _Plan:
         plan = _build_plan(g)
         _PLANS[g] = plan
     return plan
-
-
-def chunk_size(g: EconomyGraph) -> int:
-    """Scenarios per call: 8 (a 64-byte cache line of a firm's levels), or 1 if 8 outgrow ``WORKSET_BYTES``."""
-    per_scenario = 8 * (_plan_for(g).pool_csr.shape[0] + 4 * g.n)
-    return 8 if 8 * per_scenario <= WORKSET_BYTES else 1
 
 
 def check_shock_vector(psi, n: int) -> np.ndarray:
@@ -192,12 +189,11 @@ def _step(plan: _Plan, h: np.ndarray, d: np.ndarray, sigma: float) -> np.ndarray
         np.minimum(d_ess[:size], alpha[start : start + size], out=d_ess[:size])
     d.fill(1.0)
     d[plan.ess_buyer] = d_ess
-    if sigma > 0.0 and plan.ne_buyer.size:
-        # add.at sums each buyer's pools in row order from 0, as bincount does
-        ne_sum = np.zeros_like(d)
-        np.add.at(ne_sum, plan.ne_buyer, alpha[plan.ne_start :])
-        has = plan.ne_count > 0  # the others keep d: they would be scaled by 1.0
-        d[has] *= 1.0 - sigma * (1.0 - ne_sum[has] / plan.ne_count[has, None])
+    if sigma > 0.0 and plan.ne_firms.size:
+        # each firm's rows summed from 0 in row order; the other firms keep d (scaled by 1.0)
+        ne_mean = plan.ne_csr @ alpha[plan.ne_start :]
+        ne_mean /= plan.ne_count
+        d[plan.ne_firms] *= 1.0 - sigma * (1.0 - ne_mean)
 
     u = plan.weights_csr @ h
     u /= plan.out_weight

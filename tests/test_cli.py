@@ -331,7 +331,24 @@ class TestBadInput:
         assert run(["report", "--ledgers", str(tmp_path / "ledgers.csv"),
                     "--out", str(tmp_path / "report")]) == 3
         err = one_line_error(capsys)
-        assert f"ledgers.csv line {row + 1}: column {column} is {cell}" in err
+        assert f"ledgers.csv line {row + 1}: column {column} is " in err and cell in err
+
+    def test_report_reads_totals_as_values(self, toy_dir, tmp_path):
+        run_dir = tmp_path / "run"
+        assert run(["stress", "--economy-dir", str(toy_dir), "--count", "5",
+                    "--out", str(run_dir), "--workers", "1"]) == 0
+        lines = (run_dir / "ledgers.csv").read_text().splitlines()
+        totals = [lines[0].split(",").index(c) for c in ("total_wo", "total_w")]
+        for i in range(1, len(lines)):  # 0.5 as 0.50, 1e-05 as 1.00000000000000008e-05
+            cells = lines[i].split(",")
+            for c in totals:
+                cells[c] = cells[c] + "0" if "e" not in cells[c] else format(float(cells[c]), ".17e")
+            lines[i] = ",".join(cells)
+        (tmp_path / "ledgers.csv").write_text("\n".join(lines) + "\n")
+        for ledgers, out in ((run_dir / "ledgers.csv", "report"), (tmp_path / "ledgers.csv", "rewritten")):
+            assert run(["report", "--ledgers", str(ledgers), "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "rewritten" / "risk_summary.csv").read_bytes() == \
+            (tmp_path / "report" / "risk_summary.csv").read_bytes()
 
 
 class TestScenarioIds:

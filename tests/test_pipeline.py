@@ -118,9 +118,8 @@ def test_chunks_do_not_change_results(monkeypatch, chunk, sigma):
     g, table = _covid_case()
     batch = ShockBatch(psi=covid_style_batch(g, table, count=20, seed=4).psi, seed=4, provenance="test")
     cfg = PropagationConfig(nonessential_weight=sigma)
-    assert pipeline.chunk_size(g) == 8
     reference = run_batch(g, batch, cfg, keep_defaults=True)
-    monkeypatch.setattr(pipeline, "chunk_size", lambda g: chunk)
+    monkeypatch.setattr(pipeline, "CHUNK", chunk)
     for workers in (1, 2):
         result = run_batch(g, batch, cfg, workers=workers, keep_defaults=True)
         for name in PER_BANK + PER_FIRM:
@@ -128,12 +127,22 @@ def test_chunks_do_not_change_results(monkeypatch, chunk, sigma):
     assert reference.chi_w.sum() > reference.chi_wo.sum()  # the cascade adds defaults
 
 
+def test_blocks_hold_whole_chunks(monkeypatch):
+    g, table = _covid_case()
+    batch = ShockBatch(psi=covid_style_batch(g, table, count=100, seed=4).psi, seed=4, provenance="test")
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n * 26)
+    chunks, run_chunk = [], pipeline._run_chunk
+    monkeypatch.setattr(pipeline, "_run_chunk", lambda *args: chunks.append(len(args[4])) or run_chunk(*args))
+    run_batch(g, batch, workers=1)
+    assert chunks == [8] * 12 + [4]  # blocks of 24 rows, not 26 (8 + 8 + 8 + 2)
+
+
 @pytest.mark.parametrize("chunk", [1, 8])
 def test_convergence_flags_follow_each_scenario(monkeypatch, chunk):
     g, table = _covid_case()
     batch = ShockBatch(psi=covid_style_batch(g, table, count=20, seed=4).psi, seed=4, provenance="test")
     cfg = PropagationConfig(max_iter=8)  # these cascades take 7 to 9 steps
-    monkeypatch.setattr(pipeline, "chunk_size", lambda g: chunk)
+    monkeypatch.setattr(pipeline, "CHUNK", chunk)
     expected = [propagate(g, psi, cfg).converged for psi in batch.psi]
     assert 0 < sum(expected) < len(expected)
     assert run_batch(g, batch, cfg).sc_converged.tolist() == expected

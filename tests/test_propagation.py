@@ -23,7 +23,8 @@ from netstress import (
     single_firm_shock,
     toy_economy,
 )
-from netstress.propagation import _plan_for, _pools, chunk_size
+from netstress.pipeline import CHUNK
+from netstress.propagation import _plan_for, _pools
 
 from .conftest import random_economy
 from .oracle import is_essential, oracle_propagate
@@ -260,10 +261,9 @@ class TestBlocks:
         assert profile.done[0] and profile.steps[0] == 1
         assert not profile.converged
 
-    @pytest.mark.parametrize("count", [1, 3 * 8 + 1])
+    @pytest.mark.parametrize("count", [1, 3 * CHUNK + 1])
     def test_one_column_and_more_than_a_chunk(self, count):
         g = pooled_economy(2)
-        assert chunk_size(g) == 8
         self.check(g, self.shocks(g, count, 3), PropagationConfig(epsilon=1e-3, nonessential_weight=0.5))
 
     def test_vector_is_a_block_of_one(self, toy):
