@@ -23,8 +23,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .credit import dump_defaults
-from .debtrank import debtrank, debtrank_profile, write_trace
+from .credit import BankLossLedger
+from .debtrank import debtrank, debtrank_profile
 from .economy import (
     DataFormatError,
     EconomyGraph,
@@ -432,20 +432,15 @@ def cmd_stress(config: dict) -> int:
     workers = _workers(config)
     batch = _batch_from_config(config, graph)
     trace = bool(config.get("trace", False))
-    result = run_batch(
-        graph, batch, cfg,
-        dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter, workers=workers, keep_defaults=trace,
-    )
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
+    result = run_batch(
+        graph, batch, cfg, dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter, workers=workers,
+        defaults=out / "defaults.csv" if trace else None,
+    )
     dec = ChannelDecomposition(result)
     _write_ledgers(out, result)
     stats_extra = _write_stats(out, dec, config["regime"])
-    if trace:
-        dump_defaults(
-            out / "defaults.csv",
-            result.scenario_ids, result.chi_wo, result.chi_w, result.dp_w, graph.firm_ids,
-        )
 
     ids = np.asarray(result.scenario_ids)
     convergence = {
@@ -490,11 +485,12 @@ def cmd_debtrank(config: dict) -> int:
         ],
     )
     if config.get("trace"):
+        # the runs of debtrank_profile again, recorded: row k seeds bank k's full default
+        result = debtrank(graph, np.eye(graph.m), epsilon=epsilon, max_iter=max_iter, record_trace=True)
         for k, bank_id in enumerate(graph.bank_ids):
-            seed = np.zeros(graph.m)
-            seed[k] = 1.0
-            result = debtrank(graph, seed, epsilon=epsilon, max_iter=max_iter, record_trace=True)
-            write_trace(result, graph.bank_ids, out / f"debtrank_trace_{bank_id}.csv")
+            trace = result.trace[: result.steps[k] + 1, k]  # the seed, then each update
+            write_columns(out / f"debtrank_trace_{bank_id}.csv", ["iteration", "bank_id", "loss"], [
+                np.repeat(np.arange(len(trace)), graph.m), graph.bank_ids * len(trace), trace.ravel()])
     _write_manifest(out, "debtrank", config, {"banks": graph.m, "outputs": ["debtrank.csv"]})
     print(f"wrote full-default impact profile for {graph.m} banks to {out}")
     return EXIT_OK
@@ -513,8 +509,8 @@ def _ledger_rows(b: Block, seen: dict) -> dict[tuple[int, str], tuple[float, ...
         c = names[int(np.argmax(bad[:, r]))]
         raise RowError(r, f"column {c} is {b.cells[c][r].strip()}, not a finite loss >= 0")
     di, sc, ib_wo, ib_w = losses  # each total is its row's channels clamped as _write_ledgers does
-    for c, total in zip(LEDGER_COLUMNS[6:], (np.minimum(np.minimum(di, 1.0) + ib_wo, 1.0),
-                                            np.minimum(np.minimum(di + sc, 1.0) + ib_w, 1.0))):
+    levels = BankLossLedger(di=di, sc=sc).levels(ib_wo, ib_w)
+    for c, total in zip(LEDGER_COLUMNS[6:], (levels["di_ib"], levels["di_sc_ib"])):
         wrong = np.flatnonzero(np.array(b.numbers(c), dtype=float) != total)
         if wrong.size:
             r = int(wrong[0])

@@ -40,7 +40,7 @@ class BankLossLedger:
     """Per-bank loss fractions by channel.
 
     ``di`` and ``sc`` are raw (unclamped) fractions of equity; the contagion
-    seeds clamp them to one full equity.
+    seeds, and every loss level built on them, clamp at one full equity.
     """
 
     di: np.ndarray
@@ -53,6 +53,13 @@ class BankLossLedger:
     def seed_with(self) -> np.ndarray:
         """Contagion seed for the regime with supply-chain effects."""
         return np.minimum(self.di + self.sc, 1.0)
+
+    def levels(self, ib_wo, ib_w) -> dict[str, np.ndarray]:
+        """Cumulative loss levels: ``di`` and ``di_ib`` without supply-chain
+        contagion, ``di_sc`` and ``di_sc_ib`` with it."""
+        seed_wo, seed_w = self.seed_without(), self.seed_with()
+        return {"di": seed_wo, "di_sc": seed_w,
+                "di_ib": np.minimum(seed_wo + ib_wo, 1.0), "di_sc_ib": np.minimum(seed_w + ib_w, 1.0)}
 
 
 def profit_shock(g: EconomyGraph, h) -> ProfitShock:
@@ -83,7 +90,8 @@ def default_flags(g: EconomyGraph, shock: ProfitShock) -> DefaultFlags:
 def bank_seed(g: EconomyGraph, flags: DefaultFlags) -> np.ndarray:
     """Per-bank loss fraction from writing off the defaulted firms' loans; one row per row of flags."""
     written_off = g.loans.by_bank @ flags.chi.T.astype(float)
-    return g.loans.lgd * written_off.T / g.bank_equity
+    # row-major like every (S, ·) array: BLAS sums a column-major matrix's rows in another order
+    return g.loans.lgd * np.ascontiguousarray(written_off.T) / g.bank_equity
 
 
 def bank_losses(g: EconomyGraph, chi_w: DefaultFlags, chi_wo: DefaultFlags) -> BankLossLedger:
@@ -104,18 +112,16 @@ def bank_losses(g: EconomyGraph, chi_w: DefaultFlags, chi_wo: DefaultFlags) -> B
     return BankLossLedger(di=di, sc=bank_seed(g, added))
 
 
-def dump_defaults(
-    path: str | Path,
-    scenario_ids,
-    chi_wo_rows,
-    chi_w_rows,
-    dp_rows,
-    firm_ids: list[str],
-) -> None:
-    """Write per-scenario default flags and profit shocks as long-format CSV, a scenario at a time."""
+def dump_defaults(path: str | Path, scenario_ids, blocks, firm_ids: list[str]) -> None:
+    """Write per-scenario default flags and profit shocks as long-format CSV.
+
+    ``blocks`` yields ``(chi_wo, chi_w, dp)`` arrays, one row per scenario in
+    the order of ``scenario_ids``; each block is written as it arrives.
+    """
     n = len(firm_ids)
+    ids = iter(scenario_ids)
     write_parts(path, ["scenario_id", "firm_id", "chi_wo", "chi_w", "dp"], (
-        [[sid] * n, firm_ids, np.asarray(wo, dtype=np.uint8), np.asarray(w, dtype=np.uint8),
-         np.asarray(dp, dtype=float)]
-        for sid, wo, w, dp in zip(scenario_ids, chi_wo_rows, chi_w_rows, dp_rows)
+        [[next(ids)] * n, firm_ids, wo.astype(np.uint8), w.astype(np.uint8), dp]
+        for chi_wo, chi_w, dp_w in blocks
+        for wo, w, dp in zip(chi_wo, chi_w, dp_w)
     ))

@@ -13,17 +13,20 @@ with leverage[l, k] = liabilities[l, k] / equity[k], which is what the
 implementation iterates. The loss sequence is non-decreasing and the
 stopping rule measures the relative equity change of the whole banking
 system.
+
+A call runs one seed vector or (S, m) rows, each stopping at its own step.
+Every product is one row's vector product, not an (S, m) matrix product
+whose blocked sums change the last bits, so a row gets the bits of a run
+on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .economy import EconomyGraph
-from .tables import fmt, write_csv
 
 DEFAULT_EPSILON = 0.01
 DEFAULT_MAX_ITER = 1000
@@ -31,7 +34,7 @@ DEFAULT_MAX_ITER = 1000
 
 @dataclass
 class ContagionResult:
-    """Seed and converged loss fractions for one contagion run.
+    """Seed and converged loss fractions of a contagion run, shaped like the seeds.
 
     ``final`` keeps the raw (unclamped) recursion values for diagnostics;
     clamp with ``min(final, 1)`` at aggregation boundaries.
@@ -39,14 +42,21 @@ class ContagionResult:
 
     initial: np.ndarray
     final: np.ndarray
-    iterations: int
-    converged: bool
-    trace: np.ndarray | None = None  # (iterations + 1, m) including the seed
+    iterations: int    # updates, summed over the rows
+    converged: bool    # whether every row is done
+    steps: np.ndarray  # per row: updates made
+    done: np.ndarray   # per row: whether its increment fell to epsilon
+    trace: np.ndarray | None = None  # (max(steps) + 1, *seed shape) including the seed; a row stays at its stop
 
     @property
     def ib_marginal(self) -> np.ndarray:
         """Losses added by interbank contagion on top of the seed."""
         return self.final - self.initial
+
+
+def _row_products(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``x[k] @ matrix`` for each row k of ``x``, one vector product a row."""
+    return (x[:, None, :] @ matrix)[:, 0]
 
 
 def debtrank(
@@ -57,43 +67,51 @@ def debtrank(
     max_iter: int = DEFAULT_MAX_ITER,
     record_trace: bool = False,
 ) -> ContagionResult:
-    """Run solvency contagion from per-bank seed losses.
+    """Run solvency contagion from per-bank seed losses, a vector or (S, m) rows.
 
-    Stops once the equity-weighted loss increment of the banking system,
-    ``sum_k e_k * (loss_k(t) - loss_k(t-1)) / sum_k e_k``, drops to
-    ``epsilon`` or below. Deterministic; ``final >= seed`` elementwise.
+    A row stops once the equity-weighted loss increment of the banking
+    system, ``sum_k e_k * (loss_k(t) - loss_k(t-1)) / sum_k e_k``, drops to
+    ``epsilon`` or below; one still above it after ``max_iter`` updates
+    has ``done`` False. Deterministic; ``final >= seed`` elementwise.
     """
     seed = np.asarray(seed, dtype=float)
-    if seed.shape != (g.m,):
-        raise ValueError(f"seed has shape {seed.shape}, expected ({g.m},)")
-    if np.any(seed < 0.0):
-        raise ValueError("seed losses must be non-negative")
-    if epsilon <= 0.0:
+    if seed.ndim not in (1, 2) or seed.shape[-1:] != (g.m,):
+        raise ValueError(f"seed has shape {seed.shape}, expected ({g.m},) or (S, {g.m})")
+    if not np.all(np.isfinite(seed) & (seed >= 0.0)):
+        raise ValueError("seed losses must be finite and non-negative")
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be > 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
 
     leverage = g.leverage
-    equity = g.bank_equity
+    equity = g.bank_equity[:, None]
     total_equity = float(equity.sum())
 
-    losses = seed.copy()
+    rows = np.atleast_2d(seed)
+    losses = rows.copy()
+    steps, done = np.zeros(len(rows), dtype=np.int64), np.zeros(len(rows), dtype=bool)
     trace = [losses.copy()] if record_trace else None
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        updated = seed + np.minimum(losses, 1.0) @ leverage
-        change = float(equity @ (updated - losses)) / total_equity
-        losses = updated
+    live = np.arange(len(rows))  # the rows still running
+    for step in range(1, max_iter + 1):
+        current = losses[live]
+        updated = rows[live] + _row_products(np.minimum(current, 1.0), leverage)
+        below = _row_products(updated - current, equity)[:, 0] / total_equity <= epsilon
+        losses[live], steps[live] = updated, step
+        done[live[below]] = True
+        live = live[~below]
         if trace is not None:
             trace.append(losses.copy())
-        if change <= epsilon:
-            converged = True
+        if not live.size:
             break
     return ContagionResult(
         initial=seed.copy(),
-        final=losses,
-        iterations=iterations,
-        converged=converged,
-        trace=np.asarray(trace) if trace is not None else None,
+        final=losses.reshape(seed.shape),
+        iterations=int(steps.sum()),
+        converged=bool(done.all()),
+        steps=steps,
+        done=done,
+        trace=np.asarray(trace).reshape(len(trace), *seed.shape) if trace is not None else None,
     )
 
 
@@ -112,24 +130,10 @@ def debtrank_profile(
     epsilon: float = DEFAULT_EPSILON,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> DebtRankProfile:
-    """Full-default impact per bank: seed a unit loss on each bank in turn."""
+    """Full-default impact per bank: a unit loss seeded on each bank, one row each."""
     equity = g.bank_equity
     share = equity / equity.sum()
-    total = np.zeros(g.m)
-    for k in range(g.m):
-        seed = np.zeros(g.m)
-        seed[k] = 1.0
-        result = debtrank(g, seed, epsilon=epsilon, max_iter=max_iter)
-        total[k] = float(share @ np.minimum(result.final, 1.0))
+    result = debtrank(g, np.eye(g.m), epsilon=epsilon, max_iter=max_iter)
+    total = _row_products(np.minimum(result.final, 1.0), share[:, None])[:, 0]
     return DebtRankProfile(bank_ids=list(g.bank_ids), total=total, contagion_only=total - share)
 
-
-def write_trace(result: ContagionResult, bank_ids: list[str], path: str | Path) -> None:
-    """Dump a recorded contagion trace as (iteration, bank_id, loss) rows."""
-    if result.trace is None:
-        raise ValueError("result carries no trace; run with record_trace=True")
-    write_csv(path, ["iteration", "bank_id", "loss"], (
-        [t, bid, fmt(value)]
-        for t, row in enumerate(result.trace)
-        for bid, value in zip(bank_ids, row)
-    ))

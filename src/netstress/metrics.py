@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .credit import BankLossLedger
+
 # benchmarks/tracing.py wraps bank_seed, default_flags, profit_shock and debtrank in this namespace
 from .credit import bank_seed, default_flags, profit_shock  # noqa: F401
 from .debtrank import DEFAULT_EPSILON, DEFAULT_MAX_ITER, debtrank  # noqa: F401
@@ -179,20 +181,9 @@ class ChannelDecomposition:
         return self.result.bank_ids
 
     def channel_losses(self) -> dict[str, np.ndarray]:
-        """Cumulative per-bank loss levels, clamped at one full equity.
-
-        ``di`` and ``di_ib`` belong to the regime without supply-chain
-        contagion, ``di_sc`` and ``di_sc_ib`` to the regime with it.
-        """
+        """Cumulative per-bank loss levels, clamped at one full equity (:meth:`BankLossLedger.levels`)."""
         r = self.result
-        seed_wo = np.minimum(r.di, 1.0)
-        seed_w = np.minimum(r.di + r.sc, 1.0)
-        return {
-            "di": seed_wo,
-            "di_sc": seed_w,
-            "di_ib": np.minimum(seed_wo + r.ib_wo, 1.0),
-            "di_sc_ib": np.minimum(seed_w + r.ib_w, 1.0),
-        }
+        return BankLossLedger(di=r.di, sc=r.sc).levels(r.ib_wo, r.ib_w)
 
     def system_losses(self) -> dict[str, np.ndarray]:
         """Equity-weighted system loss per scenario for each channel."""

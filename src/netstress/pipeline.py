@@ -12,10 +12,11 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
-from .credit import bank_losses, default_flags, profit_shock
+from .credit import bank_losses, default_flags, dump_defaults, profit_shock
 from .debtrank import DEFAULT_EPSILON, DEFAULT_MAX_ITER, debtrank
 from .economy import EconomyGraph
 from .propagation import PropagationConfig, propagate
@@ -24,11 +25,8 @@ from .scenarios import ShockBatch
 
 @dataclass
 class BatchResult:
-    """Stacked channel losses over a scenario batch; one row per scenario.
-
-    ``scenario_ids`` name the rows in every output; they default to
-    ``0 .. len - 1``.
-    """
+    """Stacked channel losses over a scenario batch; one row per scenario,
+    named by ``scenario_ids`` in every output."""
 
     bank_ids: list[str]
     bank_equity: np.ndarray
@@ -39,14 +37,7 @@ class BatchResult:
     sc_converged: np.ndarray
     dr_wo_converged: np.ndarray
     dr_w_converged: np.ndarray
-    chi_wo: np.ndarray | None = None  # (scenarios, firms), kept only on request
-    chi_w: np.ndarray | None = None
-    dp_w: np.ndarray | None = None
-    scenario_ids: list[int] | None = None
-
-    def __post_init__(self):
-        if self.scenario_ids is None:
-            self.scenario_ids = list(range(len(self)))
+    scenario_ids: list[int]
 
     def __len__(self) -> int:
         return self.di.shape[0]
@@ -58,48 +49,41 @@ class BatchResult:
         )
 
 
-# at most this many bytes of shock vectors per block: the blocks in flight
-# sit in the parent, and so in every worker forked from it
+# at most this many bytes of per-firm arrays per block (shocks in, and flags and profit shocks
+# out to be written): the blocks in flight sit in the parent, and so in every worker forked from it
 BLOCK_BYTES = 2 << 20
 # scenarios per cascade and credit call: eight levels of a firm fill a 64-byte cache line
 CHUNK = 8
+# the per-firm arrays of a chunk, made only for ``run_batch`` to write them out
+PER_FIRM = ("chi_wo", "chi_w", "dp_w")
 
 # what every block of a pool worker shares: set once per worker process
 _shared: tuple | None = None
 
 
-def _run_block(g, cfg, dr_epsilon, dr_max_iter, keep_defaults, psi_block) -> dict[str, np.ndarray]:
-    """Run a block of scenarios through both regimes, a chunk at a time; per-firm arrays if ``keep_defaults``."""
-    rows = len(psi_block)
-    out = {name: np.empty((rows, g.m)) for name in ("di", "sc", "ib_wo", "ib_w")}
-    for name in ("sc_converged", "dr_wo_converged", "dr_w_converged"):
-        out[name] = np.empty(rows, dtype=bool)
-    if keep_defaults:
-        out.update(chi_wo=np.empty((rows, g.n), dtype=bool), chi_w=np.empty((rows, g.n), dtype=bool),
-                   dp_w=np.empty((rows, g.n)))
-    for start in range(0, rows, CHUNK):
-        _run_chunk(g, cfg, dr_epsilon, dr_max_iter, psi_block[start:start + CHUNK], out, start)
-    return out
+def _run_block(g, cfg, dr_epsilon, dr_max_iter, per_firm, psi_block) -> list[dict[str, np.ndarray]]:
+    """Run a block of scenarios through both regimes, a chunk at a time: the arrays of each chunk."""
+    return [_run_chunk(g, cfg, dr_epsilon, dr_max_iter, psi_block[start:start + CHUNK], per_firm)
+            for start in range(0, len(psi_block), CHUNK)]
 
 
-def _run_chunk(g, cfg, dr_epsilon, dr_max_iter, psi, out, start) -> None:
-    """Run the scenarios ``psi`` into rows ``start, ...`` of ``out``; their arrays go on return."""
+def _run_chunk(g, cfg, dr_epsilon, dr_max_iter, psi, per_firm) -> dict[str, np.ndarray]:
+    """The arrays of the scenarios ``psi``, a row each; with ``per_firm``, the :data:`PER_FIRM` arrays too."""
     # each stage is looked up here per chunk: benchmarks/tracing.py wraps them in this namespace
-    part = slice(start, start + len(psi))
     chi_wo = default_flags(g, profit_shock(g, psi))
     profile = propagate(g, psi, cfg)
     shock_w = profit_shock(g, profile.h)
     chi_w = default_flags(g, shock_w)
     ledger = bank_losses(g, chi_w=chi_w, chi_wo=chi_wo)
-    out["di"][part], out["sc"][part] = ledger.di, ledger.sc
-    out["sc_converged"][part] = profile.done
-    if "chi_w" in out:
-        out["chi_wo"][part], out["chi_w"][part], out["dp_w"][part] = chi_wo.chi, chi_w.chi, shock_w.dp
-    for k, seed_wo, seed_w in zip(range(start, part.stop), ledger.seed_without(), ledger.seed_with()):
-        result_wo = debtrank(g, seed_wo, epsilon=dr_epsilon, max_iter=dr_max_iter)
-        result_w = debtrank(g, seed_w, epsilon=dr_epsilon, max_iter=dr_max_iter)
-        out["ib_wo"][k], out["ib_w"][k] = result_wo.ib_marginal, result_w.ib_marginal
-        out["dr_wo_converged"][k], out["dr_w_converged"][k] = result_wo.converged, result_w.converged
+    # both regimes in one call: the rows without supply-chain contagion, then those with it
+    seeds = np.concatenate([ledger.seed_without(), ledger.seed_with()])
+    result = debtrank(g, seeds, epsilon=dr_epsilon, max_iter=dr_max_iter)
+    out = {"di": ledger.di, "sc": ledger.sc, "sc_converged": profile.done}
+    out["ib_wo"], out["ib_w"] = np.split(result.ib_marginal, 2)
+    out["dr_wo_converged"], out["dr_w_converged"] = np.split(result.done, 2)
+    if per_firm:
+        out.update(chi_wo=chi_wo.chi, chi_w=chi_w.chi, dp_w=shock_w.dp)
+    return out
 
 
 def _init_worker(*shared) -> None:
@@ -107,8 +91,32 @@ def _init_worker(*shared) -> None:
     _shared = shared
 
 
-def _run_shared_block(psi_block) -> dict[str, np.ndarray]:
+def _run_shared_block(psi_block) -> list[dict[str, np.ndarray]]:
     return _run_block(*_shared, psi_block)
+
+
+def _chunk_results(blocks, shared: tuple, workers: int):
+    """Each chunk's arrays in scenario order; in a pool of ``workers``, at most ``2 * workers`` blocks in flight."""
+    if workers < 2:
+        # map lets each block go before the next one is drawn
+        for chunks in map(partial(_run_block, *shared), blocks):
+            yield from chunks
+        return
+    pending = deque()
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=shared) as pool:
+        for block in blocks:
+            pending.append(pool.submit(_run_shared_block, block))
+            if len(pending) == 2 * workers:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
+
+
+def _per_firm(chunks, kept: list):
+    """The :data:`PER_FIRM` arrays of each chunk as it comes; the rest of the chunk goes into ``kept``."""
+    for chunk in chunks:
+        kept.append(chunk)
+        yield tuple(chunk.pop(name) for name in PER_FIRM)
 
 
 def run_batch(
@@ -119,7 +127,7 @@ def run_batch(
     dr_epsilon: float = DEFAULT_EPSILON,
     dr_max_iter: int = DEFAULT_MAX_ITER,
     workers: int = 1,
-    keep_defaults: bool = False,
+    defaults: str | Path | None = None,
 ) -> BatchResult:
     """Run a whole batch, optionally over a process pool.
 
@@ -127,34 +135,29 @@ def run_batch(
     whole. Each pool worker receives the graph and settings once, every
     block only its shock vectors, and at most ``2 * workers`` blocks are
     in flight. Results are reduced in scenario order, so the output is
-    identical for any worker count and block size.
+    identical for any worker count and block size. Each block's default
+    flags and profit shocks are written to ``defaults``, if given, as it
+    comes back (:func:`dump_defaults`), and then dropped.
     """
-    shared = (g, cfg, dr_epsilon, dr_max_iter, keep_defaults)
     n_scenarios = len(batch)
     if n_scenarios == 0:
         raise ValueError("batch has no scenarios")
     # rows per block: within BLOCK_BYTES, at least 4 * workers blocks, and whole chunks
-    # where a block holds more than one: a narrow chunk steps little faster than one scenario
-    rows = min(BLOCK_BYTES // (8 * max(g.n, 1)), -(-n_scenarios // (4 * max(workers, 1))))
+    # where a block holds more than one: a narrow chunk steps little faster than one scenario.
+    # Per firm a row holds its shock (8 bytes) and, to be written, two flags and a profit shock (10)
+    row_bytes = (18 if defaults is not None else 8) * max(g.n, 1)
+    rows = min(BLOCK_BYTES // row_bytes, -(-n_scenarios // (4 * max(workers, 1))))
     blocks = batch.blocks(max(rows - rows % CHUNK if rows > CHUNK else rows, 1))
-    if workers > 1 and n_scenarios > 1:
-        parts = []
-        pending = deque()
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=shared
-        ) as pool:
-            for block in blocks:
-                pending.append(pool.submit(_run_shared_block, block))
-                if len(pending) == 2 * workers:
-                    parts.append(pending.popleft().result())
-            parts += [future.result() for future in pending]
+    shared = (g, cfg, dr_epsilon, dr_max_iter, defaults is not None)
+    chunks = _chunk_results(blocks, shared, workers if n_scenarios > 1 else 1)
+    if defaults is None:
+        kept = list(chunks)
     else:
-        # map lets each block go before the next one is drawn
-        parts = list(map(partial(_run_block, *shared), blocks))
-
+        kept = []
+        dump_defaults(defaults, batch.scenario_ids, _per_firm(chunks, kept), g.firm_ids)
     return BatchResult(
         bank_ids=list(g.bank_ids),
         bank_equity=g.bank_equity.copy(),
         scenario_ids=list(batch.scenario_ids),
-        **{name: np.concatenate([part[name] for part in parts]) for name in parts[0]},
+        **{name: np.concatenate([chunk[name] for chunk in kept]) for name in kept[0]},
     )

@@ -59,7 +59,7 @@ class PropagationConfig:
     nonessential_weight: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")

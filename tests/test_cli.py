@@ -388,6 +388,7 @@ class TestScenarioIds:
     ["generate", "--ratio", "-1"],
     ["stress", "--sigma", "2"],
     ["stress", "--epsilon", "-1"],
+    ["stress", "--epsilon", "nan"],
     ["stress", "--count", "0"],
     ["stress", "--seed", "-1"],
     ["generate", "--economy-seed", "-1"],
@@ -410,6 +411,7 @@ def test_bad_parameter_values_exit_three(toy_dir, tmp_path, capsys, argv):
     ("stress", {"scenarios": {"shocks_seed": [3]}}),
     ("stress", {"workers": "x"}),
     ("stress", {"propagation": {"epsilon": "abc"}}),
+    ("stress", {"propagation": {"epsilon": float("nan")}}),
     ("stress", {"propagation": {"max_iter": "many"}}),
     ("validate", {"economy": {"lgd": "x"}}),
     ("generate", {"economy": {"n": "many"}}),

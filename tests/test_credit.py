@@ -176,7 +176,7 @@ def test_defaults_dump_format(toy, tmp_path):
     shock_w = profit_shock(toy, propagate(toy, psi).h)
     chi_w = default_flags(toy, shock_w)
     out = tmp_path / "defaults.csv"
-    dump_defaults(out, [0], [chi_wo.chi], [chi_w.chi], [shock_w.dp], toy.firm_ids)
+    dump_defaults(out, [0], [(chi_wo.chi[None], chi_w.chi[None], shock_w.dp[None])], toy.firm_ids)
     lines = out.read_text().splitlines()
     assert lines[0] == "scenario_id,firm_id,chi_wo,chi_w,dp"
     assert len(lines) == 1 + 6

@@ -26,30 +26,40 @@ from netstress import (
 
 from .conftest import random_economy
 
-PER_FIRM = ("chi_wo", "chi_w", "dp_w")
 PER_BANK = ("di", "sc", "ib_wo", "ib_w", "sc_converged", "dr_wo_converged", "dr_w_converged")
 
 
-@pytest.mark.parametrize("keep_defaults", [False, True])
-def test_worker_count_does_not_change_results(keep_defaults):
+def _run(g, batch, cfg=PropagationConfig(), path=None, **kw):
+    """``run_batch`` writing ``defaults.csv`` to ``path`` if one is given; the result and the file's bytes."""
+    result = run_batch(g, batch, cfg, defaults=path, **kw)
+    return result, path.read_bytes() if path is not None else None
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_worker_count_does_not_change_results(tmp_path, trace):
     rng = np.random.default_rng(5)
     g = random_economy(rng, n=30, m=5)
     psi = np.where(rng.random((9, g.n)) < 0.3, rng.uniform(0.0, 1.0, (9, g.n)), 1.0)
     batch = ShockBatch(psi=psi, seed=None, provenance="test", scenario_ids=list(range(10, 19)))
-    serial = run_batch(g, batch, workers=1, keep_defaults=keep_defaults)
-    pooled = run_batch(g, batch, workers=2, keep_defaults=keep_defaults)
+    serial, serial_defaults = _run(g, batch, path=tmp_path / "serial.csv" if trace else None, workers=1)
+    pooled, pooled_defaults = _run(g, batch, path=tmp_path / "pooled.csv" if trace else None, workers=2)
     assert serial.scenario_ids == pooled.scenario_ids == list(range(10, 19))
     for name in PER_BANK:
         assert getattr(serial, name).shape[0] == 9
         np.testing.assert_array_equal(getattr(pooled, name), getattr(serial, name))
-    for name in PER_FIRM:
-        if keep_defaults:
-            assert getattr(serial, name).shape == (9, g.n)
-            np.testing.assert_array_equal(getattr(pooled, name), getattr(serial, name))
-        else:
-            assert getattr(serial, name) is None and getattr(pooled, name) is None
-    if keep_defaults:
-        assert serial.chi_w.any()  # the shocks make some firms default
+    assert pooled_defaults == serial_defaults
+    if trace:
+        lines = serial_defaults.decode().splitlines()
+        assert len(lines) == 1 + 9 * g.n and lines[1].startswith("10,") and lines[-1].startswith("18,")
+        assert any(line.split(",")[3] == "1" for line in lines[1:])  # the shocks make some firms default
+
+
+def test_results_are_row_major():
+    # a column-major ledger changed the last digits of the system rows of risk_summary.csv:
+    # ``losses @ share`` sums each row in another order
+    g, table = _covid_case()
+    result = run_batch(g, covid_style_batch(g, table, count=20, seed=4))
+    assert all(getattr(result, name).flags.c_contiguous for name in PER_BANK)
 
 
 def test_empty_batch_rejected():
@@ -65,16 +75,18 @@ def _covid_case(n=300, seed=3):
 
 @pytest.mark.parametrize("workers", [0, 1, 2])
 @pytest.mark.parametrize("block_rows", [1, 100])
-def test_streamed_batch_matches_dense(monkeypatch, workers, block_rows):
+def test_streamed_batch_matches_dense(monkeypatch, tmp_path, workers, block_rows):
     g, table = _covid_case()
     batch = covid_style_batch(g, table, count=24, seed=9)
     dense = ShockBatch(psi=covid_style_batch(g, table, count=24, seed=9).psi, seed=9, provenance="test")
-    reference = run_batch(g, dense, workers=1, keep_defaults=True)
+    reference, reference_defaults = _run(g, dense, path=tmp_path / "reference.csv", workers=1)
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n * block_rows)
-    for result in (run_batch(g, b, workers=workers, keep_defaults=True) for b in (batch, dense)):
-        for name in PER_BANK + PER_FIRM:
+    for b in (batch, dense):
+        result, defaults = _run(g, b, path=tmp_path / "defaults.csv", workers=workers)
+        for name in PER_BANK:
             assert getattr(result, name).shape[0] == 24
             np.testing.assert_array_equal(getattr(result, name), getattr(reference, name))
+        assert defaults == reference_defaults
 
 
 def test_residuals_are_kept_once_per_batch():
@@ -112,19 +124,37 @@ def test_streamed_run_holds_one_block_at_a_time():
     assert peak < count * g.n * 8 / 2
 
 
+def test_traced_run_writes_one_block_at_a_time(tmp_path):
+    g, table = _covid_case(n=2000, seed=5)
+    count = 400  # stacked, the two default flags and the profit shock take 10 bytes a firm: 8 MB
+    run_batch(g, ShockBatch(psi=np.ones((1, g.n)), seed=None, provenance="warm-up"), defaults=tmp_path / "warm-up.csv")
+    tracemalloc.start()
+    try:
+        batch = covid_style_batch(g, table, count=count, seed=2)
+        result = run_batch(g, batch, workers=1, defaults=tmp_path / "defaults.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == count
+    with open(tmp_path / "defaults.csv", "rb") as fh:
+        assert sum(1 for _ in fh) == 1 + count * g.n
+    assert peak < count * g.n * 10 / 2
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 8])
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
-def test_chunks_do_not_change_results(monkeypatch, chunk, sigma):
+def test_chunks_do_not_change_results(monkeypatch, tmp_path, chunk, sigma):
     g, table = _covid_case()
     batch = ShockBatch(psi=covid_style_batch(g, table, count=20, seed=4).psi, seed=4, provenance="test")
     cfg = PropagationConfig(nonessential_weight=sigma)
-    reference = run_batch(g, batch, cfg, keep_defaults=True)
+    reference, reference_defaults = _run(g, batch, cfg, tmp_path / "reference.csv")
     monkeypatch.setattr(pipeline, "CHUNK", chunk)
     for workers in (1, 2):
-        result = run_batch(g, batch, cfg, workers=workers, keep_defaults=True)
-        for name in PER_BANK + PER_FIRM:
+        result, defaults = _run(g, batch, cfg, tmp_path / "defaults.csv", workers=workers)
+        for name in PER_BANK:
             np.testing.assert_array_equal(getattr(result, name), getattr(reference, name))
-    assert reference.chi_w.sum() > reference.chi_wo.sum()  # the cascade adds defaults
+        assert defaults == reference_defaults
+    assert np.any(reference.sc > 0.0)  # the cascade adds defaults
 
 
 def test_blocks_hold_whole_chunks(monkeypatch):
