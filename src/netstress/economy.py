@@ -358,6 +358,8 @@ def validate_economy(g: EconomyGraph) -> ValidationReport:
     for i in np.flatnonzero(flagged).tolist():
         _check_firm(report, g, i, i in repeated)
 
+    if m == 0:
+        report.add("banks", "empty", "economy has no banks: bank losses and DebtRank need at least one")
     seen_banks: set[str] = set()
     for bid, equity in zip(g.bank_ids, g.bank_equity.tolist()):
         ent = f"bank:{bid}"

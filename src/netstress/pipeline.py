@@ -19,7 +19,7 @@ import numpy as np
 from .credit import bank_losses, default_flags, dump_defaults, profit_shock
 from .debtrank import DEFAULT_EPSILON, DEFAULT_MAX_ITER, debtrank
 from .economy import EconomyGraph
-from .propagation import PropagationConfig, propagate
+from .propagation import CHUNK, PropagationConfig, propagate
 from .scenarios import ShockBatch
 
 
@@ -52,8 +52,6 @@ class BatchResult:
 # at most this many bytes of per-firm arrays per block (shocks in, and flags and profit shocks
 # out to be written): the blocks in flight sit in the parent, and so in every worker forked from it
 BLOCK_BYTES = 2 << 20
-# scenarios per cascade and credit call: eight levels of a firm fill a 64-byte cache line
-CHUNK = 8
 # the per-firm arrays of a chunk, made only for ``run_batch`` to write them out
 PER_FIRM = ("chi_wo", "chi_w", "dp_w")
 

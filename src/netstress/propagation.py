@@ -24,15 +24,24 @@ buyer with more than ``j`` of them. Buyers are sorted by their number of
 essential pools, most first, so each level is a prefix of level 0 and the
 minimum over a buyer's essential pools is one in-place ``minimum`` per
 level on contiguous slices. Non-essential pools follow, in (buyer, sector)
-order. Within a row the edges keep the supply matrix's buyer-major order,
-so every sum accumulates from 0 in the same order as a per-edge loop and
-the results do not depend on the layout.
+order.
+
+Firms are held in *step order*: the buyers of level 0 first, in its
+order, then every other firm. Row ``p`` of ``h`` is firm ``order[p]``, and
+the supplier columns of the pools and both axes of the supply matrix are
+renumbered to match, so the level minimum is itself the first rows of the
+update and no row is scattered. The renumbering relabels each stored edge
+and moves no edge within its row: every sum accumulates from 0 in the
+supply matrix's buyer-major order, as in a per-edge loop, and the results
+do not depend on the layout.
 
 A call runs S scenarios as one n × S block ``H``: ``pool_csr @ H`` sums
 each (row, column) from 0 in edge order, so every column gets the bits of
 a run on its own. At the step a column's largest drop reaches ``epsilon``
 it is frozen and compacted out of two preallocated workspaces. The
-pipeline passes eight scenarios a call (``pipeline.CHUNK``).
+pipeline passes :data:`CHUNK` scenarios a call; at that width the pool
+and sales totals divide as full (rows, CHUNK) arrays, which numpy runs as
+one contiguous loop, and narrower blocks divide by a broadcast column.
 """
 
 from __future__ import annotations
@@ -78,21 +87,30 @@ class ProductionProfile:
     done: np.ndarray   # per scenario: whether its decrement fell to epsilon
 
 
+# scenarios per cascade and credit call in the pipeline: eight levels of a firm fill a 64-byte cache line
+CHUNK = 8
+
+
 @dataclass
 class _Plan:
-    """Graph-derived arrays reused across propagation runs (layout above)."""
+    """Graph-derived arrays reused across propagation runs (layout above).
 
+    Firm axes are in step order. Each total is a (rows, 1) column and the
+    same column repeated to (rows, CHUNK), for a block of that width.
+    """
+
+    order: np.ndarray            # firm at each step position: the level-0 buyers, then the rest
+    n_ess: int                   # firms with an essential pool: the first positions
     pool_csr: sparse.csr_matrix  # (pools, n): one row per pool, edges in buyer-major order
-    pool_weight: np.ndarray      # (pools, 1): total input weight per row
-    ess_buyer: np.ndarray        # buyer per level-0 row: every firm with an essential pool
+    pool_weight: tuple[np.ndarray, np.ndarray]  # total input weight per row
     levels: list[tuple[int, int]]  # (first row, length) of each level past level 0
     ne_start: int                # first non-essential row
-    ne_firms: np.ndarray         # firms with a non-essential pool, ascending
+    ne_firms: np.ndarray         # positions of the firms with a non-essential pool
     ne_csr: sparse.csr_matrix    # (ne_firms, non-essential rows): 1 where the row is the firm's
     ne_count: np.ndarray         # (ne_firms, 1): number of non-essential supplier sectors
-    weights_csr: sparse.csr_matrix
-    out_weight: np.ndarray       # (n, 1): total intermediate sales, 1 for firms selling nothing
-    no_sales: np.ndarray         # firms without customers
+    weights_csr: sparse.csr_matrix  # (n, n): supply weights, seller rows and buyer columns
+    out_weight: tuple[np.ndarray, np.ndarray]   # total intermediate sales, 1 for firms selling nothing
+    no_sales: np.ndarray         # positions of the firms without customers
 
 
 _PLANS: "weakref.WeakKeyDictionary[EconomyGraph, _Plan]" = weakref.WeakKeyDictionary()
@@ -106,6 +124,15 @@ def _pools(g: EconomyGraph, suppliers: np.ndarray, buyers: np.ndarray):
     pool_buyer = (pool_keys // n_sectors).astype(np.intp)
     essential = g.essentiality.lookup(sector_codes.tolist())[pool_keys % n_sectors, sector_of[pool_buyer]]
     return edge_pool, pool_buyer, essential
+
+
+def _relabel(m: sparse.csr_matrix, position: np.ndarray) -> sparse.csr_matrix:
+    """``m`` with column ``i`` renamed ``position[i]``; every row keeps its stored edge order."""
+    return sparse.csr_matrix((m.data, position[m.indices], m.indptr), shape=m.shape)
+
+
+def _divisors(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return total[:, None], np.repeat(total[:, None], CHUNK, axis=1)
 
 
 def _build_plan(g: EconomyGraph) -> _Plan:
@@ -123,9 +150,11 @@ def _build_plan(g: EconomyGraph) -> _Plan:
     ess_buyer = pool_buyer[ess_pool]
     count = np.bincount(ess_buyer, minlength=n)
     rank = np.arange(ess_pool.size) - (np.cumsum(count) - count)[ess_buyer]
-    order = np.argsort(-count, kind="stable")[: np.count_nonzero(count)]
+    n_ess = np.count_nonzero(count)
+    # step order: the level-0 buyers by descending count, then the firms without an essential pool
+    order = np.argsort(-count, kind="stable")
     position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(order.size)
+    position[order] = np.arange(n)
     sizes = np.bincount(rank)
     starts = np.cumsum(sizes) - sizes
     ne_pool = np.flatnonzero(~essential)
@@ -139,22 +168,23 @@ def _build_plan(g: EconomyGraph) -> _Plan:
     pool_csr = sparse.csr_matrix((weights, (edge_row, suppliers)), shape=(n_pools, n))
     pool_weight = np.bincount(edge_row, weights=weights, minlength=n_pools)
 
-    sales = g.intermediate_sales
+    sales = g.intermediate_sales[order]
     # non-essential rows go by buyer, so each row of ne_csr holds its firm's rows in order
     ne_firms, ne_row, ne_count = np.unique(pool_buyer[ne_pool], return_inverse=True, return_counts=True)
     ne_csr = sparse.csr_matrix((np.ones(ne_pool.size), (ne_row, np.arange(ne_pool.size))),
                                shape=(ne_firms.size, ne_pool.size))
     return _Plan(
-        pool_csr=pool_csr,
-        pool_weight=pool_weight[:, None],
-        ess_buyer=order,
+        order=order,
+        n_ess=int(n_ess),
+        pool_csr=_relabel(pool_csr, position),
+        pool_weight=_divisors(pool_weight),
         levels=[(int(s), int(k)) for s, k in zip(starts[1:], sizes[1:])],
         ne_start=int(ess_pool.size),
-        ne_firms=ne_firms,
+        ne_firms=position[ne_firms],
         ne_csr=ne_csr,
         ne_count=ne_count.astype(float)[:, None],
-        weights_csr=g.supply.weights.tocsr(),
-        out_weight=np.where(sales > 0.0, sales, 1.0)[:, None],
+        weights_csr=_relabel(g.supply.weights.tocsr()[order], position),
+        out_weight=_divisors(np.where(sales > 0.0, sales, 1.0)),
         no_sales=np.flatnonzero(sales <= 0.0),
     )
 
@@ -179,16 +209,17 @@ def check_shock_vector(psi, n: int) -> np.ndarray:
 
 def _step(plan: _Plan, h: np.ndarray, d: np.ndarray, sigma: float) -> np.ndarray:
     """Update the n × k levels ``h`` into ``d`` (no ``psi`` term: ``h <= psi``); return each column's drop."""
+    wide = h.shape[1] == CHUNK  # picks the full-width divisors: one contiguous loop, not k-element ones
     alpha = plan.pool_csr @ h
-    alpha /= plan.pool_weight
+    alpha /= plan.pool_weight[wide]
 
     # alpha <= 1 because h <= 1, so the minimum over a buyer's essential
     # pools needs no cap at 1
-    d_ess = alpha[: plan.ess_buyer.size]
+    d_ess = d[: plan.n_ess]
+    d_ess[...] = alpha[: plan.n_ess]
     for start, size in plan.levels:
         np.minimum(d_ess[:size], alpha[start : start + size], out=d_ess[:size])
-    d.fill(1.0)
-    d[plan.ess_buyer] = d_ess
+    d[plan.n_ess :] = 1.0
     if sigma > 0.0 and plan.ne_firms.size:
         # each firm's rows summed from 0 in row order; the other firms keep d (scaled by 1.0)
         ne_mean = plan.ne_csr @ alpha[plan.ne_start :]
@@ -196,7 +227,7 @@ def _step(plan: _Plan, h: np.ndarray, d: np.ndarray, sigma: float) -> np.ndarray
         d[plan.ne_firms] *= 1.0 - sigma * (1.0 - ne_mean)
 
     u = plan.weights_csr @ h
-    u /= plan.out_weight
+    u /= plan.out_weight[wide]
     u[plan.no_sales] = 1.0
 
     np.minimum(d, u, out=d)
@@ -226,9 +257,9 @@ def propagate(
     rows = np.atleast_2d(psi)
     count, n = rows.shape
     h, steps, done = np.empty((count, n)), np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
-    # the k live columns fill the first n * k entries of each workspace
+    # the k live columns fill the first n * k entries of each workspace, firms in step order
     cur, new = np.empty(n * count), np.empty(n * count)
-    cur.reshape(n, count)[...] = rows.T
+    cur.reshape(n, count)[...] = rows.T[plan.order]
     live = np.arange(count)  # the row of h behind each live column
     step = 0
     while live.size:
@@ -239,7 +270,8 @@ def propagate(
         if not stop.any():
             cur, new = new, cur
             continue
-        h[live[stop]], steps[live[stop]], done[live[stop]] = update.T[stop], step, below[stop]
+        h[live[stop][:, None], plan.order] = update.T[stop]
+        steps[live[stop]], done[live[stop]] = step, below[stop]
         live = live[~stop]
         np.take(update, np.flatnonzero(~stop), axis=1, out=cur[: n * live.size].reshape(n, live.size), mode="clip")
     return ProductionProfile(h.reshape(psi.shape), int(steps.sum()), bool(done.all()), steps, done)

@@ -221,6 +221,35 @@ def _rescale_to_target(red: np.ndarray, weights: np.ndarray, target_mean: float)
     return (float(weights @ red) - target_mass) / total
 
 
+def _rescale_rows(red: np.ndarray, grp: _SectorGroup) -> np.ndarray:
+    """:func:`_rescale_to_target` on each row of ``red``, in place; each row's gap.
+
+    The rows that need no clipping are rescaled together. Each weighted sum
+    is one row's vector product, ``(red[:, None, :] @ w[:, None])``, so on
+    rows that are each contiguous it keeps the bits of ``w @ row``. A row
+    that needs clipping, or that sums to zero, goes through
+    :func:`_rescale_to_target` from its raw draw.
+    """
+    w = grp.weights
+    total = float(w.sum())
+    target_mass = grp.target_mean * total
+    current = (red[:, None, :] @ w[:, None])[:, 0, 0]
+    regular = current > 0.0
+    scaled = red * np.divide(target_mass, current, out=np.zeros_like(current), where=regular)[:, None]
+    regular &= ~(scaled > 1.0).any(axis=1)
+    gaps = ((scaled[:, None, :] @ w[:, None])[:, 0, 0] - target_mass) / total
+    for r in np.flatnonzero(~regular).tolist():
+        scaled[r] = red[r]
+        gaps[r] = _rescale_to_target(scaled[r], w, grp.target_mean)
+    red[...] = scaled
+    return gaps
+
+
+# scenarios per generator call: the index arrays of a call take several times
+# the bytes of its rows, so a call per block would outgrow the block it draws
+_DRAW_ROWS = 8
+
+
 def covid_style_batch(
     g: EconomyGraph, table: EmpiricalShockTable, count: int, seed: int
 ) -> StreamedBatch:
@@ -236,20 +265,39 @@ def covid_style_batch(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if g.n == 0:
+        raise DataFormatError("economy has no firms to draw shocks for")
     groups = _sampling_layout(g, table)
     residuals: list[tuple[int, str, float]] = []
 
+    # A row draws one index per firm into its pool, in (industry, draw group) order:
+    # one generator call with per-draw bounds gives the values and the generator
+    # state of one call per draw group. The values are laid out industry by
+    # industry in member order ("slots") and looked up in the pools end to end.
+    starts = np.cumsum([0] + [grp.members.size for grp in groups])
+    draws = [(start + positions, values) for grp, start in zip(groups, starts)
+             for positions, values in grp.draw_groups]
+    sizes = np.array([values.size for _, values in draws])
+    counts = [slots.size for slots, _ in draws]
+    pools = np.concatenate([values for _, values in draws])
+    back = np.argsort(np.concatenate([slots for slots, _ in draws]))  # the draw behind each slot
+    first = np.repeat(np.cumsum(sizes) - sizes, counts)[back]  # its pool's offset in pools
+    highs = np.tile(np.repeat(sizes, counts), _DRAW_ROWS)
+
     def block(rng: np.random.Generator, scenarios: range, found: list) -> np.ndarray:
-        psi = np.ones((len(scenarios), g.n))
-        for s, row in zip(scenarios, psi):
-            for grp in groups:
-                red = np.empty(grp.members.size)
-                for positions, values in grp.draw_groups:
-                    red[positions] = values[rng.integers(0, values.size, positions.size)]
-                gap = _rescale_to_target(red, grp.weights, grp.target_mean)
-                if abs(gap) > _AGGREGATE_TOL:
-                    found.append((s, grp.code, gap))
-                row[grp.members] = 1.0 - red
+        psi = np.empty((len(scenarios), g.n))
+        for start in range(0, len(scenarios), _DRAW_ROWS):
+            rows = psi[start:start + _DRAW_ROWS]
+            drawn = rng.integers(0, highs[: rows.size]).reshape(rows.shape)
+            # C-ordered, as np.take makes it: a row with gaps between its values would sum in another order
+            red = pools[first + np.take(drawn, back, axis=1)]
+            gaps = []
+            for k, grp in enumerate(groups):
+                part = red[:, starts[k]:starts[k + 1]]
+                gaps += [(r, k, gap) for r, gap in enumerate(_rescale_rows(part, grp).tolist())
+                         if abs(gap) > _AGGREGATE_TOL]
+                rows[:, grp.members] = 1.0 - part
+            found += [(scenarios[start + r], groups[k].code, gap) for r, k, gap in sorted(gaps)]
         return psi
 
     def draw(rows: int) -> Iterator[np.ndarray]:

@@ -2,12 +2,16 @@
 
 Re-derives the whole pipeline from the raw matrices with dictionaries and
 explicit iteration so that vectorized results can be checked end to end
-on small economies.
+on small economies. ``oracle_covid_rows`` is the exception: it keeps the
+pandemic-style draw of one scenario and one draw group at a time, on the
+library's own sampling layout and rescaling, to check the batched draw.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from netstress.scenarios import _AGGREGATE_TOL, _rescale_to_target, _sampling_layout
 
 
 def _dense(matrix) -> list[list[float]]:
@@ -164,3 +168,21 @@ def oracle_loan_book(rng, eligible, revenue, p, coverage, m):
             banks.append(k)
             amounts.append(float(revenue[i] * rng.uniform(0.05, 0.3)))
     return firms, banks, amounts
+
+
+def oracle_covid_rows(g, table, count, seed):
+    """``covid_style_batch`` one scenario, industry and draw group at a time: (psi, residuals)."""
+    groups = _sampling_layout(g, table)
+    rng = np.random.default_rng(seed)
+    psi = np.ones((count, g.n))
+    residuals = []
+    for s, row in enumerate(psi):
+        for grp in groups:
+            red = np.empty(grp.members.size)
+            for positions, values in grp.draw_groups:
+                red[positions] = values[rng.integers(0, values.size, positions.size)]
+            gap = _rescale_to_target(red, grp.weights, grp.target_mean)
+            if abs(gap) > _AGGREGATE_TOL:
+                residuals.append((s, grp.code, gap))
+            row[grp.members] = 1.0 - red
+    return psi, residuals

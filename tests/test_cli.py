@@ -32,6 +32,19 @@ class TestValidate:
         assert run(["validate", "--economy-dir", str(tmp_path)]) == 1
         assert "bank:3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "stress"])
+    def test_economy_without_banks_is_a_violation(self, toy_dir, tmp_path, capsys, command):
+        eco, out = tmp_path / "economy", tmp_path / "run"
+        eco.mkdir()
+        for name in ("firms", "supply", "banks", "loans", "interbank"):
+            lines = (toy_dir / f"{name}.csv").read_text().splitlines(keepends=True)
+            (eco / f"{name}.csv").write_text("".join(lines if name in ("firms", "supply") else lines[:1]))
+        extra = ["--count", "3", "--workers", "1", "--out", str(out)] if command == "stress" else []
+        assert run([command, "--economy-dir", str(eco), *extra]) == 1
+        err = capsys.readouterr().err
+        assert "1 violation(s)" in err and "banks: [empty]" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_exits_three(self, tmp_path):
         assert run(["validate", "--economy-dir", str(tmp_path)]) == 3
 

@@ -193,10 +193,11 @@ class TestAgainstOracle:
         g = pooled_economy(seed)
         if none_essential:
             g.essentiality = EssentialityTable(default_essential=False)
-            assert not _plan_for(g).ess_buyer.size
+            assert _plan_for(g).n_ess == 0
         else:
             # several levels, and a buyer left out of every one of them
-            assert _plan_for(g).levels and 2 not in _plan_for(g).ess_buyer
+            plan = _plan_for(g)
+            assert plan.levels and 2 not in plan.order[: plan.n_ess]
         cfg = PropagationConfig(epsilon=1e-12, max_iter=10_000, nonessential_weight=sigma)
         rng = np.random.default_rng(100 + seed)
         for psi in (rng.uniform(0.0, 1.0, g.n), np.where(rng.random(g.n) < 0.3, 0.0, 1.0)):
@@ -343,10 +344,59 @@ class TestWeightScaling:
         assert scaled.supply.weights.nnz == g.supply.weights.nnz
         for cfg in (PropagationConfig(nonessential_weight=sigma),
                     PropagationConfig(epsilon=1e-12, max_iter=10_000, nonessential_weight=sigma)):
-            for psi in (rng.uniform(0.0, 1.0, g.n), np.where(rng.random(g.n) < 0.2, 0.0, 1.0)):
+            # every block width, the full-width divisors of CHUNK columns included
+            for width in range(1, CHUNK + 1):
+                psi = rng.uniform(0.0, 1.0, (width, g.n))
+                psi[1::2] = np.where(rng.random((width // 2, g.n)) < 0.2, 0.0, 1.0)
                 base, other = propagate(g, psi, cfg), propagate(scaled, psi, cfg)
                 assert base.h.tobytes() == other.h.tobytes()
-                assert (base.iterations, base.converged) == (other.iterations, other.converged)
+                assert base.steps.tolist() == other.steps.tolist()
+                assert base.done.tolist() == other.done.tolist()
+
+
+def relabelled(g: EconomyGraph, perm: np.ndarray) -> EconomyGraph:
+    """``g`` with its firm ``perm[i]`` renumbered ``i``."""
+    columns = ("revenue", "op_cost", "equity", "short_assets", "short_liabs",
+               "financials_present", "eligible_for_default")
+    return replace(
+        g,
+        firm_ids=[g.firm_ids[i] for i in perm],
+        sectors=[g.sectors[i] for i in perm],
+        **{name: getattr(g, name)[perm] for name in columns},
+        supply=SupplyNetwork(g.n, g.supply.weights.tocsr()[perm][:, perm]),
+        loans=LoanBook(g.loans.principals[perm], g.loans.lgd),
+    )
+
+
+class TestRelabelling:
+    """Renumbering the firms changes the step order, not the cascade."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_step_order_moves_no_edge_within_its_row(self, seed):
+        # the plan renumbers columns only: each row still sums its suppliers, or
+        # its buyers, in ascending firm order, as the supply matrix stores them
+        g = pooled_economy(seed)
+        plan = _plan_for(g)
+        assert not np.array_equal(plan.order, np.arange(g.n))
+        for m in (plan.pool_csr, plan.weights_csr):
+            firms = plan.order[m.indices]
+            for a, b in zip(m.indptr[:-1], m.indptr[1:]):
+                assert np.all(np.diff(firms[a:b]) > 0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_permuted_firms_same_cascade(self, seed, sigma):
+        g = pooled_economy(seed)
+        perm = np.random.default_rng(seed).permutation(g.n)
+        moved = relabelled(g, perm)
+        # the same firms walk the steps in another order
+        assert not np.array_equal(perm[_plan_for(moved).order], _plan_for(g).order)
+        psi = TestBlocks.shocks(g, CHUNK, seed)
+        cfg = PropagationConfig(epsilon=1e-6, nonessential_weight=sigma)
+        base, other = propagate(g, psi, cfg), propagate(moved, psi[:, perm], cfg)
+        np.testing.assert_allclose(other.h[:, np.argsort(perm)], base.h, rtol=0.0, atol=1e-12)
+        assert other.steps.tolist() == base.steps.tolist()
+        assert other.done.tolist() == base.done.tolist()
 
 
 class TestEsri:

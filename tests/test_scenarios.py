@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 import pytest
 
 from netstress import (
+    DataFormatError,
     EmpiricalShockTable,
     SyntheticParams,
     covid_style_batch,
@@ -17,6 +20,11 @@ from netstress import (
     toy_economy,
     write_batch,
 )
+from netstress import scenarios
+
+from .oracle import oracle_covid_rows
+from .test_batch_golden import _economy_and_table
+from .test_debtrank import bank_only_economy
 
 
 class TestSingleFirmShock:
@@ -113,6 +121,10 @@ class TestCovidStyleBatch:
         with pytest.raises(ValueError, match="'10'"):
             covid_style_batch(toy, table, count=1, seed=1)
 
+    def test_economy_without_firms_is_an_error(self):
+        with pytest.raises(DataFormatError, match="no firms"):
+            covid_style_batch(bank_only_economy([100.0], []), EmpiricalShockTable({}), count=1, seed=1)
+
     def test_unknown_firm_in_table_rejected(self, toy):
         table = EmpiricalShockTable(reductions={"zz": 0.5})
         with pytest.raises(ValueError, match="'zz'"):
@@ -135,6 +147,52 @@ class TestCovidStyleBatch:
         reductions_b = 1.0 - batch.psi[:, 1]
         reductions_c = 1.0 - batch.psi[:, 2]
         assert reductions_b.mean() > reductions_c.mean()
+
+
+@cache
+def draw_case(case: str):
+    """An economy, a shock table and a batch seed for each path of the batched draw."""
+    if case == "covid-10k":  # the benchmark's inputs: every row rescales without clipping
+        g = generate_synthetic_economy(SyntheticParams(n=10_000, m=19, target_exposure_ratio=12.5), seed=7)
+        return g, synthetic_shock_table(g, seed=3), 11
+    if case == "residuals":  # the golden residual case: rows clip and leave gaps
+        g, table = _economy_and_table(residual_industry=True)
+        return g, table, 0
+    # one industry of zeros, one of zeros and ones, one of large reductions that clip and redistribute
+    g = generate_synthetic_economy(SyntheticParams(n=400, m=3), seed=1)
+    rng = np.random.default_rng(2)
+    codes = sorted({sector[:2] for sector in g.sectors})
+    reductions = {}
+    for fid, value in synthetic_shock_table(g, seed=2).reductions.items():
+        code = codes.index(g.sectors[g.firm_index[fid]][:2])
+        reductions[fid] = [0.0, float(rng.random() < 0.1), rng.uniform(0.6, 1.0)][code] if code < 3 else value
+    return g, EmpiricalShockTable(reductions), 4
+
+
+class TestBatchedDraw:
+    """The draw of eight rows a generator call against one row and draw group at a time."""
+
+    # whether the case rescales rows that sum to zero, and rows that clip, one at a time
+    FALLBACK = {"covid-10k": (False, False), "residuals": (False, True), "clipped": (True, True)}
+
+    @pytest.mark.parametrize("rows", [1, 7, 24])
+    @pytest.mark.parametrize("case", sorted(FALLBACK))
+    def test_blocks_match_the_rows(self, monkeypatch, case, rows):
+        g, table, seed = draw_case(case)
+        count = 40
+        want_psi, want_residuals = oracle_covid_rows(g, table, count, seed)
+        currents, rescale = [], scenarios._rescale_to_target
+        monkeypatch.setattr(scenarios, "_rescale_to_target",
+                            lambda red, w, target: currents.append(float(w @ red)) or rescale(red, w, target))
+        batch = covid_style_batch(g, table, count=count, seed=seed)
+        blocks = list(batch.blocks(rows))
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == want_psi.tobytes()
+        assert batch.residuals == want_residuals  # list order included
+        assert all(type(gap) is float for _, _, gap in batch.residuals)
+        zero = sum(current <= 0.0 for current in currents)
+        assert (zero > 0, len(currents) > zero) == self.FALLBACK[case]
+        assert bool(want_residuals) == (case != "covid-10k")
 
 
 class TestBatchIO:
