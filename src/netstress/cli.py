@@ -502,7 +502,7 @@ def _ledger_rows(b: Block, seen: dict) -> dict[tuple[int, str], tuple[float, ...
     if r is not None:
         raise RowError(r, f"second row for scenario {keys[r][0]} and bank {keys[r][1]!r}")
     names = LEDGER_COLUMNS[2:6]
-    losses = np.array([b.numbers(c) for c in names], dtype=float)
+    losses = np.array([b.floats(c) for c in names])
     bad = ~(np.isfinite(losses) & (losses >= 0.0))
     if bad.any():
         r = int(np.flatnonzero(bad.any(axis=0))[0])
@@ -511,7 +511,7 @@ def _ledger_rows(b: Block, seen: dict) -> dict[tuple[int, str], tuple[float, ...
     di, sc, ib_wo, ib_w = losses  # each total is its row's channels clamped as _write_ledgers does
     levels = BankLossLedger(di=di, sc=sc).levels(ib_wo, ib_w)
     for c, total in zip(LEDGER_COLUMNS[6:], (levels["di_ib"], levels["di_sc_ib"])):
-        wrong = np.flatnonzero(np.array(b.numbers(c), dtype=float) != total)
+        wrong = np.flatnonzero(b.floats(c) != total)
         if wrong.size:
             r = int(wrong[0])
             raise RowError(r, f"column {c} is {b.cells[c][r].strip()}, not {fmt(total[r])} from the row's channels")

@@ -36,7 +36,7 @@ from .economy import (
     firm_columns,
     validate_economy,
 )
-from .tables import Block, RowError, first_repeat, read_blocks, write_columns, write_csv
+from .tables import Block, Cells, RowError, first_repeat, lookup, read_blocks, to_cells, write_columns, write_csv
 
 FIRM_COLUMNS = ["id", "sector", *FINANCIAL_FIELDS]
 SUPPLY_COLUMNS = ["supplier_id", "buyer_id", "weight"]
@@ -113,7 +113,7 @@ def _firm_rows(b: Block, seen: dict[str, int]):
     present = blanks == 0
     values = np.zeros((len(FINANCIAL_FIELDS), b.size))
     for values_c, c in zip(values, FINANCIAL_FIELDS):
-        values_c[present] = b.numbers(c, rows=present)
+        values_c[present] = b.floats(c, rows=present)
     # a sector code repeats on many rows: keep one string per code
     return ids, list(map(sys.intern, b.text("sector"))), present, values
 
@@ -123,7 +123,7 @@ def _bank_rows(b: Block, seen: dict[str, int]):
     r = first_repeat(ids, seen)
     if r is not None:
         raise RowError(r, f"duplicate bank id {ids[r]!r}")
-    return ids, b.numbers("tier1_equity")
+    return ids, b.floats("tier1_equity")
 
 
 def _index(ids: list[str], index: dict[str, int]) -> None:
@@ -149,27 +149,27 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
         values.append(block_values)
         _index(ids, firm_index)
 
-    bank_equity: list[float] = []
+    bank_equity = [np.zeros(0)]
     bank_index: dict[str, int] = {}
     for block in read_blocks(spec.banks, BANK_COLUMNS):
         ids, equity = block.convert(lambda b: _bank_rows(b, bank_index))
-        bank_equity += equity
+        bank_equity.append(equity)
         _index(ids, bank_index)
 
     supply = _Edges()
     for block in read_blocks(spec.supply, SUPPLY_COLUMNS):
         sup, buy, weights = block.convert(lambda b: (
-            b.text("supplier_id"), b.text("buyer_id"), b.numbers("weight"),
+            b.text("supplier_id"), b.text("buyer_id"), b.floats("weight"),
         ))
-        ends = [list(map(firm_index.get, sup)), list(map(firm_index.get, buy))]
-        if None in ends[0] or None in ends[1]:
+        try:
+            supply.add(lookup(sup, firm_index), lookup(buy, firm_index), weights)
+        except KeyError:
             for fid in chain.from_iterable(zip(sup, buy)):
                 if fid not in firm_index:
                     # supply-only firms stay in the chain but carry no financials
                     firm_index[fid] = len(firm_index)
                     sectors.append(UNKNOWN_SECTOR)
-            ends = [list(map(firm_index.get, sup)), list(map(firm_index.get, buy))]
-        supply.add(*ends, weights)
+            supply.add(lookup(sup, firm_index), lookup(buy, firm_index), weights)
     # a blank row for each supply-only firm
     blank = len(firm_index) - sum(map(len, present))
     present.append(np.zeros(blank, dtype=bool))
@@ -180,14 +180,14 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
         interbank.add(*block.convert(lambda b: (
             b.positions("borrower_id", bank_index, "bank"),
             b.positions("lender_id", bank_index, "bank"),
-            b.numbers("amount"),
+            b.floats("amount"),
         )))
     loans = _Edges()
     for block in read_blocks(spec.loans, LOAN_COLUMNS):
         loans.add(*block.convert(lambda b: (
             b.positions("firm_id", firm_index, "firm"),
             b.positions("bank_id", bank_index, "bank"),
-            b.numbers("principal"),
+            b.floats("principal"),
         )))
 
     essentiality = (
@@ -202,7 +202,7 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
         sectors=sectors,
         **firm_columns(present, *values),
         bank_ids=list(bank_index),
-        bank_equity=np.array(bank_equity, dtype=float),
+        bank_equity=np.concatenate(bank_equity),
         supply=SupplyNetwork.from_edges(n, *supply.arrays()),
         interbank=InterbankNetwork.from_edges(m, *interbank.arrays()),
         loans=LoanBook.from_entries(n, m, *loans.arrays(), spec.lgd),
@@ -220,10 +220,10 @@ class _Edges:
     def __init__(self):
         self.rows, self.cols, self.values = array("q"), array("q"), array("d")
 
-    def add(self, rows: list[int], cols: list[int], values: list[float]) -> None:
-        self.rows.extend(rows)
-        self.cols.extend(cols)
-        self.values.extend(values)
+    def add(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
+        self.rows.frombytes(rows.tobytes())
+        self.cols.frombytes(cols.tobytes())
+        self.values.frombytes(values.tobytes())
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (
@@ -234,17 +234,16 @@ class _Edges:
 
 
 class _Ids:
-    """The id column ``ids[positions]``, looked up one slice at a time."""
+    """The id column ``cells[positions]``, gathered one slice at a time from ready CSV cells."""
 
-    def __init__(self, ids: list[str], positions: np.ndarray):
-        self.ids = np.array(ids, dtype=object)
-        self.positions = positions
+    def __init__(self, cells: np.ndarray, positions: np.ndarray):
+        self.cells, self.positions = cells, positions
 
     def __len__(self) -> int:
         return len(self.positions)
 
-    def __getitem__(self, part: slice) -> np.ndarray:
-        return self.ids[self.positions[part]]
+    def __getitem__(self, part: slice) -> Cells:
+        return Cells(self.cells[self.positions[part]].tolist())
 
 
 def write_economy(g: EconomyGraph, directory: str | Path) -> None:
@@ -257,13 +256,15 @@ def write_economy(g: EconomyGraph, directory: str | Path) -> None:
         *(np.ma.masked_array(getattr(g, name), mask=blank) for name in FINANCIAL_FIELDS),
     ])
     write_columns(d / "banks.csv", BANK_COLUMNS, [g.bank_ids, g.bank_equity])
-    for name, columns, matrix, row_ids, col_ids in (
-        ("supply.csv", SUPPLY_COLUMNS, g.supply.weights, g.firm_ids, g.firm_ids),
-        ("interbank.csv", INTERBANK_COLUMNS, g.interbank.liabilities, g.bank_ids, g.bank_ids),
-        ("loans.csv", LOAN_COLUMNS, g.loans.principals, g.firm_ids, g.bank_ids),
+    # each id is made a CSV cell once, for every edge that names it
+    firm_cells, bank_cells = (np.array(to_cells(ids), dtype=object) for ids in (g.firm_ids, g.bank_ids))
+    for name, columns, matrix, row_cells, col_cells in (
+        ("supply.csv", SUPPLY_COLUMNS, g.supply.weights, firm_cells, firm_cells),
+        ("interbank.csv", INTERBANK_COLUMNS, g.interbank.liabilities, bank_cells, bank_cells),
+        ("loans.csv", LOAN_COLUMNS, g.loans.principals, firm_cells, bank_cells),
     ):
         coo = matrix.tocoo()
-        write_columns(d / name, columns, [_Ids(row_ids, coo.row), _Ids(col_ids, coo.col), coo.data])
+        write_columns(d / name, columns, [_Ids(row_cells, coo.row), _Ids(col_cells, coo.col), coo.data])
     if g.essentiality.overrides:
         write_csv(d / "essentiality.csv", ESSENTIALITY_COLUMNS, (
             [sup, buy, "1" if flag else "0"]

@@ -95,6 +95,9 @@ def single_firm_shock(g: EconomyGraph, firm_id: str) -> np.ndarray:
 
 def single_firm_batch(g: EconomyGraph) -> StreamedBatch:
     """One scenario per firm, in firm order: that firm stops, all others run."""
+    if g.n == 0:
+        raise DataFormatError("economy has no firms to shock")
+
     def draw(rows: int) -> Iterator[np.ndarray]:
         for start in range(0, g.n, rows):
             yield 1.0 - np.eye(min(rows, g.n - start), g.n, start)
@@ -343,18 +346,18 @@ def read_batch(g: EconomyGraph, path: str | Path) -> ShockBatch:
     path = Path(path)
     seen: set[tuple[int, str]] = set()
     scenarios: list[int] = []
-    firms: list[int] = []
+    firms: list[np.ndarray] = []
     values = []
     for block in read_blocks(path, BATCH_COLUMNS):
         s, ids, f, psi = block.convert(lambda b: _batch_rows(b, g.firm_index, seen))
         seen.update(zip(s, ids))
         scenarios += s
-        firms += f
+        firms.append(f)
         values.append(psi)
     if not scenarios:
         raise DataFormatError(f"{path}: no scenarios found")
     ids = sorted(set(scenarios))
     row = dict(zip(ids, range(len(ids))))
     psi = np.ones((len(ids), g.n))
-    psi[list(map(row.__getitem__, scenarios)), firms] = np.concatenate(values)
+    psi[list(map(row.__getitem__, scenarios)), np.concatenate(firms)] = np.concatenate(values)
     return ShockBatch(psi=psi, seed=None, provenance="custom", scenario_ids=ids)

@@ -10,6 +10,19 @@ past the header, the line.
 
 Both directions work on blocks of :data:`BLOCK_ROWS` rows held as columns,
 so a file of any length is converted in bulk with bounded memory.
+
+Reading takes one of two paths, which give the same blocks and the same
+errors. The header is always read with :mod:`csv`. Then each block of
+:data:`BLOCK_ROWS` lines is *plain* when its text has no ``"``, no ``\\r``
+and no NUL, no line is blank, every line has exactly one comma fewer than
+the header has columns, and no line is longer than
+``csv.field_size_limit()``. A plain block has no quoting and no line-end
+rules to apply, so its text is split on commas and line ends in one call.
+At the first block that is not plain, or text that is not UTF-8, the file
+is read again with :mod:`csv` from that block's first row to its end: quoted
+cells, ``\\r\\n`` and blank lines, and every fault get the rows, messages and
+line numbers of a row-by-row read. Lines are split at ``\\n`` only, as
+:mod:`csv` splits them, never with :meth:`str.splitlines`.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from __future__ import annotations
 import csv
 from itertools import compress, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Generator, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -74,23 +87,31 @@ class Block:
                     raise RowError(r, f"column {name} is not {kind.__name__}: {cell!r}") from None
             raise
 
+    def floats(self, name: str, rows: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`numbers` for ``float``, parsed straight into an array."""
+        cells = self.cells[name] if rows is None else list(compress(self.cells[name], rows))
+        try:
+            return np.fromiter(map(float, cells), float, len(cells))
+        except ValueError:
+            return np.array(self.numbers(name, rows=rows))  # raises at the first bad cell
+
     def fractions(self, name: str) -> np.ndarray:
         """A float column in [0, 1]; NaN is outside."""
-        values = np.array(self.numbers(name), dtype=float)
+        values = self.floats(name)
         outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
         if outside.size:
             r = outside[0]
             raise RowError(r, f"column {name} is {self.cells[name][r].strip()}, outside [0, 1]")
         return values
 
-    def positions(self, name: str, index: dict[str, int], what: str) -> list[int]:
+    def positions(self, name: str, index: dict[str, int], what: str) -> np.ndarray:
         """Look up an id column in ``index``; an unknown id is a :class:`ReferentialError`."""
         ids = self.text(name)
-        found = list(map(index.get, ids))
-        if None in found:
-            r = found.index(None)
-            raise RowError(r, f"unknown {what} id {ids[r]!r}", ReferentialError)
-        return found
+        try:
+            return lookup(ids, index)
+        except KeyError:
+            r = list(map(index.get, ids)).index(None)
+            raise RowError(r, f"unknown {what} id {ids[r]!r}", ReferentialError) from None
 
     def convert(self, fn: Callable[["Block"], T]) -> T:
         """``fn(self)``, failing with the fault a row-by-row read would have met first.
@@ -124,6 +145,11 @@ class Block:
             return reader.line_num
 
 
+def lookup(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
+    """The int64 positions of ``ids`` in ``index``; an unknown id raises :class:`KeyError`."""
+    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+
+
 def first_repeat(keys: Sequence, seen) -> int | None:
     """Index of the first key that is in ``seen`` or earlier in ``keys``, or None."""
     fresh = dict.fromkeys(keys)
@@ -148,16 +174,66 @@ def read_blocks(path: Path, columns: list[str]) -> Iterator[Block]:
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot open ({exc})") from exc
     with handle:
+        start = yield from _plain_blocks(path, handle, columns)
+    if start is not None:
+        yield from _row_blocks(path, columns, start)
+
+
+def _check_header(path: Path, reader, columns: list[str]) -> None:
+    header = next(reader, None)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file, expected header {','.join(columns)}")
+    if [c.strip() for c in header] != columns:
+        raise DataFormatError(f"{path}: header is {','.join(header)}, expected {','.join(columns)}")
+
+
+def _plain_blocks(path: Path, handle, columns: list[str]) -> Generator[Block, None, int | None]:
+    """Yield the plain blocks that open the file (see the module notes).
+
+    Return None at the end of the file, or else the ``start`` of the first
+    block that is not plain, for :func:`_row_blocks` to read on from.
+    """
+    try:
+        _check_header(path, csv.reader(handle), columns)
+    except (UnicodeDecodeError, csv.Error):
+        return 0
+    width, limit = len(columns), csv.field_size_limit()
+    start = 0
+    while True:
+        try:
+            lines = list(islice(handle, BLOCK_ROWS))
+        except UnicodeDecodeError:
+            return start
+        if not lines:
+            return None
+        text = "".join(lines)
+        if not text.endswith("\n"):
+            text += "\n"
+        if '"' in text or "\r" in text or "\0" in text or "\n\n" in text or text[0] == "\n" or (
+            len(text) > limit and max(map(len, lines)) > limit
+        ):
+            return start
+        # each line end becomes a cell of its own: every line has ``width`` fields
+        # exactly when those cells sit ``width + 1`` apart
+        cells = text.replace("\n", ",\n,").split(",")
+        del cells[-1]
+        rows = len(lines)
+        if len(cells) != rows * (width + 1) or cells[width::width + 1].count("\n") != rows:
+            return start
+        yield Block(path, start, columns, [cells[k::width + 1] for k in range(width)])
+        start += rows
+
+
+def _row_blocks(path: Path, columns: list[str], start: int) -> Iterator[Block]:
+    """:func:`read_blocks` row by row with :mod:`csv`, from non-blank row ``start`` on."""
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         rows: list[list[str]] = []
-        start = 0
         failure = None
         try:
-            header = next(reader, None)
-            if header is None:
-                raise DataFormatError(f"{path}: empty file, expected header {','.join(columns)}")
-            if [c.strip() for c in header] != columns:
-                raise DataFormatError(f"{path}: header is {','.join(header)}, expected {','.join(columns)}")
+            _check_header(path, reader, columns)
+            for _ in islice(filter(None, reader), start):
+                pass
             width = len(columns)
             for row in reader:
                 if len(row) != width:
@@ -178,8 +254,14 @@ def read_blocks(path: Path, columns: list[str]) -> Iterator[Block]:
             raise failure
 
 
-def _text(column) -> list[str]:
+class Cells(list):
+    """One block of a column that is CSV cells already: written as it is."""
+
+
+def to_cells(column) -> list[str]:
     """One block of a column as CSV cells."""
+    if isinstance(column, Cells):
+        return column
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
             cells = list(map(repr, column.tolist()))
@@ -199,9 +281,9 @@ def _text(column) -> list[str]:
 
 def _write(path: Path, header: list[str], blocks: Iterable[Sequence]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_text(header)) + "\n")
+        fh.write(",".join(to_cells(header)) + "\n")
         for block in blocks:
-            fh.write("\n".join(map(",".join, zip(*map(_text, block)))) + "\n")
+            fh.write("\n".join(map(",".join, zip(*map(to_cells, block)))) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:

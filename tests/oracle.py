@@ -5,13 +5,19 @@ explicit iteration so that vectorized results can be checked end to end
 on small economies. ``oracle_covid_rows`` is the exception: it keeps the
 pandemic-style draw of one scenario and one draw group at a time, on the
 library's own sampling layout and rescaling, to check the batched draw.
+``oracle_read_blocks`` is the CSV reader that parses every row with
+:mod:`csv`, to check the reader that splits plain blocks of text.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
+from netstress.economy import DataFormatError
 from netstress.scenarios import _AGGREGATE_TOL, _rescale_to_target, _sampling_layout
+from netstress.tables import BLOCK_ROWS, Block
 
 
 def _dense(matrix) -> list[list[float]]:
@@ -186,3 +192,40 @@ def oracle_covid_rows(g, table, count, seed):
                 residuals.append((s, grp.code, gap))
             row[grp.members] = 1.0 - red
     return psi, residuals
+
+
+def oracle_read_blocks(path, columns):
+    """``read_blocks`` with every row parsed by :mod:`csv`."""
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot open ({exc})") from exc
+    with handle:
+        reader = csv.reader(handle)
+        rows: list[list[str]] = []
+        start = 0
+        failure = None
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: empty file, expected header {','.join(columns)}")
+            if [c.strip() for c in header] != columns:
+                raise DataFormatError(f"{path}: header is {','.join(header)}, expected {','.join(columns)}")
+            width = len(columns)
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue  # a blank line
+                    failure = DataFormatError(f"{path} line {reader.line_num}: wrong number of fields")
+                    break
+                rows.append(row)
+                if len(rows) == BLOCK_ROWS:
+                    yield Block(path, start, columns, list(zip(*rows)))
+                    start += len(rows)
+                    rows = []
+        except (UnicodeDecodeError, csv.Error) as exc:
+            failure = DataFormatError(f"{path} line {reader.line_num}: {exc}")
+        if rows:
+            yield Block(path, start, columns, list(zip(*rows)))
+        if failure is not None:
+            raise failure

@@ -48,6 +48,19 @@ class TestValidate:
     def test_missing_file_exits_three(self, tmp_path):
         assert run(["validate", "--economy-dir", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("command, code", [
+        (["fsri"], 3), (["stress", "--single-firm", "--workers", "1"], 3), (["debtrank"], 0),
+    ])
+    def test_economy_without_firms(self, toy_dir, tmp_path, capsys, command, code):
+        eco, out = tmp_path / "economy", tmp_path / "run"
+        eco.mkdir()
+        for name in ("firms", "supply", "banks", "loans", "interbank"):
+            lines = (toy_dir / f"{name}.csv").read_text().splitlines(keepends=True)
+            (eco / f"{name}.csv").write_text("".join(lines if name in ("banks", "interbank") else lines[:1]))
+        assert run([*command, "--economy-dir", str(eco), "--out", str(out)]) == code
+        if code:
+            assert "no firms" in one_line_error(capsys)
+
 
 class TestGenerate:
     def test_generate_then_validate(self, tmp_path):

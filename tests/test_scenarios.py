@@ -124,6 +124,8 @@ class TestCovidStyleBatch:
     def test_economy_without_firms_is_an_error(self):
         with pytest.raises(DataFormatError, match="no firms"):
             covid_style_batch(bank_only_economy([100.0], []), EmpiricalShockTable({}), count=1, seed=1)
+        with pytest.raises(DataFormatError, match="no firms"):
+            single_firm_batch(bank_only_economy([100.0], []))
 
     def test_unknown_firm_in_table_rejected(self, toy):
         table = EmpiricalShockTable(reductions={"zz": 0.5})

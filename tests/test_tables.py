@@ -3,7 +3,9 @@
 Long files whose faults sit past the first block, CRLF line ends and blank
 lines, whitespace around ids, ids that need quoting, and files with two
 faults. The reader converts a block of rows at a time, so every error must
-still name the line a row-by-row read would have stopped at.
+still name the line a row-by-row read would have stopped at. The reader
+splits plain blocks of text without :mod:`csv`, so it is checked block for
+block against a reader that parses every row with :mod:`csv`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ from netstress import (
     toy_economy,
     write_economy,
 )
-from netstress.tables import BLOCK_ROWS, write_columns, write_csv
+from netstress import ingest, tables
+from netstress.tables import BLOCK_ROWS, read_blocks, write_columns, write_csv
+
+from .oracle import oracle_read_blocks
 
 
 def toy_copy(toy_dir, tmp_path):
@@ -199,3 +204,156 @@ def test_header_only_files_load(toy_dir, tmp_path):
         path.write_text(path.read_text().splitlines()[0] + "\n")
     g = load_economy(economy_files(eco))
     assert g.supply.weights.nnz == g.interbank.liabilities.nnz == g.loans.principals.nnz == 0
+
+
+LIMIT = csv.field_size_limit()
+# each takes a data line without its line end and returns the bytes that replace it
+MUTATIONS = {
+    "quoted comma": lambda line: b'"a,1"' + line[line.index(b","):] + b"\n",
+    "quoted quote": lambda line: b'"say ""a"""' + line[line.index(b","):] + b"\n",
+    "quoted newline": lambda line: b'"two\nlines"' + line[line.index(b","):] + b"\n",
+    "quote inside a field": lambda line: b'a"b' + line + b"\n",
+    "crlf": lambda line: line + b"\r\n",
+    "lone cr line end": lambda line: line + b"\r",
+    "cr inside a field": lambda line: b"a\rb" + line + b"\n",
+    "blank line": lambda line: b"\n" + line + b"\n",
+    "whitespace-only line": lambda line: b" \t \n" + line + b"\n",
+    "nul": lambda line: b"a\0" + line + b"\n",
+    "invalid utf-8": lambda line: b"a\xff" + line + b"\n",
+    "short row": lambda line: line[:line.rindex(b",")] + b"\n",
+    "long row": lambda line: line + b",extra\n",
+    "field at the size limit": lambda line: b"z" * LIMIT + line[line.index(b","):] + b"\n",
+    "field over the size limit": lambda line: b"z" * (LIMIT + 1) + line[line.index(b","):] + b"\n",
+    "form feed": lambda line: b"a\x0cb" + line + b"\n",
+    "line separator": lambda line: "a\u2028b".encode() + line + b"\n",
+    "other splitlines breaks": lambda line: "\x0b\x1c\x1d\x1e\x85".encode() + line + b"\n",
+    # one line that str.splitlines would read as two rows of the right width
+    "rows joined by a form feed": lambda line: line + b"\x0c" + line + b"\n",
+    "rows joined by a line separator": lambda line: line + "\u2028".encode() + line + b"\n",
+    "rows joined by a next line": lambda line: line + "\x85".encode() + line + b"\n",
+    "padded cells": lambda line: b"  " + line.replace(b",", b" , ") + b"\t\n",
+    "empty cells": lambda line: b"," * line.count(b",") + b"\n",
+}
+
+
+def read_all(read, path, columns):
+    """Every block ``read`` yields as (start, size, columns), then the exception it ends with."""
+    blocks = []
+    try:
+        for b in read(path, columns):
+            blocks.append((b.start, b.size, [list(c) for c in b.cells.values()]))
+    except Exception as exc:  # compared, not handled
+        return blocks, (type(exc), str(exc))
+    return blocks, None
+
+
+def data_lines(rows: int) -> list[bytes]:
+    return [f"id{i},s{i % 7},{i / 7!r}".encode() for i in range(rows)]
+
+
+def same_as_csv(path, columns=("id", "sector", "x")) -> None:
+    columns = list(columns)
+    got, want = read_all(read_blocks, path, columns), read_all(oracle_read_blocks, path, columns)
+    assert got == want
+
+
+class TestSameBlocksAsCsv:
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_mutated_row(self, tmp_path, mutation, block):
+        path = tmp_path / "t.csv"
+        for offset in (0, 200, BLOCK_ROWS - 1):
+            lines = data_lines(3 * BLOCK_ROWS + 40)
+            r = block * BLOCK_ROWS + offset
+            text = [line + b"\n" for line in lines]
+            text[r] = MUTATIONS[mutation](lines[r])
+            path.write_bytes(b"id,sector,x\n" + b"".join(text))
+            same_as_csv(path)
+
+    @pytest.mark.parametrize("rows", [3 * BLOCK_ROWS, 3 * BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("end", [b"", b"\n", b"\n\n", b"\r\n", b"\r"])
+    def test_file_end(self, tmp_path, rows, end):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"id,sector,x\n" + b"\n".join(data_lines(rows)) + end)
+        same_as_csv(path)
+
+    def test_faults_in_two_blocks(self, tmp_path):
+        lines = [line + b"\n" for line in data_lines(4 * BLOCK_ROWS)]
+        lines[BLOCK_ROWS + 3] = b"\r\n" + lines[BLOCK_ROWS + 3]
+        lines[3 * BLOCK_ROWS + 9] = b"id,x\n"
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"id,sector,x\n" + b"".join(lines))
+        same_as_csv(path)
+
+    def test_short_and_long_row_in_one_block(self, tmp_path):
+        lines = [line + b"\n" for line in data_lines(3 * BLOCK_ROWS)]
+        lines[BLOCK_ROWS + 3] = b"id,x,y,z\n"
+        lines[BLOCK_ROWS + 9] = b"id,x\n"  # the block has as many commas as a plain one
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"id,sector,x\n" + b"".join(lines))
+        same_as_csv(path)
+
+    @pytest.mark.parametrize("header", [
+        b"", b"\n", b"id,sector,x", b"id,sector,x\r\n", b' id , "sector",x\n', b"id,sector\n",
+        b"id,sector,x,y\n", b"id,\xffsector,x\n", b'"id,sector,x\n', b"\xef\xbb\xbfid,sector,x\n",
+    ])
+    def test_header(self, tmp_path, header):
+        path = tmp_path / "t.csv"
+        path.write_bytes(header + b"\n".join(data_lines(BLOCK_ROWS + 3)) + b"\n")
+        same_as_csv(path)
+        path.write_bytes(header)
+        same_as_csv(path)
+
+    def test_one_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        lines = [f"id{i}".encode() for i in range(2 * BLOCK_ROWS)]
+        lines[BLOCK_ROWS + 2] = b"   "
+        path.write_bytes(b"id\n" + b"\n".join(lines) + b"\n")
+        same_as_csv(path, ["id"])
+        lines[3] = b""
+        path.write_bytes(b"id\n" + b"\n".join(lines) + b"\n")
+        same_as_csv(path, ["id"])
+
+    def test_missing_file(self, tmp_path):
+        same_as_csv(tmp_path / "none.csv")
+
+
+ECONOMY_FAULTS = [
+    # (file, 0-based data row of a copy with 3 blocks of rows, replacement line or lines)
+    ("supply", BLOCK_ROWS + 7, "b,c,1.0x"),
+    ("supply", 2 * BLOCK_ROWS + 1, '"b,c",c,1.0'),
+    ("loans", BLOCK_ROWS - 1, "a,9,1.0"),
+    ("loans", 2 * BLOCK_ROWS, "\r\na,1,1.0\r\nzz,1,2.0"),
+    ("loans", 5, "\na,1,x"),
+    ("interbank", BLOCK_ROWS + 2, "2,1,nan"),
+]
+
+
+@pytest.mark.parametrize("name, row, line", ECONOMY_FAULTS)
+def test_load_same_as_with_csv(toy_dir, tmp_path, monkeypatch, name, row, line):
+    eco = toy_copy(toy_dir, tmp_path)
+    path = eco / f"{name}.csv"
+    lines = path.read_text().splitlines()
+    body = (lines[1:] * (3 * BLOCK_ROWS))[:3 * BLOCK_ROWS]
+    body[row] = line
+    path.write_text("\n".join(lines[:1] + body) + "\n")
+    outcomes = []
+    for read in (read_blocks, oracle_read_blocks):
+        monkeypatch.setattr(ingest, "read_blocks", read)
+        try:
+            outcomes.append(load_economy(economy_files(eco)))
+        except Exception as exc:  # compared, not handled
+            outcomes.append((type(exc), str(exc)))
+    if isinstance(outcomes[1], tuple):
+        assert outcomes[0] == outcomes[1]
+    else:
+        assert same_graph(*outcomes)
+
+
+def test_unknown_ids_raise_at_the_first_row():
+    index = {"a": 0, "b": 1}
+    block = tables.Block("t.csv", 0, ["id"], [["a", " b", "c", "d"]])
+    assert block.positions("id", {**index, "c": 2, "d": 3}, "firm").tolist() == [0, 1, 2, 3]
+    with pytest.raises(tables.RowError, match="unknown firm id 'c'") as info:
+        block.positions("id", index, "firm")
+    assert info.value.row == 2
