@@ -66,7 +66,7 @@ def main() -> None:
     if mask.sum() >= 3:
         fit = ols_fit(result.ib_wo.ravel()[mask], result.ib_w.ravel()[mask])
         print(f"\npooled interbank regression: slope {fit.slope:.2f}, R^2 {fit.r_squared:.2f}")
-    stats = ib_amplification(decomposition.amplification_records())
+    stats = ib_amplification(result.ib_wo, result.ib_w)
     print(f"interbank amplification: median {np.median(stats.pooled_ratios):.2f}, "
           f"share above 2: {(stats.pooled_ratios > 2).mean():.1%}, "
           f"undefined ratios: {stats.n_undefined}")

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -29,25 +30,19 @@ from .economy import (
     DataFormatError,
     EconomyGraph,
     EconomyValidationError,
+    InvalidRowError,
     ReferentialError,
     validate_economy,  # noqa: F401  kept in this namespace: benchmarks/tracing.py wraps it here
 )
 from .ingest import IngestionSpec, economy_files, load_economy, load_essentiality, write_economy
-from .metrics import (
-    CHANNELS,
-    ChannelDecomposition,
-    ccdf,
-    fsri_profile,
-    ib_amplification,
-    ols_fit,
-)
+from .metrics import ChannelDecomposition, ccdf, fsri_profile, ib_amplification, ols_fit
 from .pipeline import BatchResult, run_batch
 from .propagation import PropagationConfig
 from .scenarios import EmpiricalShockTable, ShockBatch, covid_style_batch, read_batch, single_firm_batch
 from .synthetic import FRACTIONS as _SYNTHETIC_FRACTIONS
 from .synthetic import SyntheticParams, generate_synthetic_economy, synthetic_shock_table
-from .tables import Block, RowError, first_repeat, fmt, read_blocks, write_columns
-from .tables import write_csv as _write_csv
+from .tables import Block, RowError, first_repeat, fmt, read_blocks
+from .tables import write_columns as _write_csv  # the name benchmarks/tracing.py wraps
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -307,16 +302,26 @@ def cmd_generate(config: dict) -> int:
     return EXIT_OK
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ma.MaskedArray:
+    """``num / den``, masked (a blank cell) where ``den`` is 0."""
+    undefined = den == 0.0
+    return np.ma.masked_array(np.divide(num, den, out=np.zeros_like(num), where=~undefined), mask=undefined)
+
+
+def _write_ccdf(out: Path, curves: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
+    """``ccdf.csv``: a row per level of each named ``(levels, survival)`` curve, in turn."""
+    _write_csv(out / "ccdf.csv", ["metric", "level", "survival"], [
+        np.repeat(list(curves), [len(levels) for levels, _ in curves.values()]),
+        *map(np.concatenate, zip(*curves.values())),
+    ])
+
+
 def _write_profile(out: Path, records) -> None:
-    _write_csv(
-        out / "fsri_profile.csv",
-        ["rank", "firm_id", "fsri", "fsri_plus", "amplification"],
-        [
-            [rank, r.firm_id, fmt(r.fsri), fmt(r.fsri_plus),
-             "" if np.isnan(r.amplification) else fmt(r.amplification)]
-            for rank, r in enumerate(records, start=1)
-        ],
-    )
+    base = np.array([r.fsri for r in records])
+    plus = np.array([r.fsri_plus for r in records])
+    _write_csv(out / "fsri_profile.csv", ["rank", "firm_id", "fsri", "fsri_plus", "amplification"], [
+        np.arange(1, len(records) + 1), [r.firm_id for r in records], base, plus, _ratio(plus, base),
+    ])
 
 
 def cmd_fsri(config: dict) -> int:
@@ -327,16 +332,7 @@ def cmd_fsri(config: dict) -> int:
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_profile(out, records)
-
-    rows = []
-    for metric, values in (
-        ("fsri", [r.fsri for r in records]),
-        ("fsri_plus", [r.fsri_plus for r in records]),
-    ):
-        levels, survival = ccdf(values)
-        rows += [[metric, fmt(lv), fmt(sv)] for lv, sv in zip(levels, survival)]
-    _write_csv(out / "ccdf.csv", ["metric", "level", "survival"], rows)
-
+    _write_ccdf(out, {name: ccdf([getattr(r, name) for r in records]) for name in ("fsri", "fsri_plus")})
     _write_manifest(out, "fsri", config, {
         "firms": graph.n,
         "outputs": ["fsri_profile.csv", "ccdf.csv"],
@@ -345,84 +341,59 @@ def cmd_fsri(config: dict) -> int:
     return EXIT_OK
 
 
+def _pairs(result: BatchResult) -> list:
+    """The ``scenario_id`` and ``bank_id`` columns of a table with a row per (scenario, bank)."""
+    return [np.repeat(result.scenario_ids, len(result.bank_ids)), result.bank_ids * len(result)]
+
+
 def _write_ledgers(out: Path, result: BatchResult) -> None:
     losses = ChannelDecomposition(result).channel_losses()
-    write_columns(out / "ledgers.csv", LEDGER_COLUMNS, [
-        np.repeat(result.scenario_ids, len(result.bank_ids)),
-        result.bank_ids * len(result),
+    _write_csv(out / "ledgers.csv", LEDGER_COLUMNS, [
+        *_pairs(result),
         *(a.ravel() for a in (result.di, result.sc, result.ib_wo, result.ib_w, losses["di_ib"], losses["di_sc_ib"])),
     ])
 
 
-def _regime_channels(regime: str) -> tuple[str, ...]:
-    if regime == "wo":
-        return ("di", "di_ib")
-    if regime == "w":
-        return ("di_sc", "di_sc_ib")
-    return CHANNELS
+def _fit(x: np.ndarray, y: np.ndarray, keep: np.ndarray, log_log: bool = False) -> dict | None:
+    """The least-squares line through the (x, y) pairs where ``keep``; None below three or with no spread in x."""
+    x, y = x[keep], y[keep]
+    if x.size < 3 or np.ptp(x) <= 0.0:
+        return None
+    return asdict(ols_fit(x, y, log_log=log_log))
 
 
 def _write_stats(out: Path, dec: ChannelDecomposition, regime: str) -> dict:
-    channels = _regime_channels(regime)
-    rows = [
-        [bank, channel, fmt(summary.el), fmt(summary.var95), fmt(summary.es95), reg]
-        for bank, channel, reg, summary in dec.summaries()
-        if channel in channels
-    ]
-    _write_csv(out / "risk_summary.csv", ["bank", "channel", "el", "var95", "es95", "regime"], rows)
+    banks, channels, regimes, summaries = zip(*(row for row in dec.summaries() if regime in ("both", row[2])))
+    measures = np.array([astuple(summary) for summary in summaries])  # el, var95, es95
+    _write_csv(out / "risk_summary.csv", ["bank", "channel", "el", "var95", "es95", "regime"],
+               [banks, channels, *measures.T, regimes])
 
-    records = dec.amplification_records()
-    _write_csv(
-        out / "amplification.csv",
-        ["scenario_id", "bank_id", "ib_wo", "ib_w", "ratio"],
-        [
-            [r.scenario, r.bank_id, fmt(r.ib_wo), fmt(r.ib_w),
-             "" if np.isnan(r.ratio) else fmt(r.ratio)]
-            for r in records
-        ],
-    )
-
-    fits: dict = {"pooled": None, "pooled_log": None, "per_bank": {}, "skipped_banks": []}
     result = dec.result
-    x = result.ib_wo.ravel()
-    y = result.ib_w.ravel()
+    _write_csv(out / "amplification.csv", ["scenario_id", "bank_id", "ib_wo", "ib_w", "ratio"], [
+        *_pairs(result), result.ib_wo.ravel(), result.ib_w.ravel(), _ratio(result.ib_w, result.ib_wo).ravel(),
+    ])
+
+    x, y = result.ib_wo, result.ib_w
     defined = x > 0.0
-    stats_extra: dict = {"amplification_defined": int(defined.sum()),
-                         "amplification_undefined": int((~defined).sum())}
-    if defined.sum() >= 3 and np.ptp(x[defined]) > 0.0:
-        fit = ols_fit(x[defined], y[defined])
-        fits["pooled"] = {"slope": fit.slope, "intercept": fit.intercept,
-                          "r_squared": fit.r_squared, "log_log": False, "n": fit.n}
-        positive = defined & (y > 0.0)
-        if positive.sum() >= 3 and np.ptp(x[positive]) > 0.0:
-            logfit = ols_fit(x[positive], y[positive], log_log=True)
-            fits["pooled_log"] = {"slope": logfit.slope, "intercept": logfit.intercept,
-                                  "r_squared": logfit.r_squared, "log_log": True, "n": logfit.n}
-    # banks that never see interbank losses (e.g. no interbank edges) are skipped
-    for k, bank_id in enumerate(result.bank_ids):
-        xk, yk = result.ib_wo[:, k], result.ib_w[:, k]
-        mask = xk > 0.0
-        if mask.sum() < 3 or np.ptp(xk[mask]) <= 0.0:
-            fits["skipped_banks"].append(bank_id)
-            continue
-        fit = ols_fit(xk[mask], yk[mask])
-        fits["per_bank"][bank_id] = {"slope": fit.slope, "intercept": fit.intercept,
-                                     "r_squared": fit.r_squared, "log_log": False, "n": fit.n}
+    per_bank = {bank: _fit(x[:, k], y[:, k], defined[:, k]) for k, bank in enumerate(result.bank_ids)}
+    fits = {
+        "pooled": _fit(x, y, defined),
+        "pooled_log": _fit(x, y, defined & (y > 0.0), log_log=True),
+        "per_bank": {bank: fit for bank, fit in per_bank.items() if fit is not None},
+        # banks that never see interbank losses (e.g. no interbank edges)
+        "skipped_banks": [bank for bank, fit in per_bank.items() if fit is None],
+    }
     with open(out / "fits.json", "w", encoding="utf-8") as fh:
         json.dump(fits, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     try:
-        amp = ib_amplification(records)
-        levels, survival = amp.pooled_levels, amp.pooled_survival
-        _write_csv(
-            out / "ccdf.csv",
-            ["metric", "level", "survival"],
-            [["ib_amplification", fmt(lv), fmt(sv)] for lv, sv in zip(levels, survival)],
-        )
-    except ValueError:
-        _write_csv(out / "ccdf.csv", ["metric", "level", "survival"], [])
-    return stats_extra
+        amp = ib_amplification(result.ib_wo, result.ib_w)
+        curve = (amp.pooled_levels, amp.pooled_survival)
+    except ValueError:  # no interbank loss anywhere: no ratio is defined
+        curve = (np.zeros(0), np.zeros(0))
+    _write_ccdf(out, {"ib_amplification": curve})
+    return {"amplification_defined": int(defined.sum()), "amplification_undefined": int((~defined).sum())}
 
 
 def cmd_stress(config: dict) -> int:
@@ -476,20 +447,14 @@ def cmd_debtrank(config: dict) -> int:
     profile = debtrank_profile(graph, epsilon=epsilon, max_iter=max_iter)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "debtrank.csv",
-        ["bank_id", "total", "contagion_only"],
-        [
-            [bid, fmt(t), fmt(c)]
-            for bid, t, c in zip(profile.bank_ids, profile.total, profile.contagion_only)
-        ],
-    )
+    _write_csv(out / "debtrank.csv", ["bank_id", "total", "contagion_only"],
+               [profile.bank_ids, profile.total, profile.contagion_only])
     if config.get("trace"):
         # the runs of debtrank_profile again, recorded: row k seeds bank k's full default
         result = debtrank(graph, np.eye(graph.m), epsilon=epsilon, max_iter=max_iter, record_trace=True)
         for k, bank_id in enumerate(graph.bank_ids):
             trace = result.trace[: result.steps[k] + 1, k]  # the seed, then each update
-            write_columns(out / f"debtrank_trace_{bank_id}.csv", ["iteration", "bank_id", "loss"], [
+            _write_csv(out / f"debtrank_trace_{bank_id}.csv", ["iteration", "bank_id", "loss"], [
                 np.repeat(np.arange(len(trace)), graph.m), graph.bank_ids * len(trace), trace.ravel()])
     _write_manifest(out, "debtrank", config, {"banks": graph.m, "outputs": ["debtrank.csv"]})
     print(f"wrote full-default impact profile for {graph.m} banks to {out}")
@@ -638,7 +603,7 @@ def main(argv=None) -> int:
     except EconomyValidationError as exc:
         print(f"validation error:\n{exc.report}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ReferentialError as exc:
+    except (ReferentialError, InvalidRowError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DataFormatError as exc:

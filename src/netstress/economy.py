@@ -29,6 +29,10 @@ class ReferentialError(ValueError):
     """An edge or loan references an entity id that does not exist."""
 
 
+class InvalidRowError(ValueError):
+    """A row of an economy file holds an amount :func:`validate_economy` would reject."""
+
+
 class EconomyValidationError(ValueError):
     """A graph failed validation at a hard boundary (ingestion, generation)."""
 

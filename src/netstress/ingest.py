@@ -31,12 +31,14 @@ from .economy import (
     EconomyValidationError,
     EssentialityTable,
     InterbankNetwork,
+    InvalidRowError,
     LoanBook,
     SupplyNetwork,
+    Violation,
     firm_columns,
     validate_economy,
 )
-from .tables import Block, Cells, RowError, first_repeat, lookup, read_blocks, to_cells, write_columns, write_csv
+from .tables import Block, Cells, RowError, first_repeat, lookup, read_blocks, to_cells, write_columns
 
 FIRM_COLUMNS = ["id", "sector", *FINANCIAL_FIELDS]
 SUPPLY_COLUMNS = ["supplier_id", "buyer_id", "weight"]
@@ -126,6 +128,18 @@ def _bank_rows(b: Block, seen: dict[str, int]):
     return ids, b.floats("tier1_equity")
 
 
+def _amounts(b: Block, name: str, entity: str, owner: str, rule: str, positive: bool = False) -> np.ndarray:
+    """Column ``name`` as floats, each finite and >= 0 (> 0 if ``positive``), checked row by row
+    before duplicate rows are summed: a violation of ``rule`` by the ``entity`` in column ``owner``."""
+    values = b.floats(name)
+    ok = (values > 0.0 if positive else values >= 0.0) & (values < np.inf)
+    if not ok.all():
+        r = int(np.argmin(ok))
+        message = f"{name} is {b.cells[name][r].strip()}, must be finite and {'>' if positive else '>='} 0"
+        raise RowError(r, str(Violation(f"{entity}:{b.cells[owner][r].strip()}", rule, message)), InvalidRowError)
+    return values
+
+
 def _index(ids: list[str], index: dict[str, int]) -> None:
     index.update(zip(ids, range(len(index), len(index) + len(ids))))
 
@@ -134,9 +148,9 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
     """Read an economy from CSV files and return it validated.
 
     Raises :class:`DataFormatError` on malformed rows (with line numbers),
-    :class:`ReferentialError` when edges name unknown ids, and
-    :class:`EconomyValidationError` when the assembled graph violates an
-    invariant.
+    :class:`ReferentialError` when edges name unknown ids,
+    :class:`InvalidRowError` on an edge row's amount out of range, and
+    :class:`EconomyValidationError` when the graph violates an invariant.
     """
     sectors: list[str] = []
     present = [np.zeros(0, dtype=bool)]
@@ -159,7 +173,8 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
     supply = _Edges()
     for block in read_blocks(spec.supply, SUPPLY_COLUMNS):
         sup, buy, weights = block.convert(lambda b: (
-            b.text("supplier_id"), b.text("buyer_id"), b.floats("weight"),
+            b.text("supplier_id"), b.text("buyer_id"),
+            _amounts(b, "weight", "firm", "supplier_id", "edge-weight", positive=True),
         ))
         try:
             supply.add(lookup(sup, firm_index), lookup(buy, firm_index), weights)
@@ -180,14 +195,14 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
         interbank.add(*block.convert(lambda b: (
             b.positions("borrower_id", bank_index, "bank"),
             b.positions("lender_id", bank_index, "bank"),
-            b.floats("amount"),
+            _amounts(b, "amount", "bank", "borrower_id", "edge-weight"),
         )))
     loans = _Edges()
     for block in read_blocks(spec.loans, LOAN_COLUMNS):
         loans.add(*block.convert(lambda b: (
             b.positions("firm_id", firm_index, "firm"),
             b.positions("bank_id", bank_index, "bank"),
-            b.floats("principal"),
+            _amounts(b, "principal", "firm", "firm_id", "loan-amount"),
         )))
 
     essentiality = (
@@ -266,7 +281,5 @@ def write_economy(g: EconomyGraph, directory: str | Path) -> None:
         coo = matrix.tocoo()
         write_columns(d / name, columns, [_Ids(row_cells, coo.row), _Ids(col_cells, coo.col), coo.data])
     if g.essentiality.overrides:
-        write_csv(d / "essentiality.csv", ESSENTIALITY_COLUMNS, (
-            [sup, buy, "1" if flag else "0"]
-            for (sup, buy), flag in sorted(g.essentiality.overrides.items())
-        ))
+        pairs, flags = zip(*sorted(g.essentiality.overrides.items()))
+        write_columns(d / "essentiality.csv", ESSENTIALITY_COLUMNS, [*zip(*pairs), np.array(flags, np.int8)])

@@ -77,13 +77,6 @@ class FirmRiskRecord:
     fsri: float
     fsri_plus: float
 
-    @property
-    def amplification(self) -> float:
-        """Relative index increase from interbank contagion; nan when fsri = 0."""
-        if self.fsri == 0.0:
-            return float("nan")
-        return self.fsri_plus / self.fsri
-
 
 def _indices(g: EconomyGraph, batch: ShockBatch, cfg: PropagationConfig,
              dr_epsilon: float, dr_max_iter: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,6 +198,7 @@ class ChannelDecomposition:
                 )
         return rows
 
+    # no report reads the records; kept because benchmarks/tracing.py wraps this method
     def amplification_records(self) -> list["AmplificationRecord"]:
         r = self.result
         return [
@@ -225,7 +219,7 @@ class ChannelDecomposition:
 
 
 @dataclass
-class AmplificationRecord:
+class AmplificationRecord:  # what amplification_records returns, kept with it
     bank_id: str
     scenario: int
     ib_wo: float
@@ -240,100 +234,24 @@ class AmplificationRecord:
 
 
 @dataclass
-class BoxStats:
-    """Tukey box-plot statistics (1.5 IQR whiskers) for one bank's ratios."""
-
-    bank_id: str
-    q1: float
-    median: float
-    q3: float
-    whisker_low: float
-    whisker_high: float
-    n_defined: int
-    n_undefined: int
-
-
-@dataclass
 class AmplificationStats:
-    per_bank: list[BoxStats]
-    scenario_ids: np.ndarray
-    scenario_median: np.ndarray
-    scenario_q1: np.ndarray
-    scenario_q3: np.ndarray
     pooled_ratios: np.ndarray
     pooled_levels: np.ndarray
     pooled_survival: np.ndarray
     n_undefined: int
 
 
-def _box(bank_id: str, ratios: np.ndarray, n_undefined: int) -> BoxStats:
-    q1, med, q3 = np.percentile(ratios, [25.0, 50.0, 75.0])
-    iqr = q3 - q1
-    low_fence, high_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    inside = ratios[(ratios >= low_fence) & (ratios <= high_fence)]
-    return BoxStats(
-        bank_id=bank_id,
-        q1=float(q1),
-        median=float(med),
-        q3=float(q3),
-        whisker_low=float(inside.min()),
-        whisker_high=float(inside.max()),
-        n_defined=int(ratios.size),
-        n_undefined=n_undefined,
-    )
-
-
-def ib_amplification(records: list[AmplificationRecord]) -> AmplificationStats:
-    """Distribution of interbank amplification ratios over a batch.
-
-    Banks without interbank losses in a scenario have no defined ratio and
-    are excluded, with the exclusion counts reported. Raises when no ratio
-    at all is defined.
+def ib_amplification(ib_wo, ib_w) -> AmplificationStats:
+    """Distribution of the ratios ``ib_w / ib_wo`` of (scenario, bank) interbank losses with and
+    without the supply-chain cascade. A pair without interbank loss has no defined ratio and is
+    excluded, with the exclusion count reported. Raises when no ratio at all is defined.
     """
-    by_bank: dict[str, list[float]] = {}
-    undefined_by_bank: dict[str, int] = {}
-    by_scenario: dict[int, list[float]] = {}
-    pooled_list: list[float] = []
-    for r in records:
-        by_bank.setdefault(r.bank_id, [])
-        undefined_by_bank.setdefault(r.bank_id, 0)
-        if r.ib_wo == 0.0:
-            undefined_by_bank[r.bank_id] += 1
-            continue
-        ratio = r.ratio
-        by_bank[r.bank_id].append(ratio)
-        by_scenario.setdefault(r.scenario, []).append(ratio)
-        pooled_list.append(ratio)
-    if not pooled_list:
+    ib_wo, ib_w = (np.asarray(a, dtype=float).ravel() for a in (ib_wo, ib_w))
+    defined = ib_wo != 0.0
+    if not defined.any():
         raise ValueError("all amplification ratios are undefined (no interbank losses)")
-    n_undefined = len(records) - len(pooled_list)
-
-    per_bank = [
-        _box(bank_id, np.asarray(ratios), undefined_by_bank[bank_id])
-        for bank_id, ratios in by_bank.items()
-        if ratios
-    ]
-
-    scenario_ids = sorted(by_scenario)
-    med = np.empty(len(scenario_ids))
-    q1 = np.empty(len(scenario_ids))
-    q3 = np.empty(len(scenario_ids))
-    for pos, s in enumerate(scenario_ids):
-        q1[pos], med[pos], q3[pos] = np.percentile(by_scenario[s], [25.0, 50.0, 75.0])
-
-    pooled = np.asarray(pooled_list)
-    levels, survival = ccdf(pooled)
-    return AmplificationStats(
-        per_bank=per_bank,
-        scenario_ids=np.asarray(scenario_ids),
-        scenario_median=med,
-        scenario_q1=q1,
-        scenario_q3=q3,
-        pooled_ratios=pooled,
-        pooled_levels=levels,
-        pooled_survival=survival,
-        n_undefined=n_undefined,
-    )
+    pooled = ib_w[defined] / ib_wo[defined]
+    return AmplificationStats(pooled, *ccdf(pooled), n_undefined=int((~defined).sum()))
 
 
 # ---------------------------------------------------------------------------

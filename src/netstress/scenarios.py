@@ -12,12 +12,13 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .economy import DataFormatError, EconomyGraph, ReferentialError
-from .tables import Block, RowError, first_repeat, fmt, read_blocks, write_csv
+from .tables import Block, RowError, first_repeat, read_blocks, write_columns, write_parts
 
 SHOCK_TABLE_COLUMNS = ["firm_id", "reduction"]
 BATCH_COLUMNS = ["scenario_id", "firm_id", "psi"]
@@ -124,7 +125,7 @@ class EmpiricalShockTable:
         return cls(reductions=reductions)
 
     def write_csv(self, path: str | Path) -> None:
-        write_csv(path, SHOCK_TABLE_COLUMNS, ([f, fmt(v)] for f, v in self.reductions.items()))
+        write_columns(path, SHOCK_TABLE_COLUMNS, [list(self.reductions), np.fromiter(self.reductions.values(), float)])
 
 
 @dataclass
@@ -315,11 +316,11 @@ def covid_style_batch(
 
 
 def write_batch(batch: ShockBatch, firm_ids: list[str], path: str | Path) -> None:
-    """Dump a batch in long format: scenario_id, firm_id, psi."""
-    write_csv(path, BATCH_COLUMNS, (
-        [s, fid, fmt(value)]
-        for s, row in zip(batch.scenario_ids, batch.psi)
-        for fid, value in zip(firm_ids, row)
+    """Dump a batch in long format: scenario_id, firm_id, psi, a block of scenarios at a time."""
+    ids = iter(batch.scenario_ids)
+    write_parts(path, BATCH_COLUMNS, (
+        [np.repeat(list(islice(ids, len(rows))), len(firm_ids)), firm_ids * len(rows), rows.ravel()]
+        for rows in batch.blocks(_DRAW_ROWS)
     ))
 
 

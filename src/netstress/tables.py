@@ -9,7 +9,9 @@ it. Every read error raises :class:`DataFormatError` naming the file and,
 past the header, the line.
 
 Both directions work on blocks of :data:`BLOCK_ROWS` rows held as columns,
-so a file of any length is converted in bulk with bounded memory.
+so a file of any length is converted in bulk with bounded memory. Every
+file is written by :func:`write_columns`, or :func:`write_parts` for a
+stream.
 
 Reading takes one of two paths, which give the same blocks and the same
 errors. The header is always read with :mod:`csv`. Then each block of
@@ -284,13 +286,6 @@ def _write(path: Path, header: list[str], blocks: Iterable[Sequence]) -> None:
         fh.write(",".join(to_cells(header)) + "\n")
         for block in blocks:
             fh.write("\n".join(map(",".join, zip(*map(to_cells, block)))) + "\n")
-
-
-def write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and then ``rows`` of text and integers, floats already through :func:`fmt`."""
-    rows = iter(rows)
-    chunks = iter(lambda: list(islice(rows, BLOCK_ROWS)), [])
-    _write(path, header, (list(zip(*chunk)) for chunk in chunks))
 
 
 def write_columns(path: Path, header: list[str], columns: Sequence[Sequence]) -> None:

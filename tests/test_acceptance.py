@@ -273,7 +273,7 @@ def test_criterion_9_qualitative_patterns_at_scale():
     fit = ols_fit(result.ib_wo.ravel()[mask], result.ib_w.ravel()[mask])
     slope_ok = fit.slope > 1.0
 
-    stats = ib_amplification(dec.amplification_records())
+    stats = ib_amplification(result.ib_wo, result.ib_w)
     tail_mass = float((stats.pooled_ratios > 2.0).mean())
     tail_ok = tail_mass > 0.0
 

@@ -16,6 +16,7 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,6 +76,41 @@ def test_mutated_inputs_end_in_a_documented_exit_code(tmp_path_factory, target, 
         assert code in (0, 1, 3)
         if code == 0:
             assert main(stress) == 0
+
+
+# (file, a pair with a row already, a pair without, the entity a violation names)
+AMOUNT_ROWS = [
+    ("loans", "a,1", "b,1", "firm:"),
+    ("supply", "b,c", "a,b", "firm:"),
+    ("interbank", "2,1", "3,1", "bank:"),
+]
+
+
+@pytest.mark.parametrize("value", ["-5.0", "nan", "inf"])
+@pytest.mark.parametrize("pair", ["existing", "new"])
+@pytest.mark.parametrize("name, existing, new, entity", AMOUNT_ROWS)
+def test_bad_amount_row_is_named_by_its_line(tmp_path, capsys, name, existing, new, entity, pair, value):
+    # a row is checked before duplicate rows are summed: a good row of the same pair hides nothing
+    eco = tmp_path / "eco"
+    shutil.copytree(TOY, eco)
+    path = eco / f"{name}.csv"
+    lines = path.read_text().splitlines()
+    row = f"{existing if pair == 'existing' else new},{value}"
+    path.write_text("\n".join(lines + [row]) + "\n")
+    capsys.readouterr()
+    assert main(["validate", "--economy-dir", str(eco)]) == 1
+    (err,) = capsys.readouterr().err.strip().splitlines()
+    assert f"{name}.csv line {len(lines) + 1}: {entity}{row.split(',')[0]}: " in err
+    assert value in err
+
+
+def test_zero_supply_weight_row_is_rejected(tmp_path, capsys):
+    eco = tmp_path / "eco"
+    shutil.copytree(TOY, eco)
+    with open(eco / "supply.csv", "a") as fh:
+        fh.write("b,c,0.0\n")
+    assert main(["validate", "--economy-dir", str(eco)]) == 1
+    assert "supply.csv line 8: firm:b: [edge-weight] weight is 0.0, must be finite and > 0" in capsys.readouterr().err
 
 
 def _key_paths(config: dict, prefix: tuple = ()) -> list[tuple]:

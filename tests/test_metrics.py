@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from netstress import (
-    AmplificationRecord,
     BankSheet,
     ChannelDecomposition,
     EconomyGraph,
@@ -34,6 +33,7 @@ from netstress import (
     toy_economy,
     welch_test,
 )
+from netstress.cli import _write_profile
 
 from .conftest import random_economy
 from .oracle import oracle_fsri
@@ -263,11 +263,14 @@ class TestSystemicRiskIndices:
         assert max(top) > 0.0
         assert max(top) - min(top) < 1e-12
 
-    def test_all_zero_profile_on_loanless_economy(self, toy):
+    def test_all_zero_profile_on_loanless_economy(self, toy, tmp_path):
         g = replace(toy, loans=LoanBook.from_entries(6, 4, [], [], []))
         records = fsri_profile(g)
         assert all(r.fsri == 0.0 and r.fsri_plus == 0.0 for r in records)
-        assert all(np.isnan(r.amplification) for r in records)
+        _write_profile(tmp_path, records)  # FSRI+ / FSRI is undefined: a blank cell
+        lines = (tmp_path / "fsri_profile.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0].endswith(",amplification") and len(lines) == 7
+        assert all(line.endswith(",0.0,0.0,") for line in lines[1:])
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     @pytest.mark.parametrize("seed, m", [(2, 4), (5, 4), (7, 2)])  # at seed 7 some losses pass one equity
@@ -357,50 +360,30 @@ class TestChannelDecomposition:
 
 
 class TestIbAmplification:
-    def test_hand_quantiles(self):
-        records = [
-            AmplificationRecord("b0", s, ib_wo=1.0, ib_w=r)
-            for s, r in enumerate((2.0, 3.0, 4.0))
-        ]
-        stats = ib_amplification(records)
-        box = stats.per_bank[0]
-        assert box.median == pytest.approx(3.0)
-        assert box.q1 == pytest.approx(2.5)
-        assert box.q3 == pytest.approx(3.5)
-
-    def test_unamplified_records_degenerate_boxes(self):
-        records = [
-            AmplificationRecord(f"b{k}", s, ib_wo=0.2, ib_w=0.2)
-            for k in range(3) for s in range(4)
-        ]
-        stats = ib_amplification(records)
-        for box in stats.per_bank:
-            assert box.q1 == box.median == box.q3 == 1.0
+    def test_unamplified_losses_give_one_level(self):
+        losses = np.full((4, 3), 0.2)
+        stats = ib_amplification(losses, losses)
         np.testing.assert_array_equal(stats.pooled_levels, [1.0])
+        np.testing.assert_array_equal(stats.pooled_survival, [1.0])
+        assert stats.n_undefined == 0
 
     def test_undefined_ratios_counted_and_excluded(self):
-        records = [
-            AmplificationRecord("b0", 0, ib_wo=0.0, ib_w=0.1),
-            AmplificationRecord("b0", 1, ib_wo=0.1, ib_w=0.2),
-        ]
-        stats = ib_amplification(records)
+        stats = ib_amplification(np.array([[0.0], [0.1]]), np.array([[0.1], [0.2]]))
         assert stats.n_undefined == 1
         assert stats.pooled_ratios.tolist() == [2.0]
 
     def test_all_undefined_is_error(self):
-        records = [AmplificationRecord("b0", 0, ib_wo=0.0, ib_w=0.1)]
         with pytest.raises(ValueError, match="undefined"):
-            ib_amplification(records)
+            ib_amplification(np.zeros((1, 1)), np.full((1, 1), 0.1))
 
-    def test_per_scenario_median_and_iqr(self):
-        records = [
-            AmplificationRecord(f"b{k}", 0, ib_wo=1.0, ib_w=float(v))
-            for k, v in enumerate((2.0, 3.0, 4.0))
-        ]
-        stats = ib_amplification(records)
-        assert stats.scenario_median[0] == pytest.approx(3.0)
-        assert stats.scenario_q1[0] == pytest.approx(2.5)
-        assert stats.scenario_q3[0] == pytest.approx(3.5)
+    def test_ratios_match_the_records(self, toy):
+        psi = np.random.default_rng(3).uniform(0.0, 1.0, size=(12, 6))
+        result = run_batch(toy, ShockBatch(psi=psi, seed=None, provenance="custom"))
+        records = ChannelDecomposition(result).amplification_records()
+        stats = ib_amplification(result.ib_wo, result.ib_w)
+        assert stats.pooled_ratios.size > 0
+        assert stats.pooled_ratios.tolist() == [r.ratio for r in records if r.ib_wo != 0.0]
+        assert stats.n_undefined == sum(r.ib_wo == 0.0 for r in records)
 
 
 def test_regime_consistency_on_nontrivial_batch(toy):

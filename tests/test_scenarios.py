@@ -207,6 +207,16 @@ class TestBatchIO:
         np.testing.assert_array_equal(back.psi, batch.psi)
         assert back.provenance == "custom"
 
+    def test_written_a_block_at_a_time(self, toy, tmp_path):
+        table = EmpiricalShockTable(reductions={"a": 0.3, "d": 0.5})
+        batch = covid_style_batch(toy, table, count=19, seed=4)
+        path = tmp_path / "batch.csv"
+        write_batch(batch, toy.firm_ids, path)
+        assert "psi" not in vars(batch)  # never stacked
+        back = read_batch(toy, path)
+        assert back.scenario_ids == list(range(19))
+        assert back.psi.tobytes() == batch.psi.tobytes()
+
     def test_shock_table_round_trip(self, tmp_path):
         table = EmpiricalShockTable(reductions={"a": 0.25, "b": 0.0})
         path = tmp_path / "shocks.csv"

@@ -28,7 +28,7 @@ from netstress import (
     write_economy,
 )
 from netstress import ingest, tables
-from netstress.tables import BLOCK_ROWS, read_blocks, write_columns, write_csv
+from netstress.tables import BLOCK_ROWS, read_blocks, write_columns, write_parts
 
 from .oracle import oracle_read_blocks
 
@@ -156,13 +156,14 @@ def test_writers_match_csv_writer(tmp_path, rows):
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["id", "n", "x"])
     writer.writerows(rows)
-    write_csv(tmp_path / "rows.csv", ["id", "n", "x"], rows)
-    assert (tmp_path / "rows.csv").read_text(encoding="utf-8") == expected.getvalue()
-    if rows:
-        ids, counts, values = (list(c) for c in zip(*rows))
-        floats = np.ma.masked_array([float(v or 0) for v in values], mask=[v == "" for v in values])
-        write_columns(tmp_path / "columns.csv", ["id", "n", "x"], [ids, np.array(counts), floats])
-        assert (tmp_path / "columns.csv").read_text(encoding="utf-8") == expected.getvalue()
+    ids, counts, values = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+    floats = np.ma.masked_array([float(v or 0) for v in values], mask=[v == "" for v in values])
+    columns = [ids, np.array(counts, dtype=int), floats]
+    write_columns(tmp_path / "columns.csv", ["id", "n", "x"], columns)
+    assert (tmp_path / "columns.csv").read_text(encoding="utf-8") == expected.getvalue()
+    cut = len(ids) // 3  # a stream of parts that cut across blocks
+    write_parts(tmp_path / "parts.csv", ["id", "n", "x"], [[c[:cut] for c in columns], [c[cut:] for c in columns]])
+    assert (tmp_path / "parts.csv").read_text(encoding="utf-8") == expected.getvalue()
 
 
 TWO_FAULTS = [
