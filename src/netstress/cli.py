@@ -541,7 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--workers", type=int, help="scenario worker count (0 = the usable CPUs)")
+        p.add_argument("--workers", type=int, help="scenario worker threads (0 = the usable CPUs)")
         p.add_argument("--seed", type=int, help="scenario RNG seed")
         p.add_argument("--regime", choices=REGIMES, help="which regimes to report")
         p.add_argument("--trace", action="store_true", help="write iteration/default dumps")

@@ -9,7 +9,7 @@ then seed the interbank solvency contagion separately.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -19,7 +19,7 @@ import numpy as np
 from .credit import bank_losses, default_flags, dump_defaults, profit_shock
 from .debtrank import DEFAULT_EPSILON, DEFAULT_MAX_ITER, debtrank
 from .economy import EconomyGraph
-from .propagation import CHUNK, PropagationConfig, propagate
+from .propagation import CHUNK, PropagationConfig, _plan_for, propagate
 from .scenarios import ShockBatch
 
 
@@ -50,13 +50,10 @@ class BatchResult:
 
 
 # at most this many bytes of per-firm arrays per block (shocks in, and flags and profit shocks
-# out to be written): the blocks in flight sit in the parent, and so in every worker forked from it
+# out to be written): the blocks in flight all sit in this one process
 BLOCK_BYTES = 2 << 20
 # the per-firm arrays of a chunk, made only for ``run_batch`` to write them out
 PER_FIRM = ("chi_wo", "chi_w", "dp_w")
-
-# what every block of a pool worker shares: set once per worker process
-_shared: tuple | None = None
 
 
 def _run_block(g, cfg, dr_epsilon, dr_max_iter, per_firm, psi_block) -> list[dict[str, np.ndarray]]:
@@ -84,26 +81,19 @@ def _run_chunk(g, cfg, dr_epsilon, dr_max_iter, psi, per_firm) -> dict[str, np.n
     return out
 
 
-def _init_worker(*shared) -> None:
-    global _shared
-    _shared = shared
-
-
-def _run_shared_block(psi_block) -> list[dict[str, np.ndarray]]:
-    return _run_block(*_shared, psi_block)
-
-
 def _chunk_results(blocks, shared: tuple, workers: int):
-    """Each chunk's arrays in scenario order; in a pool of ``workers``, at most ``2 * workers`` blocks in flight."""
+    """Each chunk's arrays in scenario order; on ``workers`` threads, at most ``2 * workers`` blocks in flight."""
+    run = partial(_run_block, *shared)
     if workers < 2:
         # map lets each block go before the next one is drawn
-        for chunks in map(partial(_run_block, *shared), blocks):
+        for chunks in map(run, blocks):
             yield from chunks
         return
+    _plan_for(shared[0])  # built here, so that no two threads build it
     pending = deque()
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=shared) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for block in blocks:
-            pending.append(pool.submit(_run_shared_block, block))
+            pending.append(pool.submit(run, block))
             if len(pending) == 2 * workers:
                 yield from pending.popleft().result()
         while pending:
@@ -127,13 +117,13 @@ def run_batch(
     workers: int = 1,
     defaults: str | Path | None = None,
 ) -> BatchResult:
-    """Run a whole batch, optionally over a process pool.
+    """Run a whole batch, optionally on a pool of ``workers`` threads.
 
     The batch is read block by block, so a generated batch is never held
-    whole. Each pool worker receives the graph and settings once, every
-    block only its shock vectors, and at most ``2 * workers`` blocks are
-    in flight. Results are reduced in scenario order, so the output is
-    identical for any worker count and block size. Each block's default
+    whole. The threads share the graph and its propagation plan, and at
+    most ``2 * workers`` blocks are in flight. Results are reduced in
+    scenario order, so the output is identical for any worker count and
+    block size. Each block's default
     flags and profit shocks are written to ``defaults``, if given, as it
     comes back (:func:`dump_defaults`), and then dropped.
     """

@@ -257,7 +257,11 @@ def _row_blocks(path: Path, columns: list[str], start: int) -> Iterator[Block]:
 
 
 class Cells(list):
-    """One block of a column that is CSV cells already: written as it is."""
+    """A column that is CSV cells already: written as it is, and so is every slice of it."""
+
+    def __getitem__(self, part):
+        item = super().__getitem__(part)
+        return Cells(item) if isinstance(part, slice) else item
 
 
 def to_cells(column) -> list[str]:

@@ -2,8 +2,9 @@
 ``scipy.sparse`` alone, and ``scipy.stats`` loads only when ``welch_test``
 is first called; and no module imports a name it never uses.
 
-Each forked scenario worker carries whatever the parent has imported, so a
-heavy module pulled in at import time is paid once per process.
+A heavy module pulled in at import time is paid by every command, in
+start-up time and in the memory of the one process that runs the command
+and its scenario threads.
 """
 
 from __future__ import annotations

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from netstress import (
     pipeline,
     profit_shock,
     propagate,
+    propagation,
     run_batch,
     synthetic_shock_table,
 )
@@ -206,10 +211,9 @@ def test_regression_names_the_firm_in_a_later_row():
 
 
 class _InlinePool:
-    """Stands in for the process pool: runs each block when its result is read."""
+    """Stands in for the thread pool: runs each block when its result is read."""
 
-    def __init__(self, max_workers, initializer, initargs):
-        initializer(*initargs)
+    def __init__(self, max_workers):
         self.in_flight = self.most_in_flight = 0
 
     def __enter__(self):
@@ -237,10 +241,80 @@ def test_pool_keeps_at_most_two_blocks_per_worker_in_flight(monkeypatch):
     batch = covid_style_batch(g, table, count=40, seed=9)
     reference = run_batch(g, batch, workers=1)
     pools = []
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", lambda **kw: pools.append(_InlinePool(**kw)) or pools[-1])
-    monkeypatch.setattr(pipeline, "_shared", None)
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", lambda **kw: pools.append(_InlinePool(**kw)) or pools[-1])
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n)  # one scenario a block
     result = run_batch(g, batch, workers=3)
     assert [pool.most_in_flight for pool in pools] == [6]
     for name in PER_BANK:
         np.testing.assert_array_equal(getattr(result, name), getattr(reference, name))
+
+
+def test_pooled_run_holds_the_blocks_in_flight(monkeypatch):
+    g, table = _covid_case(n=2000, seed=5)
+    count = 400  # 6.4 MB of shocks, drawn a chunk a block
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n * pipeline.CHUNK)
+    run_batch(g, ShockBatch(psi=np.ones((1, g.n)), seed=None, provenance="warm-up"), workers=2)
+    tracemalloc.start()
+    try:
+        batch = covid_style_batch(g, table, count=count, seed=2)
+        result = run_batch(g, batch, workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == count
+    # four blocks in flight, one being drawn and two chunks' work arrays peak at about 3.5 MB;
+    # with every block submitted at once the run peaks at 6.8 MB or more
+    assert peak < count * g.n * 8 * 3 / 4
+
+
+def test_pooled_run_builds_the_plan_once(monkeypatch):
+    g, table = _covid_case()
+    batch = covid_style_batch(g, table, count=40, seed=9)
+    builds, build = [], propagation._build_plan
+
+    def slow_build(graph):
+        builds.append(threading.current_thread())
+        time.sleep(0.2)  # long enough for both threads to ask for the plan
+        return build(graph)
+
+    monkeypatch.setattr(propagation, "_build_plan", slow_build)
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n)
+    run_batch(g, batch, workers=2)
+    assert builds == [threading.main_thread()]
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    g, _ = _covid_case(n=50)
+    lone = np.ones((g.n, g.n)) - np.eye(g.n)
+    firm = next(i for i in range(g.n) if default_flags(g, profit_shock(g, lone[i])).chi[i])
+    psi = np.ones((40, g.n))
+    psi[30] = lone[firm]  # a later block: one scenario a block below
+    batch = ShockBatch(psi=psi, seed=None, provenance="test")
+    # no cascade at all: the shocked firm defaults without supply-chain contagion but not with it
+    monkeypatch.setattr(pipeline, "propagate", lambda g, psi, cfg: SimpleNamespace(h=np.ones_like(psi), done=None))
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n)
+    threads = threading.active_count()
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match=f"firm {g.firm_ids[firm]!r} defaults without") as info:
+            run_batch(g, batch, workers=workers)
+        raised.append((type(info.value), str(info.value)))
+        assert threading.active_count() == threads
+    assert raised[0] == raised[1]
+
+
+def test_more_threads_than_cores_on_a_fresh_graph(monkeypatch, tmp_path):
+    # the graph's cached columns are first read from the threads, which switch every few bytecodes
+    (g, table), (fresh, _) = _covid_case(), _covid_case()
+    batch = ShockBatch(psi=covid_style_batch(g, table, count=40, seed=6).psi, seed=6, provenance="test")
+    reference, reference_defaults = _run(g, batch, path=tmp_path / "reference.csv", workers=1)
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result, defaults = _run(fresh, batch, path=tmp_path / "defaults.csv", workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in PER_BANK:
+        np.testing.assert_array_equal(getattr(result, name), getattr(reference, name))
+    assert defaults == reference_defaults
