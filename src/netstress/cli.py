@@ -25,7 +25,7 @@ import scipy
 
 from . import __version__
 from .credit import BankLossLedger
-from .debtrank import debtrank, debtrank_profile
+from .debtrank import DEFAULT_EPSILON, DEFAULT_MAX_ITER, debtrank, debtrank_profile
 from .economy import (
     DataFormatError,
     EconomyGraph,
@@ -41,7 +41,7 @@ from .propagation import PropagationConfig
 from .scenarios import EmpiricalShockTable, ShockBatch, covid_style_batch, read_batch, single_firm_batch
 from .synthetic import FRACTIONS as _SYNTHETIC_FRACTIONS
 from .synthetic import SyntheticParams, generate_synthetic_economy, synthetic_shock_table
-from .tables import Block, RowError, first_repeat, fmt, read_blocks
+from .tables import Block, RowError, first_repeat, read_blocks
 from .tables import write_columns as _write_csv  # the name benchmarks/tracing.py wraps
 
 EXIT_OK = 0
@@ -53,15 +53,15 @@ LEDGER_COLUMNS = ["scenario_id", "bank_id", "di", "sc", "ib_wo", "ib_w", "total_
 
 REGIMES = ("w", "wo", "both")
 
+_SYNTHETIC = SyntheticParams()
+
 DEFAULT_CONFIG = {
-    "economy": {"source": "files", "dir": ".", "lgd": 1.0, "seed": 7,
-                "n": 1000, "m": 19, "mean_degree": 4.0, "sector_count": 20,
-                "target_exposure_ratio": 12.5},
+    "economy": {"source": "files", "dir": ".", "lgd": 1.0, "seed": 7, **{
+        key: getattr(_SYNTHETIC, key) for key in ("n", "m", "mean_degree", "sector_count", "target_exposure_ratio")}},
     "scenarios": {"kind": "covid", "count": 100, "seed": 11,
                   "shocks": "synthetic", "shocks_seed": 3, "batch_file": None},
-    "propagation": {"epsilon": 0.01, "max_iter": 1000,
-                    "nonessential_weight": 0.0, "essentiality": None},
-    "debtrank": {"epsilon": 0.01, "max_iter": 1000},
+    "propagation": {**asdict(PropagationConfig()), "essentiality": None},
+    "debtrank": {"epsilon": DEFAULT_EPSILON, "max_iter": DEFAULT_MAX_ITER},
     "regime": "both",
     "workers": 0,   # 0 = the CPUs this process may run on
     "out": "out",
@@ -83,7 +83,8 @@ def _load_config(path: str | None) -> dict:
     """The defaults merged with the JSON file at ``path``. A file whose shape
     does not fit them is an input error: a top level or section that is not
     an object, a path that is not a string (``None`` where the file is
-    optional), or a regime not in :data:`REGIMES`."""
+    optional), a regime not in :data:`REGIMES`, or a ``trace`` that is not
+    a JSON boolean."""
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if not path:
         return config
@@ -110,48 +111,28 @@ def _load_config(path: str | None) -> dict:
             raise DataFormatError(f"{path}: {name} must be a path string, got {value!r}")
     if config["regime"] not in REGIMES:
         raise DataFormatError(f"{path}: regime must be one of {', '.join(REGIMES)}, got {config['regime']!r}")
+    if not isinstance(config["trace"], bool):
+        raise DataFormatError(f"{path}: trace must be true or false, got {config['trace']!r}")
     return config
 
 
+def _set(config: dict, path: str, value) -> None:
+    *sections, key = path.split(".")
+    for section in sections:
+        config = config[section]
+    config[key] = value
+
+
 def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
-    if getattr(args, "out", None):
-        config["out"] = args.out
-    if getattr(args, "workers", None) is not None:
-        config["workers"] = args.workers
-    if getattr(args, "seed", None) is not None:
-        config["scenarios"]["seed"] = args.seed
-    if getattr(args, "regime", None):
-        config["regime"] = args.regime
-    if getattr(args, "trace", False):
-        config["trace"] = True
-    if getattr(args, "economy_dir", None):
-        config["economy"]["source"] = "files"
-        config["economy"]["dir"] = args.economy_dir
-    if getattr(args, "synthetic", False):
-        config["economy"]["source"] = "synthetic"
-    if getattr(args, "n", None) is not None:
-        config["economy"]["n"] = args.n
-    if getattr(args, "m", None) is not None:
-        config["economy"]["m"] = args.m
-    if getattr(args, "ratio", None) is not None:
-        config["economy"]["target_exposure_ratio"] = args.ratio
-    if getattr(args, "economy_seed", None) is not None:
-        config["economy"]["seed"] = args.economy_seed
-    if getattr(args, "count", None) is not None:
-        config["scenarios"]["count"] = args.count
-    if getattr(args, "shocks", None):
-        config["scenarios"]["shocks"] = args.shocks
-    if getattr(args, "batch_file", None):
-        config["scenarios"]["kind"] = "file"
-        config["scenarios"]["batch_file"] = args.batch_file
-    if getattr(args, "single_firm", False):
-        config["scenarios"]["kind"] = "single-firm"
-    if getattr(args, "epsilon", None) is not None:
-        config["propagation"]["epsilon"] = args.epsilon
-    if getattr(args, "sigma", None) is not None:
-        config["propagation"]["nonessential_weight"] = args.sigma
-    if getattr(args, "essentiality", None):
-        config["propagation"]["essentiality"] = args.essentiality
+    """Set each flag given on the command line at its config path, after the
+    setting it implies (:data:`IMPLIED`). A flag left out is ``None``; an
+    empty string counts as left out."""
+    for _, path, _ in FLAGS + STRESS_FLAGS:
+        value = getattr(args, path, None)
+        if value is not None and value != "":
+            if path in IMPLIED:
+                _set(config, *IMPLIED[path])
+            _set(config, path, value)
     return config
 
 
@@ -174,7 +155,7 @@ def _seed(value) -> int:
 
 def _economy_files(eco: dict) -> IngestionSpec:
     with _settings("economy"):
-        lgd = float(eco.get("lgd", 1.0))
+        lgd = float(eco["lgd"])
     return economy_files(eco["dir"], lgd=lgd)
 
 
@@ -182,14 +163,14 @@ def _economy_from_config(config: dict) -> EconomyGraph:
     eco = config["economy"]
     if eco["source"] == "synthetic":
         with _settings("SyntheticParams"):
-            ratio = eco.get("target_exposure_ratio")
+            ratio = eco["target_exposure_ratio"]
             params = SyntheticParams(
                 n=int(eco["n"]), m=int(eco["m"]),
-                mean_degree=float(eco.get("mean_degree", 4.0)),
-                sector_count=int(eco.get("sector_count", 20)),
+                mean_degree=float(eco["mean_degree"]),
+                sector_count=int(eco["sector_count"]),
                 target_exposure_ratio=None if ratio is None else float(ratio),
-                weight_family=eco.get("weight_family", "lognormal"),
                 **{key: float(eco[key]) for key in _SYNTHETIC_FRACTIONS if key in eco},
+                **{key: eco[key] for key in ("weight_family",) if key in eco},
             )
             seed = _seed(eco["seed"])
         graph = generate_synthetic_economy(params, seed=seed)
@@ -197,7 +178,7 @@ def _economy_from_config(config: dict) -> EconomyGraph:
         graph = load_economy(_economy_files(eco))
     else:
         raise DataFormatError(f"unknown economy source {eco['source']!r}")
-    ess_path = config["propagation"].get("essentiality")
+    ess_path = config["propagation"]["essentiality"]
     if ess_path:
         graph.essentiality = load_essentiality(ess_path)
     return graph
@@ -233,16 +214,18 @@ def _batch_from_config(config: dict, graph: EconomyGraph) -> ShockBatch:
     if kind == "covid":
         with _settings("scenarios"):
             count, seed = int(spec["count"]), _seed(spec["seed"])
-            shocks_seed = _seed(spec.get("shocks_seed", 3))
+            shocks_seed = _seed(spec["shocks_seed"])
             if count < 1:
                 raise ValueError(f"count must be >= 1, got {count}")
-        shocks = spec.get("shocks", "synthetic")
+        shocks = spec["shocks"]
         if shocks == "synthetic":
             table = synthetic_shock_table(graph, seed=shocks_seed)
         else:
             table = EmpiricalShockTable.from_csv(shocks)
         return covid_style_batch(graph, table, count=count, seed=seed)
     if kind == "file":
+        if not isinstance(spec["batch_file"], str):
+            raise DataFormatError(f"scenarios.batch_file must be a path string, got {spec['batch_file']!r}")
         return read_batch(graph, spec["batch_file"])
     raise DataFormatError(f"unknown scenario kind {kind!r}")
 
@@ -251,7 +234,7 @@ def _workers(config: dict) -> int:
     """The configured worker count; 0 or less means the CPUs this process may
     run on (its affinity mask, which ``taskset`` and cpusets narrow)."""
     with _settings("workers"):
-        workers = int(config.get("workers", 0))
+        workers = int(config["workers"])
     if workers > 0:
         return workers
     if hasattr(os, "sched_getaffinity"):
@@ -293,6 +276,7 @@ def cmd_validate(config: dict) -> int:
 
 
 def cmd_generate(config: dict) -> int:
+    config["economy"]["source"] = "synthetic"
     graph = _economy_from_config(config)
     out = Path(config["out"])
     write_economy(graph, out)
@@ -402,7 +386,7 @@ def cmd_stress(config: dict) -> int:
     dr_epsilon, dr_max_iter = _debtrank_settings(config)
     workers = _workers(config)
     batch = _batch_from_config(config, graph)
-    trace = bool(config.get("trace", False))
+    trace = config["trace"]
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     result = run_batch(
@@ -414,16 +398,11 @@ def cmd_stress(config: dict) -> int:
     stats_extra = _write_stats(out, dec, config["regime"])
 
     ids = np.asarray(result.scenario_ids)
-    convergence = {
-        "sc_failures": int((~result.sc_converged).sum()),
-        "debtrank_wo_failures": int((~result.dr_wo_converged).sum()),
-        "debtrank_w_failures": int((~result.dr_w_converged).sum()),
-        "sc_failed_scenarios": ids[~result.sc_converged].tolist(),
-        "debtrank_wo_failed_scenarios": ids[~result.dr_wo_converged].tolist(),
-        "debtrank_w_failed_scenarios": ids[~result.dr_w_converged].tolist(),
-        "residual_sectors": len(batch.residuals),
-        "complete": result.all_converged,
-    }
+    convergence = {"residual_sectors": len(batch.residuals), "complete": result.all_converged}
+    for stage, failed in (("sc", ~result.sc_converged), ("debtrank_wo", ~result.dr_wo_converged),
+                          ("debtrank_w", ~result.dr_w_converged)):
+        convergence[f"{stage}_failures"] = int(failed.sum())
+        convergence[f"{stage}_failed_scenarios"] = ids[failed].tolist()
     outputs = ["ledgers.csv", "risk_summary.csv", "amplification.csv", "fits.json", "ccdf.csv"]
     if trace:
         outputs.append("defaults.csv")
@@ -449,7 +428,7 @@ def cmd_debtrank(config: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "debtrank.csv", ["bank_id", "total", "contagion_only"],
                [profile.bank_ids, profile.total, profile.contagion_only])
-    if config.get("trace"):
+    if config["trace"]:
         # the runs of debtrank_profile again, recorded: row k seeds bank k's full default
         result = debtrank(graph, np.eye(graph.m), epsilon=epsilon, max_iter=max_iter, record_trace=True)
         for k, bank_id in enumerate(graph.bank_ids):
@@ -479,7 +458,7 @@ def _ledger_rows(b: Block, seen: dict) -> dict[tuple[int, str], tuple[float, ...
         wrong = np.flatnonzero(b.floats(c) != total)
         if wrong.size:
             r = int(wrong[0])
-            raise RowError(r, f"column {c} is {b.cells[c][r].strip()}, not {fmt(total[r])} from the row's channels")
+            raise RowError(r, f"column {c} is {b.cells[c][r].strip()}, not {float(total[r])} from the row's channels")
     return dict(zip(keys, zip(*losses.tolist())))
 
 
@@ -530,6 +509,45 @@ def cmd_report(config: dict, ledgers: str) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# each flag: its name, its config path (the argparse dest) and its argparse settings
+FLAGS = (
+    ("--out", "out", {"help": "output directory"}),
+    ("--workers", "workers", {"type": int, "help": "scenario worker threads (0 = the usable CPUs)"}),
+    ("--seed", "scenarios.seed", {"type": int, "help": "scenario RNG seed"}),
+    ("--regime", "regime", {"choices": REGIMES, "help": "which regimes to report"}),
+    ("--trace", "trace", {"action": "store_const", "const": True, "help": "write iteration/default dumps"}),
+    ("--economy-dir", "economy.dir", {"help": "directory with economy CSV files"}),
+    ("--synthetic", "economy.source", {"action": "store_const", "const": "synthetic",
+                                       "help": "generate a synthetic economy"}),
+    ("--n", "economy.n", {"type": int, "help": "synthetic economy: firm count"}),
+    ("--m", "economy.m", {"type": int, "help": "synthetic economy: bank count"}),
+    ("--ratio", "economy.target_exposure_ratio", {"type": float, "help": "synthetic economy: target exposure ratio"}),
+    ("--economy-seed", "economy.seed", {"type": int, "help": "synthetic economy RNG seed"}),
+    ("--epsilon", "propagation.epsilon", {"type": float, "help": "propagation convergence tolerance"}),
+    ("--sigma", "propagation.nonessential_weight", {"type": float, "help": "non-essential input weight in [0, 1]"}),
+    ("--essentiality", "propagation.essentiality", {"help": "essentiality.csv path"}),
+)
+STRESS_FLAGS = (
+    ("--count", "scenarios.count", {"type": int, "help": "number of scenarios"}),
+    ("--shocks", "scenarios.shocks", {"help": "empirical shock table CSV, or 'synthetic'"}),
+    ("--batch-file", "scenarios.batch_file", {"help": "long-format shock batch CSV"}),
+    ("--single-firm", "scenarios.kind", {"action": "store_const", "const": "single-firm",
+                                         "help": "sweep single-firm failure scenarios instead"}),
+)
+# a flag given at the first path also sets the second, unless a later row (--synthetic, --single-firm) does
+IMPLIED = {"economy.dir": ("economy.source", "files"), "scenarios.batch_file": ("scenarios.kind", "file")}
+
+# each subcommand: its help text, its handler and the flags it takes besides FLAGS
+COMMANDS = {
+    "validate": ("validate economy files", cmd_validate, ()),
+    "generate": ("generate a synthetic economy as CSV files", cmd_generate, ()),
+    "fsri": ("per-firm systemic risk profile (single-firm sweep)", cmd_fsri, ()),
+    "stress": ("run a scenario batch through the full pipeline", cmd_stress, STRESS_FLAGS),
+    "debtrank": ("per-bank full-default impact profile", cmd_debtrank, ()),
+    "report": ("recompute statistics from dumped ledgers", cmd_report,
+               (("--ledgers", "ledgers", {"required": True, "help": "ledgers.csv from a stress run"}),)),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -537,69 +555,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="supply-chain and interbank network stress-testing engine",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (help_text, _, extra) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--workers", type=int, help="scenario worker threads (0 = the usable CPUs)")
-        p.add_argument("--seed", type=int, help="scenario RNG seed")
-        p.add_argument("--regime", choices=REGIMES, help="which regimes to report")
-        p.add_argument("--trace", action="store_true", help="write iteration/default dumps")
-        p.add_argument("--economy-dir", help="directory with economy CSV files")
-        p.add_argument("--synthetic", action="store_true", help="generate a synthetic economy")
-        p.add_argument("--n", type=int, help="synthetic economy: firm count")
-        p.add_argument("--m", type=int, help="synthetic economy: bank count")
-        p.add_argument("--ratio", type=float, help="synthetic economy: target exposure ratio")
-        p.add_argument("--economy-seed", type=int, help="synthetic economy RNG seed")
-        p.add_argument("--epsilon", type=float, help="propagation convergence tolerance")
-        p.add_argument("--sigma", type=float, help="non-essential input weight in [0, 1]")
-        p.add_argument("--essentiality", help="essentiality.csv path")
-
-    p_validate = sub.add_parser("validate", help="validate economy files")
-    common(p_validate)
-
-    p_generate = sub.add_parser("generate", help="generate a synthetic economy as CSV files")
-    common(p_generate)
-
-    p_fsri = sub.add_parser("fsri", help="per-firm systemic risk profile (single-firm sweep)")
-    common(p_fsri)
-
-    p_stress = sub.add_parser("stress", help="run a scenario batch through the full pipeline")
-    common(p_stress)
-    p_stress.add_argument("--count", type=int, help="number of scenarios")
-    p_stress.add_argument("--shocks", help="empirical shock table CSV, or 'synthetic'")
-    p_stress.add_argument("--batch-file", help="long-format shock batch CSV")
-    p_stress.add_argument("--single-firm", action="store_true",
-                          help="sweep single-firm failure scenarios instead")
-
-    p_dr = sub.add_parser("debtrank", help="per-bank full-default impact profile")
-    common(p_dr)
-
-    p_report = sub.add_parser("report", help="recompute statistics from dumped ledgers")
-    common(p_report)
-    p_report.add_argument("--ledgers", required=True, help="ledgers.csv from a stress run")
-
+        for name, path, settings in FLAGS + extra:
+            if "action" not in settings and "choices" not in settings:  # as if dest were the flag's name
+                settings = {"metavar": name[2:].replace("-", "_").upper(), **settings}
+            p.add_argument(name, dest=path, **settings)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler = COMMANDS[args.command][1]
     try:
         config = _apply_overrides(_load_config(args.config), args)
-        if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "generate":
-            config["economy"]["source"] = "synthetic"
-            return cmd_generate(config)
-        if args.command == "fsri":
-            return cmd_fsri(config)
-        if args.command == "stress":
-            return cmd_stress(config)
-        if args.command == "debtrank":
-            return cmd_debtrank(config)
-        if args.command == "report":
-            return cmd_report(config, args.ledgers)
-        raise AssertionError(f"unhandled command {args.command}")
+        return handler(config, args.ledgers) if args.command == "report" else handler(config)
     except EconomyValidationError as exc:
         print(f"validation error:\n{exc.report}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -89,20 +89,22 @@ def firm_columns(present: np.ndarray, *values: np.ndarray) -> dict[str, np.ndarr
     return dict(columns, financials_present=present, eligible_for_default=eligible)
 
 
+def _summed(shape: tuple[int, int], rows, cols, values) -> sparse.csr_matrix:
+    """A CSR matrix of ``shape`` holding ``values`` at ``(rows, cols)``, repeated entries summed."""
+    mat = sparse.csr_matrix((np.asarray(values, dtype=float), (rows, cols)), shape=shape)
+    mat.sum_duplicates()
+    return mat
+
+
 @dataclass(eq=False)
 class SupplyNetwork:
     """Weighted directed firm-firm network; weights are yearly goods volumes."""
 
-    n: int
     weights: sparse.csr_matrix  # weights[i, j]: value sold by supplier i to buyer j
 
     @classmethod
     def from_edges(cls, n: int, suppliers, buyers, weights) -> "SupplyNetwork":
-        mat = sparse.csr_matrix(
-            (np.asarray(weights, dtype=float), (suppliers, buyers)), shape=(n, n)
-        )
-        mat.sum_duplicates()
-        return cls(n=n, weights=mat)
+        return cls(weights=_summed((n, n), suppliers, buyers, weights))
 
 
 @dataclass(eq=False)
@@ -113,16 +115,11 @@ class InterbankNetwork:
     assets.
     """
 
-    m: int
     liabilities: sparse.csr_matrix
 
     @classmethod
     def from_edges(cls, m: int, borrowers, lenders, amounts) -> "InterbankNetwork":
-        mat = sparse.csr_matrix(
-            (np.asarray(amounts, dtype=float), (borrowers, lenders)), shape=(m, m)
-        )
-        mat.sum_duplicates()
-        return cls(m=m, liabilities=mat)
+        return cls(liabilities=_summed((m, m), borrowers, lenders, amounts))
 
     def leverage(self, bank_equity: np.ndarray) -> np.ndarray:
         """Leverage matrix: entry [l, k] = liabilities[l, k] / equity of k."""
@@ -139,11 +136,7 @@ class LoanBook:
 
     @classmethod
     def from_entries(cls, n: int, m: int, firm_idx, bank_idx, amounts, lgd: float = 1.0) -> "LoanBook":
-        mat = sparse.csr_matrix(
-            (np.asarray(amounts, dtype=float), (firm_idx, bank_idx)), shape=(n, m)
-        )
-        mat.sum_duplicates()
-        return cls(principals=mat, lgd=lgd)
+        return cls(principals=_summed((n, m), firm_idx, bank_idx, amounts), lgd=lgd)
 
     @cached_property
     def by_bank(self) -> sparse.csr_matrix:

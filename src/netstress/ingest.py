@@ -78,8 +78,8 @@ def economy_files(directory: str | Path, lgd: float = 1.0) -> IngestionSpec:
     )
 
 
-def load_essentiality(path: str | Path, default_essential: bool = True) -> EssentialityTable:
-    """Read a sector-pair essentiality table; unlisted pairs use the default.
+def load_essentiality(path: str | Path) -> EssentialityTable:
+    """Read a sector-pair essentiality table; unlisted pairs are essential.
 
     A second row for one (supplier_sector, buyer_sector) pair is a
     :class:`DataFormatError`.
@@ -88,7 +88,7 @@ def load_essentiality(path: str | Path, default_essential: bool = True) -> Essen
     overrides: dict[tuple[str, str], bool] = {}
     for block in read_blocks(path, ESSENTIALITY_COLUMNS):
         overrides.update(block.convert(lambda b: _essentiality_rows(b, overrides)))
-    return EssentialityTable(overrides=overrides, default_essential=default_essential)
+    return EssentialityTable(overrides=overrides)
 
 
 def _essentiality_rows(b: Block, seen: dict) -> dict[tuple[str, str], bool]:

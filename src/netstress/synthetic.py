@@ -275,29 +275,30 @@ def generate_synthetic_economy(params: SyntheticParams, seed: int) -> EconomyGra
     return graph
 
 
-def synthetic_shock_table(
-    g: EconomyGraph,
-    seed: int,
-    coverage: float = 0.7,
-    severity_range: tuple[float, float] = (0.05, 0.5),
-) -> EmpiricalShockTable:
+# the share of firms a synthetic shock table observes, and the range of its industry severities
+SHOCK_COVERAGE = 0.7
+SEVERITY_RANGE = (0.05, 0.5)
+
+
+def synthetic_shock_table(g: EconomyGraph, seed: int) -> EmpiricalShockTable:
     """Stand-in for an observed shock table (the real one is confidential).
 
-    Each two-digit industry gets a severity level; covered firms get
-    reductions scattered around it. Every industry keeps at least one
-    observation so batch generation never starves.
+    Each two-digit industry gets a severity level in :data:`SEVERITY_RANGE`;
+    a share :data:`SHOCK_COVERAGE` of firms get reductions scattered around
+    it. Every industry keeps at least one observation so batch generation
+    never starves.
     """
     rng = np.random.default_rng(seed)
     nace2 = [s[:2] for s in g.sectors]
     sector_severity = {
-        code: rng.uniform(*severity_range) for code in sorted(set(nace2))
+        code: rng.uniform(*SEVERITY_RANGE) for code in sorted(set(nace2))
     }
     reductions: dict[str, float] = {}
     first_in_sector: set[str] = set()
     for fid, code in zip(g.firm_ids, nace2):
         force = code not in first_in_sector
         first_in_sector.add(code)
-        if not force and rng.random() >= coverage:
+        if not force and rng.random() >= SHOCK_COVERAGE:
             continue
         reductions[fid] = min(max(rng.normal(sector_severity[code], 0.15), 0.0), 1.0)
     return EmpiricalShockTable(reductions=reductions)

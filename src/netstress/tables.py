@@ -3,7 +3,7 @@
 UTF-8, '.' decimal separator, no thousands separators, a header row that
 must match exactly, the same number of fields on every row and ``\\n`` line
 ends (``\\r\\n`` and blank lines are accepted on input). Floats are written
-with :func:`fmt` (``repr``), so they read back bit for bit; a text cell
+with ``repr``, so they read back bit for bit; a text cell
 holding ``,``, ``"`` or a line end is quoted the way ``csv.writer`` quotes
 it. Every read error raises :class:`DataFormatError` naming the file and,
 past the header, the line.
@@ -42,11 +42,6 @@ BLOCK_ROWS = 512
 _QUOTE = (",", '"', "\r", "\n")
 
 T = TypeVar("T")
-
-
-def fmt(x: float) -> str:
-    """A float as the shortest text that reads back to the same value."""
-    return repr(float(x))
 
 
 class RowError(Exception):
@@ -295,7 +290,7 @@ def _write(path: Path, header: list[str], blocks: Iterable[Sequence]) -> None:
 def write_columns(path: Path, header: list[str], columns: Sequence[Sequence]) -> None:
     """Write a header and then equal-length columns, one block of rows at a time.
 
-    A float array is written with :func:`fmt`, a masked cell as a blank;
+    A float array is written with ``repr``, a masked cell as a blank;
     any other column is written as text.
     """
     write_parts(path, header, [columns])

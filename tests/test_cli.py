@@ -359,6 +359,24 @@ class TestBadInput:
         err = one_line_error(capsys)
         assert f"ledgers.csv line {row + 1}: column {column} is " in err and cell in err
 
+    def test_report_on_a_total_that_disagrees_with_its_channels(self, toy_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run(["stress", "--economy-dir", str(toy_dir), "--single-firm",
+                    "--out", str(run_dir), "--workers", "1"]) == 0
+        lines = (run_dir / "ledgers.csv").read_text().splitlines()
+        column = lines[0].split(",").index("total_w")
+        row = next(i for i, line in enumerate(lines) if i and float(line.split(",")[column]) > 0.0)
+        cells = lines[row].split(",")
+        total, cells[column] = cells[column], repr(2.0 * float(cells[column]))
+        lines[row] = ",".join(cells)
+        (tmp_path / "ledgers.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["report", "--ledgers", str(tmp_path / "ledgers.csv"),
+                    "--out", str(tmp_path / "report")]) == 3
+        assert one_line_error(capsys) == (
+            f"input error: {tmp_path / 'ledgers.csv'} line {row + 1}: "
+            f"column total_w is {cells[column]}, not {total} from the row's channels")
+
     def test_report_reads_totals_as_values(self, toy_dir, tmp_path):
         run_dir = tmp_path / "run"
         assert run(["stress", "--economy-dir", str(toy_dir), "--count", "5",
@@ -449,6 +467,9 @@ def test_bad_parameter_values_exit_three(toy_dir, tmp_path, capsys, argv):
     ("stress", {"propagation": {"essentiality": 5}}),
     ("stress", {"scenarios": {"shocks": 7}}),
     ("stress", {"scenarios": {"kind": "file", "batch_file": ["b.csv"]}}),
+    ("stress", {"scenarios": {"kind": "file"}}),
+    ("stress", {"trace": "false"}),
+    ("debtrank", {"trace": 1}),
     ("stress", {"workers": float("inf")}),
     ("stress", {"scenarios": {"count": float("inf")}}),
     ("stress", {"regime": "bogus"}),

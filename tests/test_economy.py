@@ -100,7 +100,7 @@ class TestExposureRatio:
         base, _ = exposure_ratio(toy_graph)
         scaled = replace(
             toy_graph,
-            interbank=InterbankNetwork(4, toy_graph.interbank.liabilities * scale),
+            interbank=InterbankNetwork(toy_graph.interbank.liabilities * scale),
             loans=LoanBook(toy_graph.loans.principals * scale, lgd=1.0),
         )
         rescaled, _ = exposure_ratio(scaled)

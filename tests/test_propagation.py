@@ -340,7 +340,7 @@ class TestWeightScaling:
             (sectors[i], sectors[j]): False
             for i, j in rng.integers(0, g.n, (60, 2)).tolist()
         })
-        scaled = replace(g, supply=SupplyNetwork(g.n, g.supply.weights * 2.0**k))
+        scaled = replace(g, supply=SupplyNetwork(g.supply.weights * 2.0**k))
         assert scaled.supply.weights.nnz == g.supply.weights.nnz
         for cfg in (PropagationConfig(nonessential_weight=sigma),
                     PropagationConfig(epsilon=1e-12, max_iter=10_000, nonessential_weight=sigma)):
@@ -363,7 +363,7 @@ def relabelled(g: EconomyGraph, perm: np.ndarray) -> EconomyGraph:
         firm_ids=[g.firm_ids[i] for i in perm],
         sectors=[g.sectors[i] for i in perm],
         **{name: getattr(g, name)[perm] for name in columns},
-        supply=SupplyNetwork(g.n, g.supply.weights.tocsr()[perm][:, perm]),
+        supply=SupplyNetwork(g.supply.weights.tocsr()[perm][:, perm]),
         loans=LoanBook(g.loans.principals[perm], g.loans.lgd),
     )
 

@@ -110,11 +110,16 @@ class TestCovidStyleBatch:
         c = covid_style_batch(g, table, count=10, seed=6)
         assert (a.psi != c.psi).any()
 
-    def test_all_shocks_in_unit_interval(self):
+    def test_all_shocks_in_unit_interval(self, monkeypatch):
+        # high observed reductions: rescaling pushes some firms past 1, so rows go through the clipping loop
         g = generate_synthetic_economy(SyntheticParams(n=200, m=4), seed=1)
-        table = synthetic_shock_table(g, seed=2, severity_range=(0.4, 0.9))
-        batch = covid_style_batch(g, table, count=20, seed=3)
-        assert np.all(batch.psi >= 0.0) and np.all(batch.psi <= 1.0)
+        rng = np.random.default_rng(2)
+        table = EmpiricalShockTable({fid: float(rng.uniform(0.4, 0.95)) for fid in g.firm_ids})
+        clipped = []
+        rescale = scenarios._rescale_to_target
+        monkeypatch.setattr(scenarios, "_rescale_to_target", lambda *a: clipped.append(1) or rescale(*a))
+        psi = covid_style_batch(g, table, count=20, seed=3).psi
+        assert clipped and np.all(psi >= 0.0) and np.all(psi <= 1.0)
 
     def test_sector_without_observations_is_an_error(self, toy):
         table = EmpiricalShockTable(reductions={})
