@@ -72,6 +72,99 @@ class TestValidation:
             assert any(v.rule == rule for v in report.violations), rule
 
 
+class TestReportText:
+    """The exact report of graphs that break every rule: its lines and their order."""
+
+    def test_every_firm_bank_and_edge_rule(self, toy):
+        nan, inf = float("nan"), float("inf")
+        revenue, equity, short_assets = toy.revenue.copy(), toy.equity.copy(), toy.short_assets.copy()
+        present, eligible = toy.financials_present.copy(), toy.eligible_for_default.copy()
+        equity[0], short_assets[0] = -5.0, 10.0    # a: two eligibility lines
+        revenue[1], equity[1] = -inf, nan          # b: NaN equity gives its non-finite line only
+        present[2], revenue[2] = False, nan        # c: financials absent, so the NaN is not checked
+        eligible[3], equity[3] = False, -1.0       # d: not eligible, so the equity is not checked
+        g = replace(
+            toy,
+            # the firm rules hit firms in the opposite order to the rule order
+            firm_ids=["a", "b", "c", "d", "", ""],
+            sectors=["1011", "", "1013", "", "1015", ""],
+            revenue=revenue, equity=equity, short_assets=short_assets,
+            financials_present=present, eligible_for_default=eligible,
+            bank_ids=["1", "1", "", "4"],
+            bank_equity=np.array([inf, 150.0, 0.0, nan]),
+            supply=SupplyNetwork.from_edges(
+                6, [5, 0, 2, 1, 3, 0], [0, 0, 2, 0, 2, 5], [10.0, -1.0, 3.0, 0.0, nan, inf]),
+            interbank=InterbankNetwork.from_edges(4, [2, 3, 1, 0], [1, 3, 0, 2], [30.0, 5.0, -0.5, inf]),
+            loans=LoanBook.from_entries(6, 4, [0, 3, 5], [0, 3, 1], [40.0, -2.0, nan], lgd=1.5),
+        )
+        assert str(validate_economy(g)) == "\n".join([
+            "29 violation(s):",
+            "  firm:a: [eligibility] eligible firm has equity -5.0 <= 0",
+            "  firm:a: [eligibility] eligible firm has non-positive liquidity",
+            "  firm:b: [empty-sector] sector code must be non-empty",
+            "  firm:b: [non-finite] revenue is -inf",
+            "  firm:b: [non-finite] equity is nan",
+            "  firm:b: [eligibility] eligible firm has non-positive net income",
+            "  firm:c: [eligibility] eligible firm lacks financials",
+            "  firm:d: [empty-sector] sector code must be non-empty",
+            "  firm:: [empty-id] firm id must be non-empty",
+            "  firm:: [empty-id] firm id must be non-empty",
+            "  firm:: [duplicate-id] firm id appears more than once",
+            "  firm:: [empty-sector] sector code must be non-empty",
+            "  bank:1: [equity] tier 1 equity inf must be finite and > 0",
+            "  bank:1: [duplicate-id] bank id appears more than once",
+            "  bank:: [empty-id] bank id must be non-empty",
+            "  bank:: [equity] tier 1 equity 0.0 must be finite and > 0",
+            "  bank:4: [equity] tier 1 equity nan must be finite and > 0",
+            "  firm:a: [self-loop] supply self-loop with nonzero weight",
+            "  firm:c: [self-loop] supply self-loop with nonzero weight",
+            "  firm:a: [edge-weight] supply edge to a has weight -1.0, must be finite and > 0",
+            "  firm:a: [edge-weight] supply edge to  has weight inf, must be finite and > 0",
+            "  firm:b: [edge-weight] supply edge to a has weight 0.0, must be finite and > 0",
+            "  firm:d: [edge-weight] supply edge to c has weight nan, must be finite and > 0",
+            "  bank:4: [self-loop] bank borrows from itself",
+            "  bank:1: [edge-weight] interbank loan from  is inf, must be finite and >= 0",
+            "  bank:1: [edge-weight] interbank loan from 1 is -0.5, must be finite and >= 0",
+            "  firm:d: [loan-amount] loan from bank 4 is -2.0, must be finite and >= 0",
+            "  firm:: [loan-amount] loan from bank 1 is nan, must be finite and >= 0",
+            "  loans: [lgd] loss given default 1.5 outside (0, 1]",
+        ])
+
+    def test_column_shapes_come_alone(self, toy):
+        g = replace(toy, firm_ids=["a", "a", "", "d", "e", "f"], revenue=toy.revenue[:5],
+                    bank_equity=toy.bank_equity[:3], loans=LoanBook(toy.loans.principals, lgd=2.0))
+        assert str(validate_economy(g)) == "\n".join([
+            "2 violation(s):",
+            "  columns: [shape] revenue has 5 entries, expected 6",
+            "  columns: [shape] bank_equity has 3 entries, expected 4",
+        ])
+
+    def test_matrix_shapes(self, toy):
+        g = replace(
+            toy,
+            supply=SupplyNetwork.from_edges(5, [0], [0], [-1.0]),
+            interbank=InterbankNetwork.from_edges(3, [0], [0], [-1.0]),
+            loans=LoanBook.from_entries(6, 3, [0], [0], [-1.0]),
+        )
+        assert str(validate_economy(g)) == "\n".join([
+            "3 violation(s):",
+            "  supply: [shape] supply matrix is (5, 5), expected (6, 6)",
+            "  interbank: [shape] interbank matrix is (3, 3), expected (4, 4)",
+            "  loans: [shape] loan book is (6, 3), expected (6, 4)",
+        ])
+
+    def test_no_bank(self, toy):
+        g = replace(
+            toy, bank_ids=[], bank_equity=np.zeros(0),
+            interbank=InterbankNetwork.from_edges(0, [], [], []),
+            loans=LoanBook.from_entries(6, 0, [], [], []),
+        )
+        assert str(validate_economy(g)) == "\n".join([
+            "1 violation(s):",
+            "  banks: [empty] economy has no banks: bank losses and DebtRank need at least one",
+        ])
+
+
 class TestExposureRatio:
     def test_toy_system_ratio(self, toy):
         system, per_bank = exposure_ratio(toy)
