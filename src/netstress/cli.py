@@ -7,7 +7,7 @@ convergence flags.
 
 Exit codes: 0 ok, 1 validation problem (an invariant violation or an
 unknown id), 2 convergence failure, 3 I/O or format problem (a file that
-cannot be opened or parsed, or a value out of range).
+cannot be opened or parsed, a value out of range, or a bad command line).
 """
 
 from __future__ import annotations
@@ -146,8 +146,17 @@ def _settings(section: str):
         raise DataFormatError(f"{section}: {exc}") from exc
 
 
-def _seed(value) -> int:
-    seed = int(value)
+def _number(section: dict, key: str, kind: type = float):
+    """Setting ``key`` of ``section`` as a ``kind`` (int or float). A boolean is refused, and so is
+    a number that is not whole where an int is due: ``int`` would truncate it."""
+    value = section[key]
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be {'a whole number' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
+def _seed(section: dict, key: str) -> int:
+    seed = _number(section, key, int)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
@@ -155,7 +164,7 @@ def _seed(value) -> int:
 
 def _economy_files(eco: dict) -> IngestionSpec:
     with _settings("economy"):
-        lgd = float(eco["lgd"])
+        lgd = _number(eco, "lgd")
     return economy_files(eco["dir"], lgd=lgd)
 
 
@@ -165,14 +174,14 @@ def _economy_from_config(config: dict) -> EconomyGraph:
         with _settings("SyntheticParams"):
             ratio = eco["target_exposure_ratio"]
             params = SyntheticParams(
-                n=int(eco["n"]), m=int(eco["m"]),
-                mean_degree=float(eco["mean_degree"]),
-                sector_count=int(eco["sector_count"]),
-                target_exposure_ratio=None if ratio is None else float(ratio),
-                **{key: float(eco[key]) for key in _SYNTHETIC_FRACTIONS if key in eco},
+                n=_number(eco, "n", int), m=_number(eco, "m", int),
+                mean_degree=_number(eco, "mean_degree"),
+                sector_count=_number(eco, "sector_count", int),
+                target_exposure_ratio=None if ratio is None else _number(eco, "target_exposure_ratio"),
+                **{key: _number(eco, key) for key in _SYNTHETIC_FRACTIONS if key in eco},
                 **{key: eco[key] for key in ("weight_family",) if key in eco},
             )
-            seed = _seed(eco["seed"])
+            seed = _seed(eco, "seed")
         graph = generate_synthetic_economy(params, seed=seed)
     elif eco["source"] == "files":
         graph = load_economy(_economy_files(eco))
@@ -188,9 +197,9 @@ def _propagation_config(config: dict) -> PropagationConfig:
     prop = config["propagation"]
     with _settings("PropagationConfig"):
         return PropagationConfig(
-            epsilon=float(prop["epsilon"]),
-            max_iter=int(prop["max_iter"]),
-            nonessential_weight=float(prop["nonessential_weight"]),
+            epsilon=_number(prop, "epsilon"),
+            max_iter=_number(prop, "max_iter", int),
+            nonessential_weight=_number(prop, "nonessential_weight"),
         )
 
 
@@ -198,7 +207,7 @@ def _debtrank_settings(config: dict) -> tuple[float, int]:
     """``(epsilon, max_iter)`` of the contagion stage, checked before any run."""
     dr = config["debtrank"]
     with _settings("debtrank"):
-        epsilon, max_iter = float(dr["epsilon"]), int(dr["max_iter"])
+        epsilon, max_iter = _number(dr, "epsilon"), _number(dr, "max_iter", int)
         if not epsilon > 0.0:
             raise ValueError(f"epsilon must be > 0, got {epsilon}")
         if max_iter < 1:
@@ -213,8 +222,8 @@ def _batch_from_config(config: dict, graph: EconomyGraph) -> ShockBatch:
         return single_firm_batch(graph)
     if kind == "covid":
         with _settings("scenarios"):
-            count, seed = int(spec["count"]), _seed(spec["seed"])
-            shocks_seed = _seed(spec["shocks_seed"])
+            count, seed = _number(spec, "count", int), _seed(spec, "seed")
+            shocks_seed = _seed(spec, "shocks_seed")
             if count < 1:
                 raise ValueError(f"count must be >= 1, got {count}")
         shocks = spec["shocks"]
@@ -234,7 +243,7 @@ def _workers(config: dict) -> int:
     """The configured worker count; 0 or less means the CPUs this process may
     run on (its affinity mask, which ``taskset`` and cpusets narrow)."""
     with _settings("workers"):
-        workers = int(config["workers"])
+        workers = _number(config, "workers", int)
     if workers > 0:
         return workers
     if hasattr(os, "sched_getaffinity"):
@@ -549,8 +558,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with :data:`EXIT_IO`; argparse's own code, 2, is
+    the code of a convergence failure. Its subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="netstress",
         description="supply-chain and interbank network stress-testing engine",
     )

@@ -12,7 +12,6 @@ ratio, so no conversion layer exists.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import not_
@@ -69,24 +68,19 @@ class BankSheet:
     tier1_equity: float
 
 
-def default_eligible(present, revenue, op_cost, equity, short_assets, short_liabs) -> np.ndarray:
-    """Per firm: it can default only with financials and strictly positive buffers."""
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is not > 0
-        return present & (equity > 0.0) & ((short_assets - short_liabs) > 0.0) & ((revenue - op_cost) > 0.0)
-
-
 FINANCIAL_FIELDS = ("revenue", "op_cost", "equity", "short_assets", "short_liabs")
 
 
 def firm_columns(present: np.ndarray, *values: np.ndarray) -> dict[str, np.ndarray]:
     """The financial fields of :class:`EconomyGraph` from a financials-present mask and one array per field.
 
-    Firms without financials get zero financials; eligibility follows
-    :func:`default_eligible`.
+    Firms without financials get zero financials; a firm is eligible for default only
+    with financials and strictly positive equity, liquidity and net income.
     """
-    columns = dict(zip(FINANCIAL_FIELDS, (np.where(present, v, 0.0) for v in values)))
-    eligible = default_eligible(present, *columns.values())
-    return dict(columns, financials_present=present, eligible_for_default=eligible)
+    revenue, op_cost, equity, short_assets, short_liabs = columns = [np.where(present, v, 0.0) for v in values]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is not > 0
+        eligible = present & (equity > 0.0) & ((short_assets - short_liabs) > 0.0) & ((revenue - op_cost) > 0.0)
+    return dict(zip(FINANCIAL_FIELDS, columns), financials_present=present, eligible_for_default=eligible)
 
 
 def _summed(shape: tuple[int, int], rows, cols, values) -> sparse.csr_matrix:
@@ -120,11 +114,6 @@ class InterbankNetwork:
     @classmethod
     def from_edges(cls, m: int, borrowers, lenders, amounts) -> "InterbankNetwork":
         return cls(liabilities=_summed((m, m), borrowers, lenders, amounts))
-
-    def leverage(self, bank_equity: np.ndarray) -> np.ndarray:
-        """Leverage matrix: entry [l, k] = liabilities[l, k] / equity of k."""
-        eq = np.asarray(bank_equity, dtype=float)
-        return self.liabilities.toarray() / eq[None, :]
 
 
 @dataclass(eq=False)
@@ -232,8 +221,8 @@ class EconomyGraph:
 
     @cached_property
     def leverage(self) -> np.ndarray:
-        """Interbank leverage matrix (banks x banks), see :meth:`InterbankNetwork.leverage`."""
-        return self.interbank.leverage(self.bank_equity)
+        """Interbank leverage matrix (banks x banks): entry [l, k] = liabilities[l, k] / equity of k."""
+        return self.interbank.liabilities.toarray() / self.bank_equity[None, :]
 
     @cached_property
     def intermediate_sales(self) -> np.ndarray:
@@ -284,47 +273,50 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _repeats(ids: list[str]) -> set[int]:
-    """Positions of ids that appear earlier in the list."""
+@dataclass(frozen=True)
+class AmountRule:
+    """The amounts of one edge layer: each finite and > 0 (``strict``) or >= 0, or a violation
+    of ``rule`` by the ``entity`` (``"firm"`` or ``"bank"``) that owns the amount's row."""
+
+    entity: str
+    rule: str
+    strict: bool
+
+    def holds(self, values: np.ndarray) -> np.ndarray:
+        return (values > 0.0 if self.strict else values >= 0.0) & (values < np.inf)
+
+    def violation(self, owner: str, what: str) -> Violation:
+        bound = ">" if self.strict else ">="
+        return Violation(f"{self.entity}:{owner}", self.rule, f"{what}, must be finite and {bound} 0")
+
+
+# read by validate_economy on the summed matrices and by ingest on each file row
+SUPPLY_WEIGHTS = AmountRule("firm", "edge-weight", strict=True)
+INTERBANK_AMOUNTS = AmountRule("bank", "edge-weight", strict=False)
+LOAN_PRINCIPALS = AmountRule("firm", "loan-amount", strict=False)
+
+
+def _blank(texts: list[str]) -> np.ndarray:
+    return np.fromiter(map(not_, texts), dtype=bool, count=len(texts))
+
+
+def _repeated(ids: list[str]) -> np.ndarray:
+    """Per position: the id appears earlier in the list."""
     if len(set(ids)) == len(ids):
-        return set()
-    seen: set[str] = set()
-    repeats = set()
-    for i, fid in enumerate(ids):
-        if fid in seen:
-            repeats.add(i)
-        seen.add(fid)
-    return repeats
+        return np.zeros(len(ids), dtype=bool)
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))  # an id's last write is its first position
+    return np.fromiter(map(first.__getitem__, ids), dtype=np.intp, count=len(ids)) < np.arange(len(ids))
 
 
-def _check_firm(report: ValidationReport, g: EconomyGraph, i: int, repeated: bool) -> None:
-    fid = g.firm_ids[i]
-    ent = f"firm:{fid}"
-    if not fid:
-        report.add(ent, "empty-id", "firm id must be non-empty")
-    if repeated:
-        report.add(ent, "duplicate-id", "firm id appears more than once")
-    if not g.sectors[i]:
-        report.add(ent, "empty-sector", "sector code must be non-empty")
-    f = {name: getattr(g, name)[i].item() for name in FINANCIAL_FIELDS}
-    present = g.financials_present[i]
-    if present:
-        for name, value in f.items():
-            if not math.isfinite(value):
-                report.add(ent, "non-finite", f"{name} is {value}")
-    if g.eligible_for_default[i]:
-        if not present:
-            report.add(ent, "eligibility", "eligible firm lacks financials")
-        else:
-            if f["equity"] <= 0.0:
-                report.add(ent, "eligibility", f"eligible firm has equity {f['equity']} <= 0")
-            if (f["short_assets"] - f["short_liabs"]) <= 0.0:
-                report.add(ent, "eligibility", "eligible firm has non-positive liquidity")
-            if (f["revenue"] - f["op_cost"]) <= 0.0:
-                report.add(ent, "eligibility", "eligible firm has non-positive net income")
-
-
-_FIRM_COLUMNS = ("sectors", *FINANCIAL_FIELDS, "financials_present", "eligible_for_default")
+def _add_hits(report: ValidationReport, entity: str, ids: list[str], rules: list[tuple]) -> None:
+    """Report the hits of the id rules (each id non-empty and given once) and of ``rules``: rows of
+    (rule id, mask over ``ids``, message, *arrays whose values at i fill it), by index, then by row."""
+    rules = [("empty-id", _blank(ids), f"{entity} id must be non-empty"),
+             ("duplicate-id", _repeated(ids), f"{entity} id appears more than once"), *rules]
+    hits = sorted((i, r) for r, (_, mask, *_) in enumerate(rules) for i in np.flatnonzero(mask).tolist())
+    for i, r in hits:
+        rule, _, message, *values = rules[r]
+        report.add(f"{entity}:{ids[i]}", rule, message.format(*(v[i].item() for v in values)))
 
 
 def validate_economy(g: EconomyGraph) -> ValidationReport:
@@ -334,84 +326,52 @@ def validate_economy(g: EconomyGraph) -> ValidationReport:
     """
     report = ValidationReport()
     n, m = g.n, g.m
-    for name, size in (dict.fromkeys(_FIRM_COLUMNS, n) | {"bank_equity": m}).items():
+    sizes = dict.fromkeys(("sectors", *FINANCIAL_FIELDS, "financials_present", "eligible_for_default"), n)
+    for name, size in (sizes | {"bank_equity": m}).items():
         if len(getattr(g, name)) != size:
             report.add("columns", "shape", f"{name} has {len(getattr(g, name))} entries, expected {size}")
     if not report.ok:
         return report
 
-    # screen every firm with arrays; only flagged firms go through the
-    # per-firm rules of _check_firm, which word the violations in firm order
-    repeated = _repeats(g.firm_ids)
-    present = g.financials_present
-    values = [getattr(g, name) for name in FINANCIAL_FIELDS]
-    flagged = (
-        np.fromiter(map(not_, g.firm_ids), dtype=bool, count=n)
-        | np.fromiter(map(not_, g.sectors), dtype=bool, count=n)
-        | (present & ~np.logical_and.reduce([np.isfinite(v) for v in values]))
-        | (g.eligible_for_default & ~default_eligible(present, *values))
-    )
-    flagged[list(repeated)] = True
-    for i in np.flatnonzero(flagged).tolist():
-        _check_firm(report, g, i, i in repeated)
+    present, checked = g.financials_present, g.eligible_for_default & g.financials_present
+    values = {name: getattr(g, name) for name in FINANCIAL_FIELDS}
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is not <= 0
+        _add_hits(report, "firm", g.firm_ids, [
+            ("empty-sector", _blank(g.sectors), "sector code must be non-empty"),
+            *(("non-finite", present & ~np.isfinite(v), f"{name} is {{}}", v) for name, v in values.items()),
+            ("eligibility", g.eligible_for_default & ~present, "eligible firm lacks financials"),
+            # NaN equity is not <= 0: such a firm gets its non-finite line only
+            ("eligibility", checked & (g.equity <= 0.0), "eligible firm has equity {} <= 0", g.equity),
+            ("eligibility", checked & (g.short_assets - g.short_liabs <= 0.0),
+             "eligible firm has non-positive liquidity"),
+            ("eligibility", checked & (g.revenue - g.op_cost <= 0.0), "eligible firm has non-positive net income"),
+        ])
 
     if m == 0:
         report.add("banks", "empty", "economy has no banks: bank losses and DebtRank need at least one")
-    seen_banks: set[str] = set()
-    for bid, equity in zip(g.bank_ids, g.bank_equity.tolist()):
-        ent = f"bank:{bid}"
-        if not bid:
-            report.add(ent, "empty-id", "bank id must be non-empty")
-        if bid in seen_banks:
-            report.add(ent, "duplicate-id", "bank id appears more than once")
-        seen_banks.add(bid)
-        if not 0.0 < equity < math.inf:
-            report.add(ent, "equity", f"tier 1 equity {equity} must be finite and > 0")
+    equity = g.bank_equity
+    _add_hits(report, "bank", g.bank_ids, [
+        ("equity", ~((equity > 0.0) & (equity < np.inf)), "tier 1 equity {} must be finite and > 0", equity),
+    ])
 
-    w = g.supply.weights
-    if w.shape != (n, n):
-        report.add("supply", "shape", f"supply matrix is {w.shape}, expected {(n, n)}")
-    else:
-        diag = w.diagonal()
-        for i in np.flatnonzero(diag != 0.0):
-            report.add(f"firm:{g.firm_ids[i]}", "self-loop", "supply self-loop with nonzero weight")
-        coo = w.tocoo()
-        bad = ~((coo.data > 0.0) & np.isfinite(coo.data))
+    for entity, what, matrix, shape, rows, cols, self_loop, amounts, message in (
+        ("supply", "supply matrix", g.supply.weights, (n, n), g.firm_ids, g.firm_ids,
+         "supply self-loop with nonzero weight", SUPPLY_WEIGHTS, "supply edge to {} has weight {}"),
+        ("interbank", "interbank matrix", g.interbank.liabilities, (m, m), g.bank_ids, g.bank_ids,
+         "bank borrows from itself", INTERBANK_AMOUNTS, "interbank loan from {} is {}"),
+        ("loans", "loan book", g.loans.principals, (n, m), g.firm_ids, g.bank_ids,
+         None, LOAN_PRINCIPALS, "loan from bank {} is {}"),
+    ):
+        if matrix.shape != shape:
+            report.add(entity, "shape", f"{what} is {matrix.shape}, expected {shape}")
+            continue
+        if self_loop is not None:
+            for i in np.flatnonzero(matrix.diagonal() != 0.0):
+                report.add(f"{amounts.entity}:{rows[i]}", "self-loop", self_loop)
+        coo = matrix.tocoo()
+        bad = ~amounts.holds(coo.data)
         for i, j, x in zip(coo.row[bad], coo.col[bad], coo.data[bad]):
-            report.add(
-                f"firm:{g.firm_ids[i]}",
-                "edge-weight",
-                f"supply edge to {g.firm_ids[j]} has weight {x}, must be finite and > 0",
-            )
-
-    liab = g.interbank.liabilities
-    if liab.shape != (m, m):
-        report.add("interbank", "shape", f"interbank matrix is {liab.shape}, expected {(m, m)}")
-    else:
-        diag = liab.diagonal()
-        for k in np.flatnonzero(diag != 0.0):
-            report.add(f"bank:{g.bank_ids[k]}", "self-loop", "bank borrows from itself")
-        coo = liab.tocoo()
-        bad = ~((coo.data >= 0.0) & np.isfinite(coo.data))
-        for k, l, x in zip(coo.row[bad], coo.col[bad], coo.data[bad]):
-            report.add(
-                f"bank:{g.bank_ids[k]}",
-                "edge-weight",
-                f"interbank loan from {g.bank_ids[l]} is {x}, must be finite and >= 0",
-            )
-
-    loans = g.loans.principals
-    if loans.shape != (n, m):
-        report.add("loans", "shape", f"loan book is {loans.shape}, expected {(n, m)}")
-    else:
-        coo = loans.tocoo()
-        bad = ~((coo.data >= 0.0) & np.isfinite(coo.data))
-        for i, k, x in zip(coo.row[bad], coo.col[bad], coo.data[bad]):
-            report.add(
-                f"firm:{g.firm_ids[i]}",
-                "loan-amount",
-                f"loan from bank {g.bank_ids[k]} is {x}, must be finite and >= 0",
-            )
+            report.violations.append(amounts.violation(rows[i], message.format(cols[j], x)))
     if not (0.0 < g.loans.lgd <= 1.0):
         report.add("loans", "lgd", f"loss given default {g.loans.lgd} outside (0, 1]")
 

@@ -27,6 +27,10 @@ import numpy as np
 
 from .economy import (
     FINANCIAL_FIELDS,
+    INTERBANK_AMOUNTS,
+    LOAN_PRINCIPALS,
+    SUPPLY_WEIGHTS,
+    AmountRule,
     EconomyGraph,
     EconomyValidationError,
     EssentialityTable,
@@ -34,7 +38,6 @@ from .economy import (
     InvalidRowError,
     LoanBook,
     SupplyNetwork,
-    Violation,
     firm_columns,
     validate_economy,
 )
@@ -128,15 +131,15 @@ def _bank_rows(b: Block, seen: dict[str, int]):
     return ids, b.floats("tier1_equity")
 
 
-def _amounts(b: Block, name: str, entity: str, owner: str, rule: str, positive: bool = False) -> np.ndarray:
-    """Column ``name`` as floats, each finite and >= 0 (> 0 if ``positive``), checked row by row
-    before duplicate rows are summed: a violation of ``rule`` by the ``entity`` in column ``owner``."""
+def _amounts(b: Block, name: str, owner: str, amounts: AmountRule) -> np.ndarray:
+    """Column ``name`` as floats, each held to ``amounts`` row by row before duplicate rows are
+    summed; a bad amount is reported against the id in column ``owner``."""
     values = b.floats(name)
-    ok = (values > 0.0 if positive else values >= 0.0) & (values < np.inf)
+    ok = amounts.holds(values)
     if not ok.all():
         r = int(np.argmin(ok))
-        message = f"{name} is {b.cells[name][r].strip()}, must be finite and {'>' if positive else '>='} 0"
-        raise RowError(r, str(Violation(f"{entity}:{b.cells[owner][r].strip()}", rule, message)), InvalidRowError)
+        violation = amounts.violation(b.cells[owner][r].strip(), f"{name} is {b.cells[name][r].strip()}")
+        raise RowError(r, str(violation), InvalidRowError)
     return values
 
 
@@ -174,7 +177,7 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
     for block in read_blocks(spec.supply, SUPPLY_COLUMNS):
         sup, buy, weights = block.convert(lambda b: (
             b.text("supplier_id"), b.text("buyer_id"),
-            _amounts(b, "weight", "firm", "supplier_id", "edge-weight", positive=True),
+            _amounts(b, "weight", "supplier_id", SUPPLY_WEIGHTS),
         ))
         try:
             supply.add(lookup(sup, firm_index), lookup(buy, firm_index), weights)
@@ -195,14 +198,14 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
         interbank.add(*block.convert(lambda b: (
             b.positions("borrower_id", bank_index, "bank"),
             b.positions("lender_id", bank_index, "bank"),
-            _amounts(b, "amount", "bank", "borrower_id", "edge-weight"),
+            _amounts(b, "amount", "borrower_id", INTERBANK_AMOUNTS),
         )))
     loans = _Edges()
     for block in read_blocks(spec.loans, LOAN_COLUMNS):
         loans.add(*block.convert(lambda b: (
             b.positions("firm_id", firm_index, "firm"),
             b.positions("bank_id", bank_index, "bank"),
-            _amounts(b, "principal", "firm", "firm_id", "loan-amount"),
+            _amounts(b, "principal", "firm_id", LOAN_PRINCIPALS),
         )))
 
     essentiality = (

@@ -484,6 +484,13 @@ def test_bad_parameter_values_exit_three(toy_dir, tmp_path, capsys, argv):
     ("generate", {"economy": {"n": 30, "m": 3, "negative_income_rate": -0.5}}),
     ("generate", {"economy": {"n": 30, "m": 3, "loan_coverage": 1.5}}),
     ("generate", {"economy": {"n": 30, "loan_coverage": 0}}),
+    # int() would truncate a fraction and float() would read a boolean as 0 or 1
+    ("stress", {"scenarios": {"count": 2.5}}),
+    ("generate", {"economy": {"n": 30.5}}),
+    ("stress", {"workers": 1.5}),
+    ("stress", {"scenarios": {"seed": True}}),
+    ("stress", {"propagation": {"epsilon": True}}),
+    ("stress", {"debtrank": {"max_iter": 10.5}}),
 ], ids=lambda value: json.dumps(value) if isinstance(value, (dict, list)) else value)
 def test_bad_config_values_exit_three(toy_dir, tmp_path, capsys, command, config):
     path = tmp_path / "config.json"
@@ -494,6 +501,31 @@ def test_bad_config_values_exit_three(toy_dir, tmp_path, capsys, command, config
     assert run(argv) == 3
     assert one_line_error(capsys).startswith("input error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_whole_float_settings_are_read_as_ints(toy_dir, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenarios": {"count": 2.0, "seed": 5.0}, "workers": 1.0}))
+    out = tmp_path / "out"
+    assert run(["stress", "--config", str(path), "--economy-dir", str(toy_dir), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["scenarios"] == 2
+
+
+@pytest.mark.parametrize("argv", [["stress", "--count", "abc"], ["bogus"], ["stress", "--regime", "x"]], ids=" ".join)
+def test_bad_command_line_exits_three(capsys, argv):
+    # argparse's own code, 2, is the code of a convergence failure
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 3
+    assert "error: " in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["stress", "--help"]], ids=" ".join)
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert "usage: netstress" in capsys.readouterr().out
 
 
 class TestWorkerCount:
