@@ -1,29 +1,35 @@
 #!/usr/bin/env python3
 """Walk the shipped six-firm fixture through every pipeline stage.
 
-Prints the cascade, the default sets, the per-bank channel losses and the
+Loads the checkout's ``data/toy``, found from this script's own path, and
+prints the cascade, the default sets, the per-bank channel losses and the
 two systemic-risk indices for the worst firm. Takes no arguments.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 from netstress import (
     bank_losses,
     compute_esri,
     debtrank,
     default_flags,
+    economy_files,
     fsri,
     fsri_plus,
+    load_economy,
     profit_shock,
     propagate,
     single_firm_shock,
-    toy_economy,
     validate_economy,
 )
 
+TOY = Path(__file__).resolve().parents[1] / "data" / "toy"
+
 
 def main() -> None:
-    g = toy_economy()
+    g = load_economy(economy_files(TOY))
     print("validation:", "ok" if validate_economy(g).ok else "violations found")
 
     psi = single_firm_shock(g, "f")

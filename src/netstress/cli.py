@@ -19,6 +19,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, astuple
 from pathlib import Path
+from urllib.parse import quote
 
 import numpy as np
 import scipy
@@ -442,7 +443,8 @@ def cmd_debtrank(config: dict) -> int:
         result = debtrank(graph, np.eye(graph.m), epsilon=epsilon, max_iter=max_iter, record_trace=True)
         for k, bank_id in enumerate(graph.bank_ids):
             trace = result.trace[: result.steps[k] + 1, k]  # the seed, then each update
-            _write_csv(out / f"debtrank_trace_{bank_id}.csv", ["iteration", "bank_id", "loss"], [
+            # percent-encoded, so an id holding "/" names no directory; letters, digits and -_.~ stay as they are
+            _write_csv(out / f"debtrank_trace_{quote(bank_id, safe='')}.csv", ["iteration", "bank_id", "loss"], [
                 np.repeat(np.arange(len(trace)), graph.m), graph.bank_ids * len(trace), trace.ravel()])
     _write_manifest(out, "debtrank", config, {"banks": graph.m, "outputs": ["debtrank.csv"]})
     print(f"wrote full-default impact profile for {graph.m} banks to {out}")

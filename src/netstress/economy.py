@@ -40,34 +40,6 @@ class EconomyValidationError(ValueError):
         super().__init__(str(report))
 
 
-@dataclass
-class FirmNode:
-    """One firm as an input record of :meth:`EconomyGraph.from_records`.
-
-    ``eligible_for_default`` is False for firms with missing financials or
-    non-positive equity, liquidity or net income; they stay in the supply
-    network but can never hit the loan book.
-    """
-
-    id: str
-    sector: str
-    revenue: float = 0.0
-    op_cost: float = 0.0
-    equity: float = 0.0
-    short_assets: float = 0.0
-    short_liabs: float = 0.0
-    financials_present: bool = True
-    eligible_for_default: bool = True
-
-
-@dataclass
-class BankSheet:
-    """One bank as an input record of :meth:`EconomyGraph.from_records`."""
-
-    id: str
-    tier1_equity: float
-
-
 FINANCIAL_FIELDS = ("revenue", "op_cost", "equity", "short_assets", "short_liabs")
 
 
@@ -164,10 +136,9 @@ class EconomyGraph:
 
     Firms and banks are stored as columns, one entry per firm or bank in
     index order: ids and sectors as lists, financials as float arrays, the
-    two flags as bool arrays. :meth:`from_records` builds a graph from
-    :class:`FirmNode` and :class:`BankSheet` records. Treat instances as
-    immutable once validated; derived arrays are cached on first access and
-    all simulation code reads the graph concurrently.
+    two flags as bool arrays. Treat instances as immutable once validated;
+    derived arrays are cached on first access and all simulation code reads
+    the graph concurrently.
     """
 
     firm_ids: list[str]
@@ -185,23 +156,6 @@ class EconomyGraph:
     interbank: InterbankNetwork
     loans: LoanBook
     essentiality: EssentialityTable = field(default_factory=EssentialityTable)
-
-    @classmethod
-    def from_records(cls, firms: list[FirmNode], supply: SupplyNetwork, banks: list[BankSheet],
-                     interbank: InterbankNetwork, loans: LoanBook,
-                     essentiality: EssentialityTable | None = None) -> "EconomyGraph":
-        """A graph from firm and bank records, their fields taken as given."""
-        def column(name: str, dtype=float) -> np.ndarray:
-            return np.array([getattr(f, name) for f in firms], dtype=dtype)
-
-        return cls(
-            firm_ids=[f.id for f in firms], sectors=[f.sector for f in firms],
-            **{name: column(name) for name in FINANCIAL_FIELDS},
-            financials_present=column("financials_present", bool),
-            eligible_for_default=column("eligible_for_default", bool),
-            bank_ids=[b.id for b in banks], bank_equity=np.array([b.tier1_equity for b in banks], dtype=float),
-            supply=supply, interbank=interbank, loans=loans, essentiality=essentiality or EssentialityTable(),
-        )
 
     @property
     def n(self) -> int:
@@ -377,24 +331,3 @@ def validate_economy(g: EconomyGraph) -> ValidationReport:
 
     return report
 
-
-def exposure_ratio(g: EconomyGraph) -> tuple[float, np.ndarray]:
-    """Total and per-bank firm-loan exposure relative to interbank exposure.
-
-    Returns ``(system, per_bank)`` with ``system = sum(B) / sum(L)`` and
-    ``per_bank[k]`` the ratio of bank k's firm-loan assets to its interbank
-    assets. Banks with no interbank assets get ``nan`` markers.
-
-    Raises ``ValueError`` when the interbank network carries no volume at
-    all, which makes the system ratio undefined.
-    """
-    loan_total = float(g.loans.principals.sum())
-    ib_total = float(g.interbank.liabilities.sum())
-    if ib_total <= 0.0:
-        raise ValueError("interbank network has zero total volume; exposure ratio undefined")
-    per_bank_loans = np.asarray(g.loans.principals.sum(axis=0)).ravel()
-    ib_assets = np.asarray(g.interbank.liabilities.sum(axis=0)).ravel()
-    per_bank = np.full(g.m, np.nan)
-    has = ib_assets > 0.0
-    per_bank[has] = per_bank_loans[has] / ib_assets[has]
-    return loan_total / ib_total, per_bank

@@ -89,7 +89,7 @@ def _indices(g: EconomyGraph, batch: ShockBatch, cfg: PropagationConfig,
 def _one_firm(g: EconomyGraph, firm_id: str, cfg: PropagationConfig,
               dr_epsilon: float = DEFAULT_EPSILON, dr_max_iter: int = DEFAULT_MAX_ITER):
     """FSRI and FSRI+ of one firm's failure, each as a one-element array."""
-    batch = ShockBatch(psi=single_firm_shock(g, firm_id)[None, :], seed=None, provenance="single-firm")
+    batch = ShockBatch(psi=single_firm_shock(g, firm_id)[None, :], provenance="single-firm")
     return _indices(g, batch, cfg, dr_epsilon, dr_max_iter)
 
 

@@ -197,7 +197,7 @@ def _plan_for(g: EconomyGraph) -> _Plan:
     return plan
 
 
-def check_shock_vector(psi, n: int) -> np.ndarray:
+def _check_shock_vector(psi, n: int) -> np.ndarray:
     """Validate and convert shocks: a length-n vector or (S, n) rows, all entries in [0, 1]."""
     arr = np.asarray(psi, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[-1] != n:
@@ -252,7 +252,7 @@ def propagate(
     A scenario still dropping by more than ``cfg.epsilon`` after
     ``cfg.max_iter`` updates has ``done`` False; the caller decides.
     """
-    psi = check_shock_vector(psi, g.n)
+    psi = _check_shock_vector(psi, g.n)
     plan = _plan_for(g)
     rows = np.atleast_2d(psi)
     count, n = rows.shape

@@ -38,7 +38,6 @@ class ShockBatch:
     """
 
     psi: np.ndarray  # (scenarios, firms)
-    seed: int | None
     provenance: str
     residuals: list[tuple[int, str, float]] = field(default_factory=list)
     scenario_ids: list[int] | None = None
@@ -65,9 +64,8 @@ class StreamedBatch(ShockBatch):
     """
 
     def __init__(self, count: int, draw: Callable[[int], Iterator[np.ndarray]],
-                 seed: int | None, provenance: str, residuals: list | None = None):
-        self._count, self._draw = count, draw
-        self.seed, self.provenance = seed, provenance
+                 provenance: str, residuals: list | None = None):
+        self._count, self._draw, self.provenance = count, draw, provenance
         self.residuals = [] if residuals is None else residuals
         self.scenario_ids = list(range(count))
 
@@ -103,7 +101,7 @@ def single_firm_batch(g: EconomyGraph) -> StreamedBatch:
         for start in range(0, g.n, rows):
             yield 1.0 - np.eye(min(rows, g.n - start), g.n, start)
 
-    return StreamedBatch(g.n, draw, seed=None, provenance="single-firm")
+    return StreamedBatch(g.n, draw, provenance="single-firm")
 
 
 @dataclass
@@ -312,7 +310,7 @@ def covid_style_batch(
             yield block(rng, range(start, min(start + rows, count)), found)
         residuals[:] = found  # every pass finds the same: keep one copy
 
-    return StreamedBatch(count, draw, seed=seed, provenance="covid-style", residuals=residuals)
+    return StreamedBatch(count, draw, provenance="covid-style", residuals=residuals)
 
 
 def write_batch(batch: ShockBatch, firm_ids: list[str], path: str | Path) -> None:
@@ -361,4 +359,4 @@ def read_batch(g: EconomyGraph, path: str | Path) -> ShockBatch:
     row = dict(zip(ids, range(len(ids))))
     psi = np.ones((len(ids), g.n))
     psi[list(map(row.__getitem__, scenarios)), np.concatenate(firms)] = np.concatenate(values)
-    return ShockBatch(psi=psi, seed=None, provenance="custom", scenario_ids=ids)
+    return ShockBatch(psi=psi, provenance="custom", scenario_ids=ids)

@@ -1,15 +1,68 @@
-"""Hand-wired toy economies used by tests, docs and quick demos."""
+"""Hand-built economies for the tests: firm and bank records, and the toy and ring graphs.
+
+``toy_economy`` is the reference that ``data/toy`` is checked against; the
+package itself loads economies only from files or the synthetic generator.
+"""
 
 from __future__ import annotations
 
-from .economy import (
-    BankSheet,
+from dataclasses import dataclass
+
+import numpy as np
+
+from netstress import (
     EconomyGraph,
-    FirmNode,
+    EssentialityTable,
     InterbankNetwork,
     LoanBook,
     SupplyNetwork,
 )
+from netstress.economy import FINANCIAL_FIELDS
+
+
+@dataclass
+class FirmNode:
+    """One firm as an input record of :func:`graph_from_records`.
+
+    ``eligible_for_default`` is False for firms with missing financials or
+    non-positive equity, liquidity or net income; they stay in the supply
+    network but can never hit the loan book.
+    """
+
+    id: str
+    sector: str
+    revenue: float = 0.0
+    op_cost: float = 0.0
+    equity: float = 0.0
+    short_assets: float = 0.0
+    short_liabs: float = 0.0
+    financials_present: bool = True
+    eligible_for_default: bool = True
+
+
+@dataclass
+class BankSheet:
+    """One bank as an input record of :func:`graph_from_records`."""
+
+    id: str
+    tier1_equity: float
+
+
+def graph_from_records(firms: list[FirmNode], supply: SupplyNetwork, banks: list[BankSheet],
+                       interbank: InterbankNetwork, loans: LoanBook,
+                       essentiality: EssentialityTable | None = None) -> EconomyGraph:
+    """A graph from firm and bank records, their fields taken as given."""
+    def column(name: str, dtype=float) -> np.ndarray:
+        return np.array([getattr(f, name) for f in firms], dtype=dtype)
+
+    return EconomyGraph(
+        firm_ids=[f.id for f in firms], sectors=[f.sector for f in firms],
+        **{name: column(name) for name in FINANCIAL_FIELDS},
+        financials_present=column("financials_present", bool),
+        eligible_for_default=column("eligible_for_default", bool),
+        bank_ids=[b.id for b in banks], bank_equity=np.array([b.tier1_equity for b in banks], dtype=float),
+        supply=supply, interbank=interbank, loans=loans, essentiality=essentiality or EssentialityTable(),
+    )
 
 
 def toy_economy() -> EconomyGraph:
@@ -64,7 +117,7 @@ def toy_economy() -> EconomyGraph:
         [a for _, _, a in loan_entries],
     )
 
-    return EconomyGraph.from_records(firms, supply, banks, interbank, loans)
+    return graph_from_records(firms, supply, banks, interbank, loans)
 
 
 def ring_economy(n_firms: int = 5, n_banks: int = 3) -> EconomyGraph:
@@ -102,4 +155,4 @@ def ring_economy(n_firms: int = 5, n_banks: int = 3) -> EconomyGraph:
         [e[2] for e in ib_edges],
     )
 
-    return EconomyGraph.from_records(firms, supply, banks, interbank, loans)
+    return graph_from_records(firms, supply, banks, interbank, loans)

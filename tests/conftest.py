@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 
 from netstress import (
-    BankSheet,
     EconomyGraph,
     EssentialityTable,
-    FirmNode,
     InterbankNetwork,
     LoanBook,
     SupplyNetwork,
-    toy_economy,
     validate_economy,
 )
+
+from .builders import BankSheet, FirmNode, graph_from_records, toy_economy
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -90,7 +89,7 @@ def random_economy(
                     ib_a.append(float(rng.uniform(5.0, 0.4 * banks[l].tier1_equity)))
     interbank = InterbankNetwork.from_edges(m, ib_b, ib_l, ib_a)
 
-    g = EconomyGraph.from_records(
+    g = graph_from_records(
         firms=firms, supply=supply, banks=banks, interbank=interbank, loans=loans,
         essentiality=EssentialityTable(),
     )

@@ -11,10 +11,7 @@ import numpy as np
 import pytest
 
 from netstress import (
-    BankSheet,
     ChannelDecomposition,
-    EconomyGraph,
-    FirmNode,
     InterbankNetwork,
     LoanBook,
     SupplyNetwork,
@@ -34,11 +31,11 @@ from netstress import (
     run_batch,
     single_firm_shock,
     synthetic_shock_table,
-    toy_economy,
     welch_test,
 )
 from netstress.cli import main as cli_main
 
+from .builders import BankSheet, FirmNode, graph_from_records, toy_economy
 from .conftest import random_economy
 from .oracle import oracle_scenario
 
@@ -91,7 +88,7 @@ def test_criterion_2_closed_form_amplification():
         )
         hit = int(rng.integers(0, m))
         firm = FirmNode("x", "1000", 100.0, 60.0, 30.0, 50.0, 10.0)
-        g = EconomyGraph.from_records(
+        g = graph_from_records(
             firms=[firm],
             supply=SupplyNetwork.from_edges(1, [], [], []),
             banks=banks,
@@ -133,7 +130,7 @@ def test_criterion_4_brute_force_oracle_equivalence():
         psi = rng.uniform(0.0, 1.0, n)
         result = run_batch(
             g,
-            __import__("netstress").ShockBatch(psi=psi[None, :], seed=None, provenance="custom"),
+            __import__("netstress").ShockBatch(psi=psi[None, :], provenance="custom"),
         )
         di, sc, ib_wo, ib_w = oracle_scenario(g, list(psi))
         worst = max(

@@ -244,6 +244,24 @@ class TestDebtrankCommand:
         assert run(["debtrank", "--economy-dir", str(toy_dir), "--trace", "--out", str(out)]) == 0
         assert (out / "debtrank_trace_1.csv").exists()
 
+    def test_trace_file_of_a_bank_id_with_a_slash(self, toy_dir, tmp_path):
+        # bank 1 renamed x/1 in every file that names it: its trace is bank 1's under an encoded name
+        bank_columns = {"banks": [0], "interbank": [0, 1], "loans": [1]}
+        renamed = tmp_path / "renamed"
+        renamed.mkdir()
+        for name in ("firms", "supply", "interbank", "loans", "banks"):
+            rows = [line.split(",") for line in (toy_dir / f"{name}.csv").read_text().splitlines()]
+            for row in rows[1:]:
+                for c in bank_columns.get(name, []):
+                    row[c] = "x/1" if row[c] == "1" else row[c]
+            (renamed / f"{name}.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+        assert run(["debtrank", "--economy-dir", str(toy_dir), "--trace", "--out", str(tmp_path / "toy")]) == 0
+        assert run(["debtrank", "--economy-dir", str(renamed), "--trace", "--out", str(tmp_path / "dr")]) == 0
+        losses = [[r["loss"] for r in read_rows(path)]
+                  for path in (tmp_path / "toy" / "debtrank_trace_1.csv", tmp_path / "dr" / "debtrank_trace_x%2F1.csv")]
+        assert losses[0] == losses[1] and len(losses[0]) > 4
+        assert (tmp_path / "dr" / "manifest.json").is_file()
+
 
 def copy_toy(toy_dir, dest, **replace):
     """Copy the toy economy into ``dest``, swapping line ``i`` of a file.

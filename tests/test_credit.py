@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netstress import (
-    BankSheet,
     DefaultFlags,
     EconomyGraph,
-    FirmNode,
     InterbankNetwork,
     LoanBook,
     SupplyNetwork,
@@ -21,16 +19,16 @@ from netstress import (
     profit_shock,
     propagate,
     single_firm_shock,
-    toy_economy,
 )
 from netstress.credit import dump_defaults
 
+from .builders import BankSheet, FirmNode, graph_from_records, toy_economy
 from .oracle import oracle_bank_losses, oracle_defaults
 
 
 def single_firm_economy(revenue, op_cost, equity, short_assets, short_liabs) -> EconomyGraph:
     firm = FirmNode("x", "1000", revenue, op_cost, equity, short_assets, short_liabs)
-    return EconomyGraph.from_records(
+    return graph_from_records(
         firms=[firm],
         supply=SupplyNetwork.from_edges(1, [], [], []),
         banks=[BankSheet("b0", 100.0)],

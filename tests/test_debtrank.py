@@ -8,17 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netstress import (
-    BankSheet,
     EconomyGraph,
     InterbankNetwork,
     LoanBook,
     SupplyNetwork,
     debtrank,
     debtrank_profile,
-    toy_economy,
 )
 from netstress.cli import main
 
+from .builders import BankSheet, graph_from_records, toy_economy
 from .oracle import oracle_debtrank
 
 
@@ -32,7 +31,7 @@ def bank_only_economy(equities, ib_edges) -> EconomyGraph:
         [e[1] for e in ib_edges],
         [e[2] for e in ib_edges],
     )
-    return EconomyGraph.from_records(
+    return graph_from_records(
         firms=[],
         supply=SupplyNetwork.from_edges(0, [], [], []),
         banks=banks,

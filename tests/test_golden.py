@@ -17,11 +17,12 @@ from netstress import (
     EmpiricalShockTable,
     EssentialityTable,
     covid_style_batch,
-    toy_economy,
     write_batch,
     write_economy,
 )
 from netstress.cli import main
+
+from .builders import toy_economy
 
 BATCH = "scenario_id,firm_id,psi\n0,f,0.0\n0,a,1.0\n1,d,0.25\n1,b,0.5\n"
 

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from netstress import (
-    BankSheet,
     ChannelDecomposition,
     EconomyGraph,
     EssentialityTable,
-    FirmNode,
     InterbankNetwork,
     LoanBook,
     PropagationConfig,
@@ -27,14 +25,13 @@ from netstress import (
     fsri_profile,
     ib_amplification,
     ols_fit,
-    ring_economy,
     run_batch,
     risk_measures,
-    toy_economy,
     welch_test,
 )
 from netstress.cli import _write_profile
 
+from .builders import BankSheet, FirmNode, graph_from_records, ring_economy, toy_economy
 from .conftest import random_economy
 from .oracle import oracle_fsri
 
@@ -163,7 +160,7 @@ def hand_economy() -> EconomyGraph:
     banks = [BankSheet("A", 100.0), BankSheet("B", 200.0), BankSheet("C", 100.0)]
     interbank = InterbankNetwork.from_edges(3, [1, 1], [0, 2], [40.0, 30.0])
     loans = LoanBook.from_entries(2, 3, [0, 1], [0, 1], [20.0, 50.0])
-    return EconomyGraph.from_records(firms=firms, supply=supply, banks=banks, interbank=interbank, loans=loans)
+    return graph_from_records(firms=firms, supply=supply, banks=banks, interbank=interbank, loans=loans)
 
 
 class TestSystemicRiskIndices:
@@ -177,7 +174,7 @@ class TestSystemicRiskIndices:
             FirmNode("lonely", "1000", 10.0, 5.0, 1.0, 3.0, 1.0),
             FirmNode("rest", "2000", 90.0, 50.0, 100.0, 200.0, 20.0),
         ]
-        g = EconomyGraph.from_records(
+        g = graph_from_records(
             firms=firms,
             supply=SupplyNetwork.from_edges(2, [], [], []),
             banks=[BankSheet("b0", 100.0)],
@@ -215,7 +212,7 @@ class TestSystemicRiskIndices:
             hit = int(rng.integers(0, m))
             principal = float(equities[hit] * 1e-4)
             firm = FirmNode("x", "1000", 100.0, 60.0, 30.0, 50.0, 10.0)
-            g = EconomyGraph.from_records(
+            g = graph_from_records(
                 firms=[firm],
                 supply=SupplyNetwork.from_edges(1, [], [], []),
                 banks=banks,
@@ -233,7 +230,7 @@ class TestSystemicRiskIndices:
         firm = FirmNode("x", "1000", 100.0, 60.0, 30.0, 50.0, 10.0)
         banks = [BankSheet("A", 100.0), BankSheet("B", 200.0)]
         interbank = InterbankNetwork.from_edges(2, [1], [0], [40.0])  # B borrowed from A
-        g = EconomyGraph.from_records(
+        g = graph_from_records(
             firms=[firm],
             supply=SupplyNetwork.from_edges(1, [], [], []),
             banks=banks,
@@ -309,7 +306,7 @@ class TestCcdf:
 
 class TestChannelDecomposition:
     def test_zero_shock_batch_all_zero(self, toy):
-        batch = ShockBatch(psi=np.ones((3, 6)), seed=None, provenance="custom")
+        batch = ShockBatch(psi=np.ones((3, 6)), provenance="custom")
         dec = ChannelDecomposition(run_batch(toy, batch))
         for name, losses in dec.channel_losses().items():
             assert not losses.any(), name
@@ -317,7 +314,7 @@ class TestChannelDecomposition:
     def test_hand_economy_ledger(self):
         g = hand_economy()
         batch = ShockBatch(
-            psi=np.array([[0.0, 1.0]]), seed=None, provenance="custom"
+            psi=np.array([[0.0, 1.0]]), provenance="custom"
         )
         dec = ChannelDecomposition(run_batch(g, batch))
         r = dec.result
@@ -333,7 +330,7 @@ class TestChannelDecomposition:
 
     def test_loanless_bank_exposed_only_through_interbank(self):
         g = hand_economy()
-        batch = ShockBatch(psi=np.array([[0.0, 1.0]]), seed=None, provenance="custom")
+        batch = ShockBatch(psi=np.array([[0.0, 1.0]]), provenance="custom")
         dec = ChannelDecomposition(run_batch(g, batch))
         r = dec.result
         c = g.bank_index["C"]
@@ -341,7 +338,7 @@ class TestChannelDecomposition:
         assert r.ib_w[0, c] > 0.0
 
     def test_summaries_shape_and_regimes(self, toy):
-        batch = ShockBatch(psi=np.ones((2, 6)), seed=None, provenance="custom")
+        batch = ShockBatch(psi=np.ones((2, 6)), provenance="custom")
         rows = ChannelDecomposition(run_batch(toy, batch)).summaries()
         assert len(rows) == (1 + 4) * 4
         assert rows[0][0] == "system"
@@ -351,7 +348,7 @@ class TestChannelDecomposition:
     def test_worker_pool_matches_serial(self, toy):
         rng = np.random.default_rng(2)
         psi = rng.uniform(0.4, 1.0, size=(6, 6))
-        batch = ShockBatch(psi=psi, seed=None, provenance="custom")
+        batch = ShockBatch(psi=psi, provenance="custom")
         serial = run_batch(toy, batch, workers=1)
         pooled = run_batch(toy, batch, workers=2)
         np.testing.assert_array_equal(serial.di, pooled.di)
@@ -378,7 +375,7 @@ class TestIbAmplification:
 
     def test_ratios_match_the_records(self, toy):
         psi = np.random.default_rng(3).uniform(0.0, 1.0, size=(12, 6))
-        result = run_batch(toy, ShockBatch(psi=psi, seed=None, provenance="custom"))
+        result = run_batch(toy, ShockBatch(psi=psi, provenance="custom"))
         records = ChannelDecomposition(result).amplification_records()
         stats = ib_amplification(result.ib_wo, result.ib_w)
         assert stats.pooled_ratios.size > 0
@@ -390,7 +387,7 @@ def test_regime_consistency_on_nontrivial_batch(toy):
     # both orderings hold scenario-wise on mixed shocks
     rng = np.random.default_rng(7)
     psi = rng.uniform(0.0, 1.0, size=(25, 6))
-    batch = ShockBatch(psi=psi, seed=None, provenance="custom")
+    batch = ShockBatch(psi=psi, provenance="custom")
     dec = ChannelDecomposition(run_batch(toy, batch, PropagationConfig()))
     r = dec.result
     assert np.all(r.ib_w >= r.ib_wo - 1e-15)

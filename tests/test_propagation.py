@@ -10,10 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netstress import (
-    BankSheet,
     EconomyGraph,
     EssentialityTable,
-    FirmNode,
     InterbankNetwork,
     LoanBook,
     PropagationConfig,
@@ -21,11 +19,11 @@ from netstress import (
     compute_esri,
     propagate,
     single_firm_shock,
-    toy_economy,
 )
 from netstress.pipeline import CHUNK
 from netstress.propagation import _plan_for, _pools
 
+from .builders import BankSheet, FirmNode, graph_from_records, toy_economy
 from .conftest import random_economy
 from .oracle import is_essential, oracle_propagate
 
@@ -41,7 +39,7 @@ def chain_economy(essential: bool = True) -> EconomyGraph:
     ]
     supply = SupplyNetwork.from_edges(3, [0, 1], [1, 2], [10.0, 10.0])
     table = EssentialityTable() if essential else EssentialityTable(default_essential=False)
-    return EconomyGraph.from_records(
+    return graph_from_records(
         firms=firms,
         supply=supply,
         banks=[BankSheet("b0", 100.0)],
@@ -134,7 +132,7 @@ def pooled_economy(seed: int) -> EconomyGraph:
                 buyers.append(j)
     overrides = {(sup, buy): bool(rng.random() < 0.5) for sup in main for buy in main}
     overrides.update({(sup[:2], "30"): False for sup in main})
-    g = EconomyGraph.from_records(
+    g = graph_from_records(
         firms=[FirmNode(f"f{i}", sector, 100.0, 60.0, 50.0, 80.0, 20.0) for i, sector in enumerate(sectors)],
         supply=SupplyNetwork.from_edges(n, suppliers, buyers, rng.uniform(1.0, 30.0, len(buyers))),
         banks=[BankSheet("b0", 100.0)],
@@ -161,7 +159,7 @@ class TestEssentialPools:
             ("30", "10"): True, ("3000", "1099"): False,
         }
         suppliers, buyers = zip(*[(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.4])
-        g = EconomyGraph.from_records(
+        g = graph_from_records(
             firms=[FirmNode(f"f{i}", sector, 100.0, 60.0, 50.0, 80.0, 20.0) for i, sector in enumerate(sectors)],
             supply=SupplyNetwork.from_edges(n, suppliers, buyers, rng.uniform(1.0, 30.0, len(buyers))),
             banks=[BankSheet("b0", 100.0)],
@@ -405,7 +403,7 @@ class TestEsri:
             FirmNode("solo", "1000", 10.0, 5.0, 5.0, 8.0, 2.0),
             FirmNode("rest", "2000", 90.0, 50.0, 100.0, 200.0, 20.0),
         ]
-        g = EconomyGraph.from_records(
+        g = graph_from_records(
             firms=firms,
             supply=SupplyNetwork.from_edges(2, [], [], []),
             banks=[BankSheet("b0", 100.0)],
@@ -422,7 +420,7 @@ class TestEsri:
             FirmNode("ghost", "1000", financials_present=False, eligible_for_default=False),
             FirmNode("rest", "2000", 90.0, 50.0, 100.0, 200.0, 20.0),
         ]
-        g = EconomyGraph.from_records(
+        g = graph_from_records(
             firms=firms,
             supply=SupplyNetwork.from_edges(2, [], [], []),
             banks=[BankSheet("b0", 100.0)],

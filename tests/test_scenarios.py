@@ -17,11 +17,11 @@ from netstress import (
     single_firm_batch,
     single_firm_shock,
     synthetic_shock_table,
-    toy_economy,
     write_batch,
 )
 from netstress import scenarios
 
+from .builders import toy_economy
 from .oracle import oracle_covid_rows
 from .test_batch_golden import _economy_and_table
 from .test_debtrank import bank_only_economy

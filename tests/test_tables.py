@@ -24,12 +24,12 @@ from netstress import (
     economy_files,
     generate_synthetic_economy,
     load_economy,
-    toy_economy,
     write_economy,
 )
 from netstress import ingest, tables
 from netstress.tables import BLOCK_ROWS, read_blocks, write_columns, write_parts
 
+from .builders import toy_economy
 from .oracle import oracle_read_blocks
 
 
