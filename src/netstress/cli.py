@@ -26,7 +26,7 @@ import scipy
 
 from . import __version__
 from .credit import BankLossLedger
-from .debtrank import DEFAULT_EPSILON, DEFAULT_MAX_ITER, debtrank, debtrank_profile
+from .debtrank import DEFAULT_EPSILON, DEFAULT_MAX_ITER, debtrank_profile
 from .economy import (
     DataFormatError,
     EconomyGraph,
@@ -209,8 +209,8 @@ def _debtrank_settings(config: dict) -> tuple[float, int]:
     dr = config["debtrank"]
     with _settings("debtrank"):
         epsilon, max_iter = _number(dr, "epsilon"), _number(dr, "max_iter", int)
-        if not epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        if not 0.0 < epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
         if max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     return epsilon, max_iter
@@ -310,11 +310,12 @@ def _write_ccdf(out: Path, curves: dict[str, tuple[np.ndarray, np.ndarray]]) -> 
     ])
 
 
-def _write_profile(out: Path, records) -> None:
-    base = np.array([r.fsri for r in records])
-    plus = np.array([r.fsri_plus for r in records])
+def _write_profile(out: Path, firm_ids: list[str], base: np.ndarray, plus: np.ndarray) -> None:
+    """``fsri_profile.csv``: the firms ranked by descending FSRI, ties in firm order."""
+    order = np.argsort(-base, kind="stable")
+    base, plus = base[order], plus[order]
     _write_csv(out / "fsri_profile.csv", ["rank", "firm_id", "fsri", "fsri_plus", "amplification"], [
-        np.arange(1, len(records) + 1), [r.firm_id for r in records], base, plus, _ratio(plus, base),
+        np.arange(1, len(order) + 1), [firm_ids[i] for i in order.tolist()], base, plus, _ratio(plus, base),
     ])
 
 
@@ -322,11 +323,11 @@ def cmd_fsri(config: dict) -> int:
     graph = _economy_from_config(config)
     cfg = _propagation_config(config)
     dr_epsilon, dr_max_iter = _debtrank_settings(config)
-    records = fsri_profile(graph, cfg, dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter)
+    base, plus = fsri_profile(graph, cfg, dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
-    _write_profile(out, records)
-    _write_ccdf(out, {name: ccdf([getattr(r, name) for r in records]) for name in ("fsri", "fsri_plus")})
+    _write_profile(out, graph.firm_ids, base, plus)
+    _write_ccdf(out, {"fsri": ccdf(base), "fsri_plus": ccdf(plus)})
     _write_manifest(out, "fsri", config, {
         "firms": graph.n,
         "outputs": ["fsri_profile.csv", "ccdf.csv"],
@@ -433,16 +434,15 @@ def cmd_stress(config: dict) -> int:
 def cmd_debtrank(config: dict) -> int:
     graph = _economy_from_config(config)
     epsilon, max_iter = _debtrank_settings(config)
-    profile = debtrank_profile(graph, epsilon=epsilon, max_iter=max_iter)
+    profile = debtrank_profile(graph, epsilon=epsilon, max_iter=max_iter, record_trace=config["trace"])
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "debtrank.csv", ["bank_id", "total", "contagion_only"],
                [profile.bank_ids, profile.total, profile.contagion_only])
     if config["trace"]:
-        # the runs of debtrank_profile again, recorded: row k seeds bank k's full default
-        result = debtrank(graph, np.eye(graph.m), epsilon=epsilon, max_iter=max_iter, record_trace=True)
+        run = profile.run  # row k seeds bank k's full default
         for k, bank_id in enumerate(graph.bank_ids):
-            trace = result.trace[: result.steps[k] + 1, k]  # the seed, then each update
+            trace = run.trace[: run.steps[k] + 1, k]  # the seed, then each update
             # percent-encoded, so an id holding "/" names no directory; letters, digits and -_.~ stay as they are
             _write_csv(out / f"debtrank_trace_{quote(bank_id, safe='')}.csv", ["iteration", "bank_id", "loss"], [
                 np.repeat(np.arange(len(trace)), graph.m), graph.bank_ids * len(trace), trace.ravel()])

@@ -79,8 +79,8 @@ def debtrank(
         raise ValueError(f"seed has shape {seed.shape}, expected ({g.m},) or (S, {g.m})")
     if not np.all(np.isfinite(seed) & (seed >= 0.0)):
         raise ValueError("seed losses must be finite and non-negative")
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be > 0")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
@@ -122,6 +122,7 @@ class DebtRankProfile:
     bank_ids: list[str]
     total: np.ndarray           # equity-weighted system loss fraction
     contagion_only: np.ndarray  # total minus the failing bank's own equity share
+    run: ContagionResult        # the runs behind it: row k seeds bank k's full default
 
 
 def debtrank_profile(
@@ -129,11 +130,11 @@ def debtrank_profile(
     *,
     epsilon: float = DEFAULT_EPSILON,
     max_iter: int = DEFAULT_MAX_ITER,
+    record_trace: bool = False,
 ) -> DebtRankProfile:
     """Full-default impact per bank: a unit loss seeded on each bank, one row each."""
     equity = g.bank_equity
     share = equity / equity.sum()
-    result = debtrank(g, np.eye(g.m), epsilon=epsilon, max_iter=max_iter)
-    total = _row_products(np.minimum(result.final, 1.0), share[:, None])[:, 0]
-    return DebtRankProfile(bank_ids=list(g.bank_ids), total=total, contagion_only=total - share)
-
+    run = debtrank(g, np.eye(g.m), epsilon=epsilon, max_iter=max_iter, record_trace=record_trace)
+    total = _row_products(np.minimum(run.final, 1.0), share[:, None])[:, 0]
+    return DebtRankProfile(bank_ids=list(g.bank_ids), total=total, contagion_only=total - share, run=run)

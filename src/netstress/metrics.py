@@ -25,7 +25,7 @@ from .debtrank import DEFAULT_EPSILON, DEFAULT_MAX_ITER, debtrank  # noqa: F401
 from .economy import EconomyGraph
 from .pipeline import BatchResult, run_batch
 from .propagation import PropagationConfig, propagate
-from .scenarios import ShockBatch, single_firm_batch, single_firm_shock
+from .scenarios import single_firm_batch
 
 CHANNELS = ("di", "di_sc", "di_ib", "di_sc_ib")
 CHANNEL_REGIME = {"di": "wo", "di_sc": "w", "di_ib": "wo", "di_sc_ib": "w"}
@@ -71,26 +71,19 @@ def risk_measures(samples) -> RiskSummary:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FirmRiskRecord:
-    firm_id: str
-    fsri: float
-    fsri_plus: float
-
-
-def _indices(g: EconomyGraph, batch: ShockBatch, cfg: PropagationConfig,
-             dr_epsilon: float, dr_max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """FSRI and FSRI+ per scenario: the equity-weighted with-cascade losses."""
-    result = run_batch(g, batch, cfg, dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter)
+def fsri_profile(
+    g: EconomyGraph,
+    cfg: PropagationConfig = PropagationConfig(),
+    *,
+    firm_ids: list[str] | None = None,
+    dr_epsilon: float = DEFAULT_EPSILON,
+    dr_max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[np.ndarray, np.ndarray]:
+    """FSRI and FSRI+ of each firm's failure, in :func:`single_firm_batch` order (every firm by default):
+    the equity-weighted with-cascade system losses ``di_sc`` and ``di_sc_ib``."""
+    result = run_batch(g, single_firm_batch(g, firm_ids), cfg, dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter)
     system = ChannelDecomposition(result).system_losses()
     return system["di_sc"], system["di_sc_ib"]
-
-
-def _one_firm(g: EconomyGraph, firm_id: str, cfg: PropagationConfig,
-              dr_epsilon: float = DEFAULT_EPSILON, dr_max_iter: int = DEFAULT_MAX_ITER):
-    """FSRI and FSRI+ of one firm's failure, each as a one-element array."""
-    batch = ShockBatch(psi=single_firm_shock(g, firm_id)[None, :], provenance="single-firm")
-    return _indices(g, batch, cfg, dr_epsilon, dr_max_iter)
 
 
 def fsri(g: EconomyGraph, firm_id: str, cfg: PropagationConfig = PropagationConfig()) -> float:
@@ -99,7 +92,7 @@ def fsri(g: EconomyGraph, firm_id: str, cfg: PropagationConfig = PropagationConf
     The loss after the supply-chain cascade and the credit channel, before
     interbank contagion.
     """
-    base, _ = _one_firm(g, firm_id, cfg)
+    base, _ = fsri_profile(g, cfg, firm_ids=[firm_id])
     return float(base[0])
 
 
@@ -112,23 +105,8 @@ def fsri_plus(
     dr_max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Like :func:`fsri` but with interbank solvency contagion on top."""
-    _, plus = _one_firm(g, firm_id, cfg, dr_epsilon, dr_max_iter)
+    _, plus = fsri_profile(g, cfg, firm_ids=[firm_id], dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter)
     return float(plus[0])
-
-
-def fsri_profile(
-    g: EconomyGraph,
-    cfg: PropagationConfig = PropagationConfig(),
-    *,
-    dr_epsilon: float = DEFAULT_EPSILON,
-    dr_max_iter: int = DEFAULT_MAX_ITER,
-) -> list[FirmRiskRecord]:
-    """Both indices for every firm, rank ordered by the base index, then firm order."""
-    base, plus = _indices(g, single_firm_batch(g), cfg, dr_epsilon, dr_max_iter)
-    return [
-        FirmRiskRecord(firm_id=g.firm_ids[i], fsri=float(base[i]), fsri_plus=float(plus[i]))
-        for i in np.argsort(-base, kind="stable").tolist()
-    ]
 
 
 def compute_esri(
@@ -139,7 +117,7 @@ def compute_esri(
     Output weights are intermediate sales plus the final-demand proxy, so a
     firm with 10% of total output and no supply links scores exactly 0.10.
     """
-    profile = propagate(g, single_firm_shock(g, firm_id), cfg)
+    profile = propagate(g, single_firm_batch(g, [firm_id]).psi[0], cfg)
     out = g.total_output()
     total = out.sum()
     if total <= 0.0:

@@ -68,8 +68,8 @@ class PropagationConfig:
     nonessential_weight: float = 0.0
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be > 0")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not 0.0 <= self.nonessential_weight <= 1.0:

@@ -81,27 +81,22 @@ class StreamedBatch(ShockBatch):
         return psi
 
 
-def single_firm_shock(g: EconomyGraph, firm_id: str) -> np.ndarray:
-    """Everything runs at full capacity except one firm, which stops."""
-    try:
-        idx = g.firm_index[firm_id]
-    except KeyError:
-        raise ValueError(f"unknown firm id {firm_id!r}") from None
-    psi = np.ones(g.n)
-    psi[idx] = 0.0
-    return psi
-
-
-def single_firm_batch(g: EconomyGraph) -> StreamedBatch:
-    """One scenario per firm, in firm order: that firm stops, all others run."""
+def single_firm_batch(g: EconomyGraph, firm_ids: list[str] | None = None) -> StreamedBatch:
+    """One scenario per firm, in ``firm_ids`` order (every firm by default): that firm stops, all others run."""
     if g.n == 0:
         raise DataFormatError("economy has no firms to shock")
+    try:
+        stopped = np.arange(g.n) if firm_ids is None else np.array([g.firm_index[f] for f in firm_ids], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"unknown firm id {exc.args[0]!r}") from None
 
     def draw(rows: int) -> Iterator[np.ndarray]:
-        for start in range(0, g.n, rows):
-            yield 1.0 - np.eye(min(rows, g.n - start), g.n, start)
+        for start in range(0, stopped.size, rows):
+            psi = np.ones((min(rows, stopped.size - start), g.n))
+            psi[np.arange(len(psi)), stopped[start:start + rows]] = 0.0
+            yield psi
 
-    return StreamedBatch(g.n, draw, provenance="single-firm")
+    return StreamedBatch(stopped.size, draw, provenance="single-firm")
 
 
 @dataclass

@@ -61,8 +61,8 @@ class SyntheticParams:
             raise ValueError("sector_count must be >= 1")
         if self.weight_family not in ("lognormal", "pareto", "uniform"):
             raise ValueError(f"unknown weight family {self.weight_family!r}")
-        if self.target_exposure_ratio is not None and self.target_exposure_ratio <= 0.0:
-            raise ValueError("target exposure ratio must be positive (or None to skip)")
+        if self.target_exposure_ratio is not None and not 0.0 < self.target_exposure_ratio < np.inf:
+            raise ValueError("target exposure ratio must be positive and finite (or None to skip)")
         for name in FRACTIONS:
             if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails too
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")

@@ -1,4 +1,4 @@
-"""Hand-built economies for the tests: firm and bank records, and the toy and ring graphs.
+"""Hand-built economies for the tests: firm and bank records, the toy and ring graphs, and one firm's shock.
 
 ``toy_economy`` is the reference that ``data/toy`` is checked against; the
 package itself loads economies only from files or the synthetic generator.
@@ -16,6 +16,7 @@ from netstress import (
     InterbankNetwork,
     LoanBook,
     SupplyNetwork,
+    single_firm_batch,
 )
 from netstress.economy import FINANCIAL_FIELDS
 
@@ -63,6 +64,11 @@ def graph_from_records(firms: list[FirmNode], supply: SupplyNetwork, banks: list
         bank_ids=[b.id for b in banks], bank_equity=np.array([b.tier1_equity for b in banks], dtype=float),
         supply=supply, interbank=interbank, loans=loans, essentiality=essentiality or EssentialityTable(),
     )
+
+
+def single_firm_shock(g: EconomyGraph, firm_id: str) -> np.ndarray:
+    """The shock vector of ``firm_id``'s failure: that firm stops, all others run."""
+    return single_firm_batch(g, [firm_id]).psi[0]
 
 
 def toy_economy() -> EconomyGraph:

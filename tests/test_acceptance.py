@@ -29,13 +29,12 @@ from netstress import (
     propagate,
     risk_measures,
     run_batch,
-    single_firm_shock,
     synthetic_shock_table,
     welch_test,
 )
 from netstress.cli import main as cli_main
 
-from .builders import BankSheet, FirmNode, graph_from_records, toy_economy
+from .builders import BankSheet, FirmNode, graph_from_records, single_firm_shock, toy_economy
 from .conftest import random_economy
 from .oracle import oracle_scenario
 

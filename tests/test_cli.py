@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 
 import pytest
 
-from netstress import cli
+from netstress import cli, write_economy
 from netstress.cli import main
+
+from .builders import ring_economy, toy_economy
+
+debtrank_module = sys.modules["netstress.debtrank"]  # the package's own name debtrank is the function
 
 
 def run(argv) -> int:
@@ -88,6 +93,19 @@ class TestFsri:
         assert len(rows) == 6
         assert {r["firm_id"] for r in rows} == {"a", "b", "c", "d", "e", "f"}
         assert (out / "ccdf.csv").exists() and (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("economy", [toy_economy, ring_economy])
+    def test_rank_order_by_descending_fsri_then_firm_order(self, tmp_path, economy):
+        g = economy()
+        write_economy(g, tmp_path / "economy")
+        out = tmp_path / "fsri"
+        assert run(["fsri", "--economy-dir", str(tmp_path / "economy"), "--out", str(out)]) == 0
+        rows = read_rows(out / "fsri_profile.csv")
+        assert [int(r["rank"]) for r in rows] == list(range(1, g.n + 1))
+        keys = [(-float(r["fsri"]), g.firm_index[r["firm_id"]]) for r in rows]
+        assert keys == sorted(keys) and len(set(keys)) == g.n
+        if economy is ring_economy:  # every firm ties: the rows come in firm order
+            assert len({key for key, _ in keys}) == 1 and [r["firm_id"] for r in rows] == g.firm_ids
 
 
 class TestStress:
@@ -243,6 +261,22 @@ class TestDebtrankCommand:
         out = tmp_path / "dr"
         assert run(["debtrank", "--economy-dir", str(toy_dir), "--trace", "--out", str(out)]) == 0
         assert (out / "debtrank_trace_1.csv").exists()
+
+    def test_trace_runs_the_sweep_once(self, toy_dir, tmp_path, monkeypatch):
+        # counted in every netstress module that binds the function, so a call from any of them counts
+        original, calls = debtrank_module.debtrank, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("record_trace", False))
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("netstress") and getattr(module, "debtrank", None) is original:
+                monkeypatch.setattr(module, "debtrank", counted)
+        out = tmp_path / "dr"
+        assert run(["debtrank", "--economy-dir", str(toy_dir), "--trace", "--out", str(out)]) == 0
+        assert calls == [True]
+        assert len(read_rows(out / "debtrank.csv")) == 4 and (out / "debtrank_trace_4.csv").is_file()
 
     def test_trace_file_of_a_bank_id_with_a_slash(self, toy_dir, tmp_path):
         # bank 1 renamed x/1 in every file that names it: its trace is bank 1's under an encoded name
@@ -448,9 +482,13 @@ class TestScenarioIds:
     ["generate", "--n", "4"],  # the default mean_degree of 4 needs n >= 5
     ["generate", "--m", "0"],
     ["generate", "--ratio", "-1"],
+    ["generate", "--ratio", "nan"],
+    ["generate", "--ratio", "inf"],
+    ["generate", "--ratio=-inf"],  # argparse reads a bare -inf as a flag
     ["stress", "--sigma", "2"],
     ["stress", "--epsilon", "-1"],
     ["stress", "--epsilon", "nan"],
+    ["stress", "--epsilon", "inf"],
     ["stress", "--count", "0"],
     ["stress", "--seed", "-1"],
     ["generate", "--economy-seed", "-1"],
@@ -474,6 +512,11 @@ def test_bad_parameter_values_exit_three(toy_dir, tmp_path, capsys, argv):
     ("stress", {"workers": "x"}),
     ("stress", {"propagation": {"epsilon": "abc"}}),
     ("stress", {"propagation": {"epsilon": float("nan")}}),
+    ("stress", {"propagation": {"epsilon": float("inf")}}),
+    ("debtrank", {"debtrank": {"epsilon": float("inf")}}),
+    ("stress", {"debtrank": {"epsilon": float("inf")}}),
+    ("generate", {"economy": {"target_exposure_ratio": float("nan")}}),
+    ("generate", {"economy": {"target_exposure_ratio": float("inf")}}),
     ("stress", {"propagation": {"max_iter": "many"}}),
     ("validate", {"economy": {"lgd": "x"}}),
     ("generate", {"economy": {"n": "many"}}),

@@ -18,11 +18,10 @@ from netstress import (
     default_flags,
     profit_shock,
     propagate,
-    single_firm_shock,
 )
 from netstress.credit import dump_defaults
 
-from .builders import BankSheet, FirmNode, graph_from_records, toy_economy
+from .builders import BankSheet, FirmNode, graph_from_records, single_firm_shock, toy_economy
 from .oracle import oracle_bank_losses, oracle_defaults
 
 

@@ -82,7 +82,8 @@ class TestDebtrank:
         ([float("inf"), 0.0], {}),
         ([0.5, 0.0], {"epsilon": float("nan")}),
         ([0.5, 0.0], {"max_iter": 0}),
-    ], ids=["nan seed", "inf seed", "nan epsilon", "no iterations"])
+        ([0.5, 0.0], {"epsilon": float("inf")}),
+    ], ids=["nan seed", "inf seed", "nan epsilon", "no iterations", "inf epsilon"])
     def test_bad_input_rejected(self, seed, settings):
         with pytest.raises(ValueError):
             debtrank(two_bank_economy(), np.array(seed), **settings)

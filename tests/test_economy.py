@@ -305,8 +305,10 @@ class TestSyntheticGenerator:
         assert g.interbank.liabilities.nnz == 0
 
     def test_infeasible_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            SyntheticParams(n=50, m=3, target_exposure_ratio=0.0)
+        # nan failed later as a bad generated loan, and inf wrote every interbank amount as 0.0
+        for ratio in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SyntheticParams(n=50, m=3, target_exposure_ratio=ratio)
 
     @pytest.mark.parametrize("family", ["lognormal", "pareto", "uniform"])
     def test_every_weight_family_validates(self, family):

@@ -240,31 +240,30 @@ class TestSystemicRiskIndices:
         assert fsri_plus(g, "x") == fsri(g, "x")
 
     def test_ranking_invariant_under_common_equity_rescaling(self, toy):
-        base = [r.firm_id for r in fsri_profile(toy)]
         scaled = toy_economy()
         scaled.bank_equity *= 7.5
-        rescaled = [r.firm_id for r in fsri_profile(scaled)]
-        assert base == rescaled
+        base, rescaled = fsri_profile(toy)[0], fsri_profile(scaled)[0]
+        assert base.max() > 0.0
+        assert np.argsort(-base, kind="stable").tolist() == np.argsort(-rescaled, kind="stable").tolist()
 
     def test_rank_ordering_matches_pairwise_calls(self, toy):
-        records = fsri_profile(toy)
-        values = [fsri(toy, r.firm_id) for r in records]
+        base, plus = fsri_profile(toy)
+        ranked = np.argsort(-base, kind="stable").tolist()
+        values = [fsri(toy, toy.firm_ids[i]) for i in ranked]
         assert values == sorted(values, reverse=True)
-        assert all(r.fsri == pytest.approx(v) for r, v in zip(records, values))
-        assert all(r.fsri_plus >= r.fsri - 1e-15 for r in records)
+        assert base[ranked].tolist() == pytest.approx(values)
+        assert np.all(plus >= base - 1e-15)
 
     def test_ring_core_produces_flat_plateau(self):
-        g = ring_economy(n_firms=6, n_banks=3)
-        records = fsri_profile(g)
-        top = [r.fsri for r in records]
-        assert max(top) > 0.0
-        assert max(top) - min(top) < 1e-12
+        base, _ = fsri_profile(ring_economy(n_firms=6, n_banks=3))
+        assert base.max() > 0.0
+        assert np.ptp(base) < 1e-12
 
     def test_all_zero_profile_on_loanless_economy(self, toy, tmp_path):
         g = replace(toy, loans=LoanBook.from_entries(6, 4, [], [], []))
-        records = fsri_profile(g)
-        assert all(r.fsri == 0.0 and r.fsri_plus == 0.0 for r in records)
-        _write_profile(tmp_path, records)  # FSRI+ / FSRI is undefined: a blank cell
+        base, plus = fsri_profile(g)
+        assert not base.any() and not plus.any()
+        _write_profile(tmp_path, g.firm_ids, base, plus)  # FSRI+ / FSRI is undefined: a blank cell
         lines = (tmp_path / "fsri_profile.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0].endswith(",amplification") and len(lines) == 7
         assert all(line.endswith(",0.0,0.0,") for line in lines[1:])
@@ -279,17 +278,28 @@ class TestSystemicRiskIndices:
             (s, b): bool(rng.random() < 0.5) for s in g.sectors for b in g.sectors
         })
         cfg = PropagationConfig(nonessential_weight=sigma)
-        records = fsri_profile(g, cfg)
-        assert any(r.fsri_plus > r.fsri > 0.0 for r in records)
-        keys = [(-r.fsri, g.firm_index[r.firm_id]) for r in records]
-        assert keys == sorted(keys)
-        for r in records:
-            want_base, want_plus = oracle_fsri(g, r.firm_id, sigma=sigma)
-            base, plus = fsri(g, r.firm_id, cfg), fsri_plus(g, r.firm_id, cfg)
-            for got, want in ((base, want_base), (r.fsri, want_base), (plus, want_plus), (r.fsri_plus, want_plus)):
+        profile = fsri_profile(g, cfg)
+        assert np.any((profile[1] > profile[0]) & (profile[0] > 0.0))
+        for i, firm_id in enumerate(g.firm_ids):
+            want_base, want_plus = oracle_fsri(g, firm_id, sigma=sigma)
+            base, plus = fsri(g, firm_id, cfg), fsri_plus(g, firm_id, cfg)
+            for got, want in ((base, want_base), (profile[0][i], want_base),
+                              (plus, want_plus), (profile[1][i], want_plus)):
                 assert abs(got - want) <= 1e-12
             # one row and many rows of a matrix product may round differently
-            assert abs(base - r.fsri) <= 1e-15 and abs(plus - r.fsri_plus) <= 1e-15
+            assert abs(base - profile[0][i]) <= 1e-15 and abs(plus - profile[1][i]) <= 1e-15
+
+    def test_listed_firms_match_the_full_profile(self):
+        g = random_economy(np.random.default_rng(5), n=10, m=4)
+        ids = ["f7", "f2", "f7", "f0"]
+        full = fsri_profile(g)
+        listed = fsri_profile(g, firm_ids=ids)
+        rows = [g.firm_index[f] for f in ids]
+        for got, want in zip(listed, full):
+            assert got.shape == (len(ids),)
+            np.testing.assert_allclose(got, want[rows], rtol=0.0, atol=1e-15)
+        with pytest.raises(ValueError, match="unknown firm id 'zz'"):
+            fsri_profile(g, firm_ids=["f1", "zz"])
 
 
 class TestCcdf:

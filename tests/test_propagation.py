@@ -18,12 +18,11 @@ from netstress import (
     SupplyNetwork,
     compute_esri,
     propagate,
-    single_firm_shock,
 )
 from netstress.pipeline import CHUNK
 from netstress.propagation import _plan_for, _pools
 
-from .builders import BankSheet, FirmNode, graph_from_records, toy_economy
+from .builders import BankSheet, FirmNode, graph_from_records, single_firm_shock, toy_economy
 from .conftest import random_economy
 from .oracle import is_essential, oracle_propagate
 
@@ -104,6 +103,12 @@ class TestPropagate:
             propagate(toy, np.full(6, 1.5))
         with pytest.raises(ValueError):
             propagate(toy, np.ones(5))
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, epsilon):
+        # an infinite tolerance would stop every cascade after one update and report it converged
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            PropagationConfig(epsilon=epsilon)
 
     def test_matches_loop_oracle_on_toy(self, toy):
         psi = np.array([1.0, 0.5, 1.0, 1.0, 0.3, 1.0])

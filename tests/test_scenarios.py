@@ -15,7 +15,6 @@ from netstress import (
     generate_synthetic_economy,
     read_batch,
     single_firm_batch,
-    single_firm_shock,
     synthetic_shock_table,
     write_batch,
 )
@@ -30,17 +29,17 @@ from .test_debtrank import bank_only_economy
 class TestSingleFirmShock:
     def test_toy_firm_f(self, toy):
         np.testing.assert_array_equal(
-            single_firm_shock(toy, "f"), [1.0, 1.0, 1.0, 1.0, 1.0, 0.0]
+            single_firm_batch(toy, ["f"]).psi, [[1.0, 1.0, 1.0, 1.0, 1.0, 0.0]]
         )
 
     def test_repeat_calls_identical(self, toy):
         np.testing.assert_array_equal(
-            single_firm_shock(toy, "c"), single_firm_shock(toy, "c")
+            single_firm_batch(toy, ["c"]).psi, single_firm_batch(toy, ["c"]).psi
         )
 
     def test_unknown_id_rejected(self, toy):
-        with pytest.raises(ValueError, match="unknown firm"):
-            single_firm_shock(toy, "nope")
+        with pytest.raises(ValueError, match="unknown firm id 'nope'"):
+            single_firm_batch(toy, ["c", "nope"])
 
 
 class TestSingleFirmBatch:
@@ -54,6 +53,17 @@ class TestSingleFirmBatch:
         np.testing.assert_array_equal(np.concatenate(blocks), dense)
         np.testing.assert_array_equal(batch.psi, dense)
         assert len(batch) == toy.n and batch.scenario_ids == list(range(toy.n))
+
+    @pytest.mark.parametrize("rows", [1, 3, 100])
+    def test_listed_firms_are_the_full_rows_in_their_order(self, toy, rows):
+        ids = ["e", "a", "e", "f", "c"]
+        full = single_firm_batch(toy).psi
+        batch = single_firm_batch(toy, ids)
+        got = np.concatenate(list(batch.blocks(rows)))
+        assert got.shape == (len(ids), toy.n)
+        assert got.tobytes() == full[[toy.firm_index[f] for f in ids]].tobytes()
+        assert len(batch) == len(ids) and batch.scenario_ids == list(range(len(ids)))
+
 
 def sector_aggregates(g, table, batch):
     """Realized and target output-weighted aggregate reduction per sector."""
@@ -131,6 +141,8 @@ class TestCovidStyleBatch:
             covid_style_batch(bank_only_economy([100.0], []), EmpiricalShockTable({}), count=1, seed=1)
         with pytest.raises(DataFormatError, match="no firms"):
             single_firm_batch(bank_only_economy([100.0], []))
+        with pytest.raises(DataFormatError, match="no firms"):
+            single_firm_batch(bank_only_economy([100.0], []), ["a"])
 
     def test_unknown_firm_in_table_rejected(self, toy):
         table = EmpiricalShockTable(reductions={"zz": 0.5})
