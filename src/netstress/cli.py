@@ -16,9 +16,9 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 from urllib.parse import quote
 
 import numpy as np
@@ -35,7 +35,7 @@ from .economy import (
     ReferentialError,
     validate_economy,  # noqa: F401  kept in this namespace: benchmarks/tracing.py wraps it here
 )
-from .ingest import IngestionSpec, economy_files, load_economy, load_essentiality, write_economy
+from .ingest import economy_files, load_economy, load_essentiality, write_economy
 from .metrics import ChannelDecomposition, ccdf, fsri_profile, ib_amplification, ols_fit
 from .pipeline import BatchResult, run_batch
 from .propagation import PropagationConfig
@@ -70,6 +70,47 @@ DEFAULT_CONFIG = {
 }
 
 
+class Setting(NamedTuple):
+    """What a config path holds: ``kind`` is int or float (a number), str (a path), bool, or the
+    tuple of words it may be. ``bound`` is the range the CLI owns, as its text and a test;
+    SyntheticParams and PropagationConfig check their own."""
+
+    kind: type | tuple[str, ...]
+    bound: tuple[str, Callable[[float], bool]] | None = None
+    null: bool = False  # the value may also be None
+
+
+_AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+
+# each config path a command reads; a key a section leaves out is not read, and SyntheticParams reads weight_family
+SETTINGS = {
+    "economy.source": Setting(("files", "synthetic")),
+    "economy.dir": Setting(str),
+    "economy.lgd": Setting(float, ("in (0, 1]", lambda v: 0.0 < v <= 1.0)),
+    "economy.seed": Setting(int, _AT_LEAST_0),
+    **{f"economy.{key}": Setting(int) for key in ("n", "m", "sector_count")},
+    **{f"economy.{key}": Setting(float) for key in ("mean_degree", *_SYNTHETIC_FRACTIONS)},
+    "economy.target_exposure_ratio": Setting(float, null=True),
+    "scenarios.kind": Setting(("covid", "single-firm", "file")),
+    "scenarios.count": Setting(int, _AT_LEAST_1),
+    "scenarios.seed": Setting(int, _AT_LEAST_0),
+    "scenarios.shocks": Setting(str),
+    "scenarios.shocks_seed": Setting(int, _AT_LEAST_0),
+    "scenarios.batch_file": Setting(str, null=True),
+    "propagation.epsilon": Setting(float),
+    "propagation.max_iter": Setting(int),
+    "propagation.nonessential_weight": Setting(float),
+    "propagation.essentiality": Setting(str, null=True),
+    "debtrank.epsilon": Setting(float, ("finite and > 0", lambda v: 0.0 < v < np.inf)),
+    "debtrank.max_iter": Setting(int, _AT_LEAST_1),
+    "regime": Setting(REGIMES),
+    "workers": Setting(int),
+    "out": Setting(str),
+    "trace": Setting(bool),
+}
+
+
 def _merge(base: dict, override: dict) -> dict:
     merged = dict(base)
     for key, value in override.items():
@@ -81,11 +122,8 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def _load_config(path: str | None) -> dict:
-    """The defaults merged with the JSON file at ``path``. A file whose shape
-    does not fit them is an input error: a top level or section that is not
-    an object, a path that is not a string (``None`` where the file is
-    optional), a regime not in :data:`REGIMES`, or a ``trace`` that is not
-    a JSON boolean."""
+    """The defaults merged with the JSON file at ``path``. A top level or section that is not an
+    object is an input error; :func:`_read_settings` checks the values."""
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if not path:
         return config
@@ -94,7 +132,7 @@ def _load_config(path: str | None) -> dict:
             user = json.load(fh)
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot open ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer past Python's digit limit
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(user, dict):
         raise DataFormatError(f"{path}: the top level must be a JSON object")
@@ -102,26 +140,12 @@ def _load_config(path: str | None) -> dict:
     for section, default in DEFAULT_CONFIG.items():
         if isinstance(default, dict) and not isinstance(config[section], dict):
             raise DataFormatError(f"{path}: {section!r} must be a JSON object")
-    eco, spec, prop = config["economy"], config["scenarios"], config["propagation"]
-    for name, value, optional in (
-        ("economy.dir", eco["dir"], False), ("scenarios.shocks", spec["shocks"], False),
-        ("out", config["out"], False), ("scenarios.batch_file", spec["batch_file"], True),
-        ("propagation.essentiality", prop["essentiality"], True),
-    ):
-        if not (isinstance(value, str) or (optional and value is None)):
-            raise DataFormatError(f"{path}: {name} must be a path string, got {value!r}")
-    if config["regime"] not in REGIMES:
-        raise DataFormatError(f"{path}: regime must be one of {', '.join(REGIMES)}, got {config['regime']!r}")
-    if not isinstance(config["trace"], bool):
-        raise DataFormatError(f"{path}: trace must be true or false, got {config['trace']!r}")
     return config
 
 
 def _set(config: dict, path: str, value) -> None:
-    *sections, key = path.split(".")
-    for section in sections:
-        config = config[section]
-    config[key] = value
+    name, _, key = path.rpartition(".")
+    (config[name] if name else config)[key] = value
 
 
 def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
@@ -137,116 +161,80 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
     return config
 
 
-@contextmanager
-def _settings(section: str):
-    """Read settings: a value that is not a number, or out of range, is an
-    input error (exit 3), not a crash."""
+def _read(path: str, value, setting: Setting):
+    """``value`` as the setting at ``path`` holds it; a value it cannot hold is an input error."""
+    kind = setting.kind
+    if kind is int or kind is float:
+        # int() would truncate a fraction, and float() would read a boolean as 0 or 1
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise DataFormatError(f"{path} must be {'a whole number' if kind is int else 'a number'}, got {value!r}")
+        try:
+            value = kind(value)
+        except OverflowError:  # an int past the largest float
+            raise DataFormatError(f"{path} must be a number, got {value!r}") from None
+        if setting.bound is not None and not setting.bound[1](value):
+            raise DataFormatError(f"{path} must be {setting.bound[0]}, got {value!r}")
+    elif kind is str or kind is bool:
+        if not isinstance(value, kind):
+            raise DataFormatError(f"{path} must be {'a string' if kind is str else 'true or false'}, got {value!r}")
+    elif value not in kind:
+        raise DataFormatError(f"{path} must be one of {', '.join(kind)}, got {value!r}")
+    return value
+
+
+def _read_settings(config: dict) -> dict:
+    """Read each setting of ``config`` in place, as :data:`SETTINGS` says it holds (a whole float
+    where an int is due becomes that int); the first bad value raises :class:`DataFormatError`."""
+    for path, setting in SETTINGS.items():
+        name, _, key = path.rpartition(".")
+        section = config[name] if name else config
+        if key in section and not (section[key] is None and setting.null):
+            section[key] = _read(path, section[key], setting)
+    if config["scenarios"]["kind"] == "file" and config["scenarios"]["batch_file"] is None:
+        raise DataFormatError("scenarios.batch_file must be a path string where scenarios.kind is file, got None")
+    return config
+
+
+def _built(cls, section: dict):
+    """``cls`` built from the fields ``section`` holds; a value out of the range it checks is an input error."""
     try:
-        yield
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataFormatError(f"{section}: {exc}") from exc
-
-
-def _number(section: dict, key: str, kind: type = float):
-    """Setting ``key`` of ``section`` as a ``kind`` (int or float). A boolean is refused, and so is
-    a number that is not whole where an int is due: ``int`` would truncate it."""
-    value = section[key]
-    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{key} must be {'a whole number' if kind is int else 'a number'}, got {value!r}")
-    return kind(value)
-
-
-def _seed(section: dict, key: str) -> int:
-    seed = _number(section, key, int)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _economy_files(eco: dict) -> IngestionSpec:
-    with _settings("economy"):
-        lgd = _number(eco, "lgd")
-    return economy_files(eco["dir"], lgd=lgd)
+        return cls(**{f.name: section[f.name] for f in fields(cls) if f.name in section})
+    except ValueError as exc:
+        raise DataFormatError(f"{cls.__name__}: {exc}") from exc
 
 
 def _economy_from_config(config: dict) -> EconomyGraph:
     eco = config["economy"]
     if eco["source"] == "synthetic":
-        with _settings("SyntheticParams"):
-            ratio = eco["target_exposure_ratio"]
-            params = SyntheticParams(
-                n=_number(eco, "n", int), m=_number(eco, "m", int),
-                mean_degree=_number(eco, "mean_degree"),
-                sector_count=_number(eco, "sector_count", int),
-                target_exposure_ratio=None if ratio is None else _number(eco, "target_exposure_ratio"),
-                **{key: _number(eco, key) for key in _SYNTHETIC_FRACTIONS if key in eco},
-                **{key: eco[key] for key in ("weight_family",) if key in eco},
-            )
-            seed = _seed(eco, "seed")
-        graph = generate_synthetic_economy(params, seed=seed)
-    elif eco["source"] == "files":
-        graph = load_economy(_economy_files(eco))
+        graph = generate_synthetic_economy(_built(SyntheticParams, eco), seed=eco["seed"])
     else:
-        raise DataFormatError(f"unknown economy source {eco['source']!r}")
+        graph = load_economy(economy_files(eco["dir"]))
+    graph.loans.lgd = eco["lgd"]
     ess_path = config["propagation"]["essentiality"]
     if ess_path:
         graph.essentiality = load_essentiality(ess_path)
     return graph
 
 
-def _propagation_config(config: dict) -> PropagationConfig:
-    prop = config["propagation"]
-    with _settings("PropagationConfig"):
-        return PropagationConfig(
-            epsilon=_number(prop, "epsilon"),
-            max_iter=_number(prop, "max_iter", int),
-            nonessential_weight=_number(prop, "nonessential_weight"),
-        )
-
-
-def _debtrank_settings(config: dict) -> tuple[float, int]:
-    """``(epsilon, max_iter)`` of the contagion stage, checked before any run."""
-    dr = config["debtrank"]
-    with _settings("debtrank"):
-        epsilon, max_iter = _number(dr, "epsilon"), _number(dr, "max_iter", int)
-        if not 0.0 < epsilon < np.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    return epsilon, max_iter
-
-
 def _batch_from_config(config: dict, graph: EconomyGraph) -> ShockBatch:
     spec = config["scenarios"]
-    kind = spec["kind"]
-    if kind == "single-firm":
+    if spec["kind"] == "single-firm":
         return single_firm_batch(graph)
-    if kind == "covid":
-        with _settings("scenarios"):
-            count, seed = _number(spec, "count", int), _seed(spec, "seed")
-            shocks_seed = _seed(spec, "shocks_seed")
-            if count < 1:
-                raise ValueError(f"count must be >= 1, got {count}")
-        shocks = spec["shocks"]
-        if shocks == "synthetic":
-            table = synthetic_shock_table(graph, seed=shocks_seed)
-        else:
-            table = EmpiricalShockTable.from_csv(shocks)
-        return covid_style_batch(graph, table, count=count, seed=seed)
-    if kind == "file":
-        if not isinstance(spec["batch_file"], str):
-            raise DataFormatError(f"scenarios.batch_file must be a path string, got {spec['batch_file']!r}")
+    if spec["kind"] == "file":
         return read_batch(graph, spec["batch_file"])
-    raise DataFormatError(f"unknown scenario kind {kind!r}")
+    if spec["shocks"] == "synthetic":
+        table = synthetic_shock_table(graph, seed=spec["shocks_seed"])
+    else:
+        table = EmpiricalShockTable.from_csv(spec["shocks"])
+    return covid_style_batch(graph, table, count=spec["count"], seed=spec["seed"])
 
 
 def _workers(config: dict) -> int:
     """The configured worker count; 0 or less means the CPUs this process may
     run on (its affinity mask, which ``taskset`` and cpusets narrow)."""
-    with _settings("workers"):
-        workers = _number(config, "workers", int)
-    if workers > 0:
-        return workers
+    if config["workers"] > 0:
+        return config["workers"]
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -275,9 +263,8 @@ def _write_manifest(out: Path, command: str, config: dict, extra: dict) -> None:
 
 
 def cmd_validate(config: dict) -> int:
-    spec = _economy_files(config["economy"])
     try:
-        load_economy(spec)
+        load_economy(economy_files(config["economy"]["dir"]))
     except EconomyValidationError as exc:
         print(exc.report, file=sys.stderr)
         return EXIT_VALIDATION
@@ -321,9 +308,9 @@ def _write_profile(out: Path, firm_ids: list[str], base: np.ndarray, plus: np.nd
 
 def cmd_fsri(config: dict) -> int:
     graph = _economy_from_config(config)
-    cfg = _propagation_config(config)
-    dr_epsilon, dr_max_iter = _debtrank_settings(config)
-    base, plus = fsri_profile(graph, cfg, dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter)
+    dr = config["debtrank"]
+    base, plus = fsri_profile(graph, _built(PropagationConfig, config["propagation"]),
+                              dr_epsilon=dr["epsilon"], dr_max_iter=dr["max_iter"])
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_profile(out, graph.firm_ids, base, plus)
@@ -393,15 +380,14 @@ def _write_stats(out: Path, dec: ChannelDecomposition, regime: str) -> dict:
 
 def cmd_stress(config: dict) -> int:
     graph = _economy_from_config(config)
-    cfg = _propagation_config(config)
-    dr_epsilon, dr_max_iter = _debtrank_settings(config)
-    workers = _workers(config)
+    cfg = _built(PropagationConfig, config["propagation"])
+    dr = config["debtrank"]
     batch = _batch_from_config(config, graph)
     trace = config["trace"]
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     result = run_batch(
-        graph, batch, cfg, dr_epsilon=dr_epsilon, dr_max_iter=dr_max_iter, workers=workers,
+        graph, batch, cfg, dr_epsilon=dr["epsilon"], dr_max_iter=dr["max_iter"], workers=_workers(config),
         defaults=out / "defaults.csv" if trace else None,
     )
     dec = ChannelDecomposition(result)
@@ -433,8 +419,8 @@ def cmd_stress(config: dict) -> int:
 
 def cmd_debtrank(config: dict) -> int:
     graph = _economy_from_config(config)
-    epsilon, max_iter = _debtrank_settings(config)
-    profile = debtrank_profile(graph, epsilon=epsilon, max_iter=max_iter, record_trace=config["trace"])
+    dr = config["debtrank"]
+    profile = debtrank_profile(graph, epsilon=dr["epsilon"], max_iter=dr["max_iter"], record_trace=config["trace"])
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "debtrank.csv", ["bank_id", "total", "contagion_only"],
@@ -589,7 +575,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = COMMANDS[args.command][1]
     try:
-        config = _apply_overrides(_load_config(args.config), args)
+        config = _read_settings(_apply_overrides(_load_config(args.config), args))
         return handler(config, args.ledgers) if args.command == "report" else handler(config)
     except EconomyValidationError as exc:
         print(f"validation error:\n{exc.report}", file=sys.stderr)

@@ -63,10 +63,9 @@ class IngestionSpec:
     loans: Path
     banks: Path
     essentiality: Path | None = None
-    lgd: float = 1.0
 
 
-def economy_files(directory: str | Path, lgd: float = 1.0) -> IngestionSpec:
+def economy_files(directory: str | Path) -> IngestionSpec:
     """Build an :class:`IngestionSpec` from the conventional file names."""
     d = Path(directory)
     ess = d / "essentiality.csv"
@@ -77,7 +76,6 @@ def economy_files(directory: str | Path, lgd: float = 1.0) -> IngestionSpec:
         loans=d / "loans.csv",
         banks=d / "banks.csv",
         essentiality=ess if ess.exists() else None,
-        lgd=lgd,
     )
 
 
@@ -223,7 +221,7 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
         bank_equity=np.concatenate(bank_equity),
         supply=SupplyNetwork.from_edges(n, *supply.arrays()),
         interbank=InterbankNetwork.from_edges(m, *interbank.arrays()),
-        loans=LoanBook.from_entries(n, m, *loans.arrays(), spec.lgd),
+        loans=LoanBook.from_entries(n, m, *loans.arrays()),
         essentiality=essentiality,
     )
     report = validate_economy(graph)

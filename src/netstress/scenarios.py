@@ -77,7 +77,7 @@ class StreamedBatch(ShockBatch):
 
     @cached_property
     def psi(self) -> np.ndarray:
-        (psi,) = self.blocks(self._count)
+        (psi,) = self.blocks(max(self._count, 1))  # blocks of at least one row
         return psi
 
 
@@ -91,7 +91,7 @@ def single_firm_batch(g: EconomyGraph, firm_ids: list[str] | None = None) -> Str
         raise ValueError(f"unknown firm id {exc.args[0]!r}") from None
 
     def draw(rows: int) -> Iterator[np.ndarray]:
-        for start in range(0, stopped.size, rows):
+        for start in range(0, stopped.size or 1, rows):  # no firms: one block of no rows
             psi = np.ones((min(rows, stopped.size - start), g.n))
             psi[np.arange(len(psi)), stopped[start:start + rows]] = 0.0
             yield psi

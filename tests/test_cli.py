@@ -12,6 +12,7 @@ from netstress import cli, write_economy
 from netstress.cli import main
 
 from .builders import ring_economy, toy_economy
+from .test_cli_flags import leaves
 
 debtrank_module = sys.modules["netstress.debtrank"]  # the package's own name debtrank is the function
 
@@ -570,6 +571,75 @@ def test_whole_float_settings_are_read_as_ints(toy_dir, tmp_path):
     out = tmp_path / "out"
     assert run(["stress", "--config", str(path), "--economy-dir", str(toy_dir), "--out", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())["scenarios"] == 2
+
+
+class TestSettings:
+    """The whole configuration is read before any command runs, against ``cli.SETTINGS``."""
+
+    def test_every_default_has_a_setting_and_reads_back_unchanged(self):
+        assert set(leaves(cli.DEFAULT_CONFIG)) <= set(cli.SETTINGS)
+        config = cli._read_settings(cli._load_config(None))
+        assert json.dumps(config, sort_keys=True) == json.dumps(cli.DEFAULT_CONFIG, sort_keys=True)
+
+    @pytest.mark.parametrize("config", [
+        {"scenarios": {"count": 0}}, {"debtrank": {"epsilon": -1}}, {"scenarios": {"kind": "all"}},
+    ], ids=json.dumps)
+    @pytest.mark.parametrize("command", ["validate", "generate", "report"])
+    def test_a_setting_the_command_does_not_read_is_checked(self, toy_dir, tmp_path, capsys, command, config):
+        ledgers = tmp_path / "run" / "ledgers.csv"
+        assert run(["stress", "--economy-dir", str(toy_dir), "--count", "2", "--workers", "1",
+                    "--out", str(ledgers.parent)]) == 0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        extra = {"validate": ["--economy-dir", str(toy_dir)], "generate": ["--n", "30", "--m", "3"],
+                 "report": ["--ledgers", str(ledgers)]}[command]
+        capsys.readouterr()
+        assert run([command, "--config", str(path), *extra, "--out", str(tmp_path / "out")]) == 3
+        assert one_line_error(capsys).startswith(f"input error: {next(iter(leaves(config)))} must be ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [b"\xff{}", b'{"workers": ' + b"1" * 5000 + b"}"], ids=["utf-8", "digits"])
+    def test_a_file_json_cannot_read_exits_three(self, toy_dir, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        assert run(["validate", "--economy-dir", str(toy_dir), "--config", str(path)]) == 3
+        assert one_line_error(capsys).startswith(f"input error: {path}: invalid JSON (")
+
+    def test_the_manifest_echoes_the_values_read(self, toy_dir, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenarios": {"count": 2.0}, "workers": 1.0}))
+        out = tmp_path / "out"
+        assert run(["stress", "--config", str(path), "--economy-dir", str(toy_dir), "--out", str(out)]) == 0
+        echoed = json.loads((out / "manifest.json").read_text())["config"]
+        assert [(type(v), v) for v in (echoed["scenarios"]["count"], echoed["workers"])] == [(int, 2), (int, 1)]
+
+
+class TestLossGivenDefault:
+    def ledgers(self, tmp_path, lgd: float) -> list[dict]:
+        path, out = tmp_path / f"lgd-{lgd}.json", tmp_path / f"run-{lgd}"
+        path.write_text(json.dumps({"economy": {"lgd": lgd}}))
+        assert run(["stress", "--synthetic", "--n", "300", "--m", "5", "--count", "5", "--workers", "1",
+                    "--config", str(path), "--out", str(out)]) == 0
+        return read_rows(out / "ledgers.csv")
+
+    def test_halving_it_halves_both_credit_channels_on_a_synthetic_economy(self, tmp_path):
+        full, half = self.ledgers(tmp_path, 1.0), self.ledgers(tmp_path, 0.5)
+        for channel in ("di", "sc"):
+            column = [float(row[channel]) for row in full]
+            assert sum(column) > 0.0, channel
+            # halving is exact, so each cell is half its full-LGD cell bit for bit
+            assert [float(row[channel]) for row in half] == [0.5 * v for v in column], channel
+
+    @pytest.mark.parametrize("lgd", [0.0, 1.5, float("nan")])
+    @pytest.mark.parametrize("source", ["synthetic", "files"])
+    def test_out_of_range_exits_three(self, toy_dir, tmp_path, capsys, source, lgd):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"economy": {"lgd": lgd}}))
+        economy = ["--synthetic", "--n", "50", "--m", "4"] if source == "synthetic" else ["--economy-dir", str(toy_dir)]
+        assert run(["stress", *economy, "--count", "2", "--workers", "1", "--config", str(path),
+                    "--out", str(tmp_path / "out")]) == 3
+        assert one_line_error(capsys).startswith("input error: economy.lgd must be in (0, 1]")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [["stress", "--count", "abc"], ["bogus"], ["stress", "--regime", "x"]], ids=" ".join)

@@ -14,6 +14,7 @@ from netstress import (
     covid_style_batch,
     generate_synthetic_economy,
     read_batch,
+    run_batch,
     single_firm_batch,
     synthetic_shock_table,
     write_batch,
@@ -40,6 +41,12 @@ class TestSingleFirmShock:
     def test_unknown_id_rejected(self, toy):
         with pytest.raises(ValueError, match="unknown firm id 'nope'"):
             single_firm_batch(toy, ["c", "nope"])
+
+    def test_no_ids_give_no_rows(self, toy):
+        batch = single_firm_batch(toy, [])
+        assert batch.psi.shape == (0, toy.n) and len(batch) == 0
+        with pytest.raises(ValueError, match="batch has no scenarios"):
+            run_batch(toy, batch)
 
 
 class TestSingleFirmBatch:
