@@ -32,7 +32,7 @@ def main() -> None:
     g = load_economy(economy_files(TOY))
     print("validation:", "ok" if validate_economy(g).ok else "violations found")
 
-    psi = single_firm_batch(g, ["f"]).psi[0]
+    psi = next(single_firm_batch(g, ["f"]).blocks(1))[0]
     print("\nshock: firm f stops;", "psi =", psi)
 
     h_wo = psi  # without the cascade, production is the shock itself

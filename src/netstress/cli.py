@@ -438,7 +438,7 @@ def cmd_debtrank(config: dict) -> int:
 
 
 def _ledger_rows(b: Block, seen: dict) -> dict[tuple[int, str], tuple[float, ...]]:
-    keys = list(zip(b.numbers("scenario_id", int), b.text("bank_id")))
+    keys = list(zip(b.int64s("scenario_id"), b.text("bank_id")))
     r = first_repeat(keys, seen)
     if r is not None:
         raise RowError(r, f"second row for scenario {keys[r][0]} and bank {keys[r][1]!r}")

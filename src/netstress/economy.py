@@ -96,8 +96,8 @@ class LoanBook:
     lgd: float = 1.0
 
     @classmethod
-    def from_entries(cls, n: int, m: int, firm_idx, bank_idx, amounts, lgd: float = 1.0) -> "LoanBook":
-        return cls(principals=_summed((n, m), firm_idx, bank_idx, amounts), lgd=lgd)
+    def from_entries(cls, n: int, m: int, firm_idx, bank_idx, amounts) -> "LoanBook":
+        return cls(principals=_summed((n, m), firm_idx, bank_idx, amounts))
 
     @cached_property
     def by_bank(self) -> sparse.csr_matrix:

@@ -284,3 +284,5 @@ def write_economy(g: EconomyGraph, directory: str | Path) -> None:
     if g.essentiality.overrides:
         pairs, flags = zip(*sorted(g.essentiality.overrides.items()))
         write_columns(d / "essentiality.csv", ESSENTIALITY_COLUMNS, [*zip(*pairs), np.array(flags, np.int8)])
+    else:  # an earlier economy's table would be read back as this one's
+        (d / "essentiality.csv").unlink(missing_ok=True)

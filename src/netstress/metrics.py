@@ -117,7 +117,7 @@ def compute_esri(
     Output weights are intermediate sales plus the final-demand proxy, so a
     firm with 10% of total output and no supply links scores exactly 0.10.
     """
-    profile = propagate(g, single_firm_batch(g, [firm_id]).psi[0], cfg)
+    profile = propagate(g, next(single_firm_batch(g, [firm_id]).blocks(1))[0], cfg)
     out = g.total_output()
     total = out.sum()
     if total <= 0.0:

@@ -9,8 +9,8 @@ identical at the industry level.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
@@ -27,61 +27,46 @@ _RESCALE_ROUNDS = 10
 _AGGREGATE_TOL = 1e-9
 
 
-@dataclass
 class ShockBatch:
     """A stack of shock vectors, one row per scenario, read in blocks of rows.
 
+    ``draw(spans)`` yields one block of rows for each range of scenarios
+    in ``spans``, in turn, and draws them afresh on every call; the batch
+    chooses the spans, so an empty batch is one block of no rows.
     ``residuals`` records (scenario, sector, gap) for the rare industries
     whose aggregate could not be met exactly because clipping to [0, 1]
     left a remainder after redistribution. ``scenario_ids`` name the rows
     in every output; they default to ``0 .. len - 1``.
     """
 
-    psi: np.ndarray  # (scenarios, firms)
-    provenance: str
-    residuals: list[tuple[int, str, float]] = field(default_factory=list)
-    scenario_ids: list[int] | None = None
-
-    def __post_init__(self):
-        if self.scenario_ids is None:
-            self.scenario_ids = list(range(len(self)))
-
-    def __len__(self) -> int:
-        return self.psi.shape[0]
-
-    def blocks(self, rows: int) -> Iterator[np.ndarray]:
-        """The shock vectors in scenario order, at most ``rows`` scenarios a block."""
-        for start in range(0, len(self), rows):
-            yield self.psi[start:start + rows]
-
-
-class StreamedBatch(ShockBatch):
-    """A batch whose rows are drawn block by block, never all at once.
-
-    ``draw(rows)`` yields the blocks afresh on every call, in scenario
-    order. ``psi`` stacks the whole batch on first access, for callers
-    that want it dense; ``run_batch`` only reads ``blocks``.
-    """
-
-    def __init__(self, count: int, draw: Callable[[int], Iterator[np.ndarray]],
-                 provenance: str, residuals: list | None = None):
+    def __init__(self, count: int, draw: Callable[[Iterable[range]], Iterator[np.ndarray]], provenance: str,
+                 residuals: list | None = None, scenario_ids: list[int] | None = None):
         self._count, self._draw, self.provenance = count, draw, provenance
         self.residuals = [] if residuals is None else residuals
-        self.scenario_ids = list(range(count))
+        self.scenario_ids = list(range(count)) if scenario_ids is None else scenario_ids
+
+    @classmethod
+    def dense(cls, psi: np.ndarray, provenance: str, scenario_ids: list[int] | None = None) -> "ShockBatch":
+        """A batch over one array, ``psi[s]`` the shock vector of scenario ``s``."""
+        return cls(len(psi), lambda spans: (psi[s.start:s.stop] for s in spans), provenance,
+                   scenario_ids=scenario_ids)
 
     def __len__(self) -> int:
         return self._count
 
     def blocks(self, rows: int) -> Iterator[np.ndarray]:
-        return self._draw(rows)
+        """The shock vectors in scenario order, at most ``rows`` scenarios a block."""
+        n = self._count
+        return self._draw(range(s, min(s + rows, n)) for s in range(0, n or 1, rows))
 
     @cached_property
     def psi(self) -> np.ndarray:
-        (psi,) = self.blocks(max(self._count, 1))  # blocks of at least one row
+        """The whole batch as one array, drawn on first access; ``run_batch`` reads only ``blocks``."""
+        (psi,) = self._draw([range(self._count)])
         return psi
 
 
-def single_firm_batch(g: EconomyGraph, firm_ids: list[str] | None = None) -> StreamedBatch:
+def single_firm_batch(g: EconomyGraph, firm_ids: list[str] | None = None) -> ShockBatch:
     """One scenario per firm, in ``firm_ids`` order (every firm by default): that firm stops, all others run."""
     if g.n == 0:
         raise DataFormatError("economy has no firms to shock")
@@ -90,13 +75,13 @@ def single_firm_batch(g: EconomyGraph, firm_ids: list[str] | None = None) -> Str
     except KeyError as exc:
         raise ValueError(f"unknown firm id {exc.args[0]!r}") from None
 
-    def draw(rows: int) -> Iterator[np.ndarray]:
-        for start in range(0, stopped.size or 1, rows):  # no firms: one block of no rows
-            psi = np.ones((min(rows, stopped.size - start), g.n))
-            psi[np.arange(len(psi)), stopped[start:start + rows]] = 0.0
+    def draw(spans: Iterable[range]) -> Iterator[np.ndarray]:
+        for span in spans:
+            psi = np.ones((len(span), g.n))
+            psi[np.arange(len(span)), stopped[span.start:span.stop]] = 0.0
             yield psi
 
-    return StreamedBatch(stopped.size, draw, provenance="single-firm")
+    return ShockBatch(stopped.size, draw, provenance="single-firm")
 
 
 @dataclass
@@ -249,7 +234,7 @@ _DRAW_ROWS = 8
 
 def covid_style_batch(
     g: EconomyGraph, table: EmpiricalShockTable, count: int, seed: int
-) -> StreamedBatch:
+) -> ShockBatch:
     """Bootstrap per-firm shocks that preserve two-digit industry aggregates.
 
     Every scenario draws each firm's production reduction (with
@@ -297,15 +282,15 @@ def covid_style_batch(
             found += [(scenarios[start + r], groups[k].code, gap) for r, k, gap in sorted(gaps)]
         return psi
 
-    def draw(rows: int) -> Iterator[np.ndarray]:
+    def draw(spans: Iterable[range]) -> Iterator[np.ndarray]:
         rng = np.random.default_rng(seed)
         found: list[tuple[int, str, float]] = []
-        for start in range(0, count, rows):
+        for span in spans:
             # drawn in a call, so no local here keeps a block the consumer is done with
-            yield block(rng, range(start, min(start + rows, count)), found)
+            yield block(rng, span, found)
         residuals[:] = found  # every pass finds the same: keep one copy
 
-    return StreamedBatch(count, draw, provenance="covid-style", residuals=residuals)
+    return ShockBatch(count, draw, provenance="covid-style", residuals=residuals)
 
 
 def write_batch(batch: ShockBatch, firm_ids: list[str], path: str | Path) -> None:
@@ -326,7 +311,7 @@ def _shock_rows(b: Block, seen: dict[str, float]) -> dict[str, float]:
 
 
 def _batch_rows(b: Block, firm_index: dict[str, int], seen: set):
-    scenarios = b.numbers("scenario_id", int)
+    scenarios = b.int64s("scenario_id")
     firms = b.positions("firm_id", firm_index, "firm")
     ids = b.text("firm_id")
     r = first_repeat(list(zip(scenarios, ids)), seen)
@@ -354,4 +339,4 @@ def read_batch(g: EconomyGraph, path: str | Path) -> ShockBatch:
     row = dict(zip(ids, range(len(ids))))
     psi = np.ones((len(ids), g.n))
     psi[list(map(row.__getitem__, scenarios)), np.concatenate(firms)] = np.concatenate(values)
-    return ShockBatch(psi=psi, provenance="custom", scenario_ids=ids)
+    return ShockBatch.dense(psi, provenance="custom", scenario_ids=ids)

@@ -39,6 +39,7 @@ import numpy as np
 from .economy import DataFormatError, ReferentialError
 
 BLOCK_ROWS = 512
+_INT64 = np.iinfo(np.int64)
 _QUOTE = (",", '"', "\r", "\n")
 
 T = TypeVar("T")
@@ -83,6 +84,14 @@ class Block:
                 except ValueError:
                     raise RowError(r, f"column {name} is not {kind.__name__}: {cell!r}") from None
             raise
+
+    def int64s(self, name: str) -> list[int]:
+        """An int column whose values fit in 64 bits, the width every output writes them at."""
+        values = self.numbers(name, int)
+        if values and not (_INT64.min <= min(values) and max(values) <= _INT64.max):
+            r = next(r for r, v in enumerate(values) if not _INT64.min <= v <= _INT64.max)
+            raise RowError(r, f"column {name} is {values[r]}, outside the 64-bit integers")
+        return values
 
     def floats(self, name: str, rows: np.ndarray | None = None) -> np.ndarray:
         """:meth:`numbers` for ``float``, parsed straight into an array."""

@@ -68,7 +68,7 @@ def graph_from_records(firms: list[FirmNode], supply: SupplyNetwork, banks: list
 
 def single_firm_shock(g: EconomyGraph, firm_id: str) -> np.ndarray:
     """The shock vector of ``firm_id``'s failure: that firm stops, all others run."""
-    return single_firm_batch(g, [firm_id]).psi[0]
+    return next(single_firm_batch(g, [firm_id]).blocks(1))[0]
 
 
 def toy_economy() -> EconomyGraph:

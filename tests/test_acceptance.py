@@ -129,7 +129,7 @@ def test_criterion_4_brute_force_oracle_equivalence():
         psi = rng.uniform(0.0, 1.0, n)
         result = run_batch(
             g,
-            __import__("netstress").ShockBatch(psi=psi[None, :], provenance="custom"),
+            __import__("netstress").ShockBatch.dense(psi=psi[None, :], provenance="custom"),
         )
         di, sc, ib_wo, ib_w = oracle_scenario(g, list(psi))
         worst = max(

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from netstress import cli, write_economy
+from netstress import cli, economy_files, load_economy, write_economy
 from netstress.cli import main
 
 from .builders import ring_economy, toy_economy
@@ -84,6 +84,18 @@ class TestGenerate:
         for name in ("firms", "supply", "interbank", "loans", "banks"):
             assert (tmp_path / "a" / f"{name}.csv").read_text() == \
                    (tmp_path / "b" / f"{name}.csv").read_text()
+
+    def test_generate_over_an_earlier_economy(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"economy": {"essential_fraction": 0.5}}))
+        args = ["generate", "--n", "200", "--m", "4"]
+        assert run([*args, "--config", str(config), "--out", str(tmp_path / "eco")]) == 0
+        assert (tmp_path / "eco" / "essentiality.csv").exists()
+        for out in ("eco", "fresh"):  # the defaults have no essentiality table to write
+            assert run([*args, "--out", str(tmp_path / out)]) == 0
+        again, fresh = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("eco", "fresh"))
+        assert again.keys() == fresh.keys() and again["firms.csv"] == fresh["firms.csv"]
+        assert load_economy(economy_files(tmp_path / "eco")).essentiality.overrides == {}
 
 
 class TestFsri:
@@ -366,6 +378,9 @@ class TestBadInput:
         ("scenario_id,firm_id,psi\n0,a,0.5\n0,zz,0.5\n", 1, "'zz'"),
         ("scenario_id,firm_id,psi\n0,f,0.0\n1,f,0.0\n0,f,1.0\n", 3,
          "batch.csv line 4: second row for scenario 0 and firm 'f'"),
+        # every output writes the ids as int64: one past its top would come out as a float
+        ("scenario_id,firm_id,psi\n-1,a,0.5\n9223372036854775808,b,0.5\n", 3,
+         "batch.csv line 3: column scenario_id is 9223372036854775808"),
     ])
     def test_batch_file_errors(self, toy_dir, tmp_path, capsys, batch, code, needle):
         path = tmp_path / "batch.csv"
@@ -396,6 +411,7 @@ class TestBadInput:
         (1, "total_wo", "x"),
         (1, "total_w", "-5"),
         (2, "total_w", "0.125"),
+        (3, "scenario_id", "9223372036854775808"),
     ])
     def test_report_on_bad_loss(self, toy_dir, tmp_path, capsys, row, column, cell):
         run_dir = tmp_path / "run"
@@ -449,18 +465,24 @@ class TestBadInput:
 
 
 class TestScenarioIds:
-    BATCH = "scenario_id,firm_id,psi\n7,f,0.0\n3,d,0.0\n3,b,0.5\n"
+    BATCH = "scenario_id,firm_id,psi\n{high},f,0.0\n{low},d,0.0\n{low},b,0.5\n"
 
     def test_batch_file_ids_kept_in_every_output(self, toy_dir, tmp_path):
+        self.check_ids_kept(toy_dir, tmp_path, "3", "7")
+
+    def test_ids_at_both_ends_of_int64_kept(self, toy_dir, tmp_path):
+        self.check_ids_kept(toy_dir, tmp_path, "-9223372036854775808", "9223372036854775807")
+
+    def check_ids_kept(self, toy_dir, tmp_path, low, high):
         path = tmp_path / "batch.csv"
-        path.write_text(self.BATCH)
+        path.write_text(self.BATCH.format(low=low, high=high))
         out = tmp_path / "run"
         args = ["stress", "--economy-dir", str(toy_dir), "--batch-file", str(path),
                 "--workers", "1", "--trace", "--out", str(out)]
         assert run(args) == 0
         for name in ("ledgers.csv", "amplification.csv", "defaults.csv"):
             ids = [r["scenario_id"] for r in read_rows(out / name)]
-            assert ids == sorted(ids) and set(ids) == {"3", "7"}, name
+            assert ids == [low] * (len(ids) // 2) + [high] * (len(ids) // 2), name
 
         report = tmp_path / "report"
         assert run(["report", "--ledgers", str(out / "ledgers.csv"), "--out", str(report)]) == 0
@@ -468,7 +490,7 @@ class TestScenarioIds:
 
     def test_failed_scenario_lists_use_file_ids(self, toy_dir, tmp_path):
         path = tmp_path / "batch.csv"
-        path.write_text(self.BATCH)
+        path.write_text(self.BATCH.format(low=3, high=7))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"propagation": {"epsilon": 1e-12, "max_iter": 1}}))
         out = tmp_path / "run"

@@ -93,7 +93,7 @@ class TestReportText:
             supply=SupplyNetwork.from_edges(
                 6, [5, 0, 2, 1, 3, 0], [0, 0, 2, 0, 2, 5], [10.0, -1.0, 3.0, 0.0, nan, inf]),
             interbank=InterbankNetwork.from_edges(4, [2, 3, 1, 0], [1, 3, 0, 2], [30.0, 5.0, -0.5, inf]),
-            loans=LoanBook.from_entries(6, 4, [0, 3, 5], [0, 3, 1], [40.0, -2.0, nan], lgd=1.5),
+            loans=replace(LoanBook.from_entries(6, 4, [0, 3, 5], [0, 3, 1], [40.0, -2.0, nan]), lgd=1.5),
         )
         assert str(validate_economy(g)) == "\n".join([
             "29 violation(s):",

@@ -316,14 +316,14 @@ class TestCcdf:
 
 class TestChannelDecomposition:
     def test_zero_shock_batch_all_zero(self, toy):
-        batch = ShockBatch(psi=np.ones((3, 6)), provenance="custom")
+        batch = ShockBatch.dense(psi=np.ones((3, 6)), provenance="custom")
         dec = ChannelDecomposition(run_batch(toy, batch))
         for name, losses in dec.channel_losses().items():
             assert not losses.any(), name
 
     def test_hand_economy_ledger(self):
         g = hand_economy()
-        batch = ShockBatch(
+        batch = ShockBatch.dense(
             psi=np.array([[0.0, 1.0]]), provenance="custom"
         )
         dec = ChannelDecomposition(run_batch(g, batch))
@@ -340,7 +340,7 @@ class TestChannelDecomposition:
 
     def test_loanless_bank_exposed_only_through_interbank(self):
         g = hand_economy()
-        batch = ShockBatch(psi=np.array([[0.0, 1.0]]), provenance="custom")
+        batch = ShockBatch.dense(psi=np.array([[0.0, 1.0]]), provenance="custom")
         dec = ChannelDecomposition(run_batch(g, batch))
         r = dec.result
         c = g.bank_index["C"]
@@ -348,7 +348,7 @@ class TestChannelDecomposition:
         assert r.ib_w[0, c] > 0.0
 
     def test_summaries_shape_and_regimes(self, toy):
-        batch = ShockBatch(psi=np.ones((2, 6)), provenance="custom")
+        batch = ShockBatch.dense(psi=np.ones((2, 6)), provenance="custom")
         rows = ChannelDecomposition(run_batch(toy, batch)).summaries()
         assert len(rows) == (1 + 4) * 4
         assert rows[0][0] == "system"
@@ -358,7 +358,7 @@ class TestChannelDecomposition:
     def test_worker_pool_matches_serial(self, toy):
         rng = np.random.default_rng(2)
         psi = rng.uniform(0.4, 1.0, size=(6, 6))
-        batch = ShockBatch(psi=psi, provenance="custom")
+        batch = ShockBatch.dense(psi=psi, provenance="custom")
         serial = run_batch(toy, batch, workers=1)
         pooled = run_batch(toy, batch, workers=2)
         np.testing.assert_array_equal(serial.di, pooled.di)
@@ -385,7 +385,7 @@ class TestIbAmplification:
 
     def test_ratios_match_the_records(self, toy):
         psi = np.random.default_rng(3).uniform(0.0, 1.0, size=(12, 6))
-        result = run_batch(toy, ShockBatch(psi=psi, provenance="custom"))
+        result = run_batch(toy, ShockBatch.dense(psi=psi, provenance="custom"))
         records = ChannelDecomposition(result).amplification_records()
         stats = ib_amplification(result.ib_wo, result.ib_w)
         assert stats.pooled_ratios.size > 0
@@ -397,7 +397,7 @@ def test_regime_consistency_on_nontrivial_batch(toy):
     # both orderings hold scenario-wise on mixed shocks
     rng = np.random.default_rng(7)
     psi = rng.uniform(0.0, 1.0, size=(25, 6))
-    batch = ShockBatch(psi=psi, provenance="custom")
+    batch = ShockBatch.dense(psi=psi, provenance="custom")
     dec = ChannelDecomposition(run_batch(toy, batch, PropagationConfig()))
     r = dec.result
     assert np.all(r.ib_w >= r.ib_wo - 1e-15)

@@ -45,7 +45,7 @@ def test_worker_count_does_not_change_results(tmp_path, trace):
     rng = np.random.default_rng(5)
     g = random_economy(rng, n=30, m=5)
     psi = np.where(rng.random((9, g.n)) < 0.3, rng.uniform(0.0, 1.0, (9, g.n)), 1.0)
-    batch = ShockBatch(psi=psi, provenance="test", scenario_ids=list(range(10, 19)))
+    batch = ShockBatch.dense(psi=psi, provenance="test", scenario_ids=list(range(10, 19)))
     serial, serial_defaults = _run(g, batch, path=tmp_path / "serial.csv" if trace else None, workers=1)
     pooled, pooled_defaults = _run(g, batch, path=tmp_path / "pooled.csv" if trace else None, workers=2)
     assert serial.scenario_ids == pooled.scenario_ids == list(range(10, 19))
@@ -70,7 +70,7 @@ def test_results_are_row_major():
 def test_empty_batch_rejected():
     g = random_economy(np.random.default_rng(1), n=5, m=2)
     with pytest.raises(ValueError, match="no scenarios"):
-        run_batch(g, ShockBatch(psi=np.ones((0, g.n)), provenance="test"))
+        run_batch(g, ShockBatch.dense(psi=np.ones((0, g.n)), provenance="test"))
 
 
 def _covid_case(n=300, seed=3):
@@ -83,7 +83,7 @@ def _covid_case(n=300, seed=3):
 def test_streamed_batch_matches_dense(monkeypatch, tmp_path, workers, block_rows):
     g, table = _covid_case()
     batch = covid_style_batch(g, table, count=24, seed=9)
-    dense = ShockBatch(psi=covid_style_batch(g, table, count=24, seed=9).psi, provenance="test")
+    dense = ShockBatch.dense(psi=covid_style_batch(g, table, count=24, seed=9).psi, provenance="test")
     reference, reference_defaults = _run(g, dense, path=tmp_path / "reference.csv", workers=1)
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n * block_rows)
     for b in (batch, dense):
@@ -117,7 +117,7 @@ def test_residuals_are_kept_once_per_batch():
 def test_streamed_run_holds_one_block_at_a_time():
     g, table = _covid_case(n=2000, seed=5)
     count = 400  # four blocks of 100 scenarios (1.6 MB each) at workers=1
-    run_batch(g, ShockBatch(psi=np.ones((1, g.n)), provenance="warm-up"))
+    run_batch(g, ShockBatch.dense(psi=np.ones((1, g.n)), provenance="warm-up"))
     tracemalloc.start()
     try:
         batch = covid_style_batch(g, table, count=count, seed=2)
@@ -132,7 +132,7 @@ def test_streamed_run_holds_one_block_at_a_time():
 def test_traced_run_writes_one_block_at_a_time(tmp_path):
     g, table = _covid_case(n=2000, seed=5)
     count = 400  # stacked, the two default flags and the profit shock take 10 bytes a firm: 8 MB
-    run_batch(g, ShockBatch(psi=np.ones((1, g.n)), provenance="warm-up"), defaults=tmp_path / "warm-up.csv")
+    run_batch(g, ShockBatch.dense(psi=np.ones((1, g.n)), provenance="warm-up"), defaults=tmp_path / "warm-up.csv")
     tracemalloc.start()
     try:
         batch = covid_style_batch(g, table, count=count, seed=2)
@@ -150,7 +150,7 @@ def test_traced_run_writes_one_block_at_a_time(tmp_path):
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
 def test_chunks_do_not_change_results(monkeypatch, tmp_path, chunk, sigma):
     g, table = _covid_case()
-    batch = ShockBatch(psi=covid_style_batch(g, table, count=20, seed=4).psi, provenance="test")
+    batch = ShockBatch.dense(psi=covid_style_batch(g, table, count=20, seed=4).psi, provenance="test")
     cfg = PropagationConfig(nonessential_weight=sigma)
     reference, reference_defaults = _run(g, batch, cfg, tmp_path / "reference.csv")
     monkeypatch.setattr(pipeline, "CHUNK", chunk)
@@ -164,7 +164,7 @@ def test_chunks_do_not_change_results(monkeypatch, tmp_path, chunk, sigma):
 
 def test_blocks_hold_whole_chunks(monkeypatch):
     g, table = _covid_case()
-    batch = ShockBatch(psi=covid_style_batch(g, table, count=100, seed=4).psi, provenance="test")
+    batch = ShockBatch.dense(psi=covid_style_batch(g, table, count=100, seed=4).psi, provenance="test")
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n * 26)
     chunks, run_chunk = [], pipeline._run_chunk
     monkeypatch.setattr(pipeline, "_run_chunk", lambda *args: chunks.append(len(args[4])) or run_chunk(*args))
@@ -175,7 +175,7 @@ def test_blocks_hold_whole_chunks(monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 8])
 def test_convergence_flags_follow_each_scenario(monkeypatch, chunk):
     g, table = _covid_case()
-    batch = ShockBatch(psi=covid_style_batch(g, table, count=20, seed=4).psi, provenance="test")
+    batch = ShockBatch.dense(psi=covid_style_batch(g, table, count=20, seed=4).psi, provenance="test")
     cfg = PropagationConfig(max_iter=8)  # these cascades take 7 to 9 steps
     monkeypatch.setattr(pipeline, "CHUNK", chunk)
     expected = [propagate(g, psi, cfg).converged for psi in batch.psi]
@@ -253,7 +253,7 @@ def test_pooled_run_holds_the_blocks_in_flight(monkeypatch):
     g, table = _covid_case(n=2000, seed=5)
     count = 400  # 6.4 MB of shocks, drawn a chunk a block
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n * pipeline.CHUNK)
-    run_batch(g, ShockBatch(psi=np.ones((1, g.n)), provenance="warm-up"), workers=2)
+    run_batch(g, ShockBatch.dense(psi=np.ones((1, g.n)), provenance="warm-up"), workers=2)
     tracemalloc.start()
     try:
         batch = covid_style_batch(g, table, count=count, seed=2)
@@ -289,7 +289,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     firm = next(i for i in range(g.n) if default_flags(g, profit_shock(g, lone[i])).chi[i])
     psi = np.ones((40, g.n))
     psi[30] = lone[firm]  # a later block: one scenario a block below
-    batch = ShockBatch(psi=psi, provenance="test")
+    batch = ShockBatch.dense(psi=psi, provenance="test")
     # no cascade at all: the shocked firm defaults without supply-chain contagion but not with it
     monkeypatch.setattr(pipeline, "propagate", lambda g, psi, cfg: SimpleNamespace(h=np.ones_like(psi), done=None))
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n)
@@ -306,7 +306,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
 def test_more_threads_than_cores_on_a_fresh_graph(monkeypatch, tmp_path):
     # the graph's cached columns are first read from the threads, which switch every few bytecodes
     (g, table), (fresh, _) = _covid_case(), _covid_case()
-    batch = ShockBatch(psi=covid_style_batch(g, table, count=40, seed=6).psi, provenance="test")
+    batch = ShockBatch.dense(psi=covid_style_batch(g, table, count=40, seed=6).psi, provenance="test")
     reference, reference_defaults = _run(g, batch, path=tmp_path / "reference.csv", workers=1)
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n)
     interval = sys.getswitchinterval()

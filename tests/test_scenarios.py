@@ -10,6 +10,7 @@ import pytest
 from netstress import (
     DataFormatError,
     EmpiricalShockTable,
+    ShockBatch,
     SyntheticParams,
     covid_style_batch,
     generate_synthetic_economy,
@@ -70,6 +71,44 @@ class TestSingleFirmBatch:
         assert got.shape == (len(ids), toy.n)
         assert got.tobytes() == full[[toy.firm_index[f] for f in ids]].tobytes()
         assert len(batch) == len(ids) and batch.scenario_ids == list(range(len(ids)))
+
+
+class TestEveryBatchSource:
+    """What ``run_batch`` reads of a batch, from each builder that makes one."""
+
+    IDS = [-4, 0, 7, 9, 2**40]
+
+    def batch(self, source, g, path):
+        if source == "single-firm":
+            return single_firm_batch(g, ["e", "a", "f", "b", "c"])
+        covid = covid_style_batch(g, EmpiricalShockTable(reductions={"a": 0.3, "d": 0.5}), count=5, seed=2)
+        if source == "covid-style":
+            return covid
+        dense = ShockBatch.dense(covid.psi, "test", scenario_ids=self.IDS)
+        if source == "dense":
+            return dense
+        write_batch(dense, g.firm_ids, path)
+        return read_batch(g, path)
+
+    @pytest.mark.parametrize("rows", [1, 3, 100])
+    @pytest.mark.parametrize("source", ["single-firm", "covid-style", "dense", "read_batch"])
+    def test_blocks_stack_to_psi(self, toy, tmp_path, source, rows):
+        batch = self.batch(source, toy, tmp_path / "batch.csv")
+        blocks = list(batch.blocks(rows))
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1) and 0 < len(blocks[-1]) <= rows
+        assert np.concatenate(blocks).tobytes() == batch.psi.tobytes()
+        assert batch.psi.shape == (len(batch), toy.n)
+        assert batch.scenario_ids == (self.IDS if source in ("dense", "read_batch") else list(range(len(batch))))
+
+    @pytest.mark.parametrize("rows", [1, 3, 100])
+    @pytest.mark.parametrize("empty", [
+        lambda g: single_firm_batch(g, []),
+        lambda g: ShockBatch.dense(np.ones((0, g.n)), "test"),
+    ], ids=["single-firm", "dense"])
+    def test_an_empty_batch_is_one_block_of_no_rows(self, toy, empty, rows):
+        batch = empty(toy)
+        assert [b.shape for b in batch.blocks(rows)] == [(0, toy.n)]
+        assert batch.psi.shape == (0, toy.n) and len(batch) == 0 and batch.scenario_ids == []
 
 
 def sector_aggregates(g, table, batch):
