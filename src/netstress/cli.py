@@ -42,7 +42,7 @@ from .propagation import PropagationConfig
 from .scenarios import EmpiricalShockTable, ShockBatch, covid_style_batch, read_batch, single_firm_batch
 from .synthetic import FRACTIONS as _SYNTHETIC_FRACTIONS
 from .synthetic import SyntheticParams, generate_synthetic_economy, synthetic_shock_table
-from .tables import Block, RowError, first_repeat, read_blocks
+from .tables import Block, RowError, first_repeat, read_blocks, write_long
 from .tables import write_columns as _write_csv  # the name benchmarks/tracing.py wraps
 
 EXIT_OK = 0
@@ -323,17 +323,10 @@ def cmd_fsri(config: dict) -> int:
     return EXIT_OK
 
 
-def _pairs(result: BatchResult) -> list:
-    """The ``scenario_id`` and ``bank_id`` columns of a table with a row per (scenario, bank)."""
-    return [np.repeat(result.scenario_ids, len(result.bank_ids)), result.bank_ids * len(result)]
-
-
 def _write_ledgers(out: Path, result: BatchResult) -> None:
     losses = ChannelDecomposition(result).channel_losses()
-    _write_csv(out / "ledgers.csv", LEDGER_COLUMNS, [
-        *_pairs(result),
-        *(a.ravel() for a in (result.di, result.sc, result.ib_wo, result.ib_w, losses["di_ib"], losses["di_sc_ib"])),
-    ])
+    write_long(out / "ledgers.csv", LEDGER_COLUMNS, result.scenario_ids, result.bank_ids, [
+        (result.di, result.sc, result.ib_wo, result.ib_w, losses["di_ib"], losses["di_sc_ib"])])
 
 
 def _fit(x: np.ndarray, y: np.ndarray, keep: np.ndarray, log_log: bool = False) -> dict | None:
@@ -351,9 +344,8 @@ def _write_stats(out: Path, dec: ChannelDecomposition, regime: str) -> dict:
                [banks, channels, *measures.T, regimes])
 
     result = dec.result
-    _write_csv(out / "amplification.csv", ["scenario_id", "bank_id", "ib_wo", "ib_w", "ratio"], [
-        *_pairs(result), result.ib_wo.ravel(), result.ib_w.ravel(), _ratio(result.ib_w, result.ib_wo).ravel(),
-    ])
+    write_long(out / "amplification.csv", ["scenario_id", "bank_id", "ib_wo", "ib_w", "ratio"],
+               result.scenario_ids, result.bank_ids, [(result.ib_wo, result.ib_w, _ratio(result.ib_w, result.ib_wo))])
 
     x, y = result.ib_wo, result.ib_w
     defined = x > 0.0
@@ -425,14 +417,16 @@ def cmd_debtrank(config: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "debtrank.csv", ["bank_id", "total", "contagion_only"],
                [profile.bank_ids, profile.total, profile.contagion_only])
+    outputs = ["debtrank.csv"]
     if config["trace"]:
         run = profile.run  # row k seeds bank k's full default
         for k, bank_id in enumerate(graph.bank_ids):
             trace = run.trace[: run.steps[k] + 1, k]  # the seed, then each update
             # percent-encoded, so an id holding "/" names no directory; letters, digits and -_.~ stay as they are
-            _write_csv(out / f"debtrank_trace_{quote(bank_id, safe='')}.csv", ["iteration", "bank_id", "loss"], [
-                np.repeat(np.arange(len(trace)), graph.m), graph.bank_ids * len(trace), trace.ravel()])
-    _write_manifest(out, "debtrank", config, {"banks": graph.m, "outputs": ["debtrank.csv"]})
+            outputs.append(f"debtrank_trace_{quote(bank_id, safe='')}.csv")
+            write_long(out / outputs[-1], ["iteration", "bank_id", "loss"], range(len(trace)), graph.bank_ids,
+                       [(trace,)])
+    _write_manifest(out, "debtrank", config, {"banks": graph.m, "outputs": outputs})
     print(f"wrote full-default impact profile for {graph.m} banks to {out}")
     return EXIT_OK
 

@@ -12,12 +12,10 @@ defaults caused by the cascade).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .economy import EconomyGraph
-from .tables import Cells, to_cells, write_parts
 
 
 @dataclass
@@ -110,27 +108,3 @@ def bank_losses(g: EconomyGraph, chi_w: DefaultFlags, chi_wo: DefaultFlags) -> B
     di = bank_seed(g, chi_wo)
     added = DefaultFlags(chi=chi_w.chi & ~chi_wo.chi)
     return BankLossLedger(di=di, sc=bank_seed(g, added))
-
-
-# the cell of a default flag, looked up by the flag as 0 or 1
-_FLAG_CELLS = np.array(["0", "1"], dtype=object)
-
-
-def dump_defaults(path: str | Path, scenario_ids, blocks, firm_ids: list[str]) -> None:
-    """Write per-scenario default flags and profit shocks as long-format CSV.
-
-    ``blocks`` yields ``(chi_wo, chi_w, dp)`` arrays, one row per scenario in
-    the order of ``scenario_ids``; each block is written as it arrives. Each
-    id becomes a CSV cell once, and each flag is one of two ready cells.
-    """
-    n = len(firm_ids)
-    ids, firms = iter(to_cells(scenario_ids)), Cells(to_cells(firm_ids))
-
-    def flags(chi):
-        return Cells(_FLAG_CELLS[chi.view(np.uint8)].tolist())
-
-    write_parts(path, ["scenario_id", "firm_id", "chi_wo", "chi_w", "dp"], (
-        [Cells([next(ids)] * n), firms, flags(wo), flags(w), dp]
-        for chi_wo, chi_w, dp_w in blocks
-        for wo, w, dp in zip(chi_wo, chi_w, dp_w)
-    ))

@@ -283,6 +283,6 @@ def write_economy(g: EconomyGraph, directory: str | Path) -> None:
         write_columns(d / name, columns, [_Ids(row_cells, coo.row), _Ids(col_cells, coo.col), coo.data])
     if g.essentiality.overrides:
         pairs, flags = zip(*sorted(g.essentiality.overrides.items()))
-        write_columns(d / "essentiality.csv", ESSENTIALITY_COLUMNS, [*zip(*pairs), np.array(flags, np.int8)])
+        write_columns(d / "essentiality.csv", ESSENTIALITY_COLUMNS, [*zip(*pairs), np.array(flags)])
     else:  # an earlier economy's table would be read back as this one's
         (d / "essentiality.csv").unlink(missing_ok=True)

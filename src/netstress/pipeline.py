@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .credit import bank_losses, default_flags, dump_defaults, profit_shock
+from .credit import bank_losses, default_flags, profit_shock
 from .debtrank import DEFAULT_EPSILON, DEFAULT_MAX_ITER, debtrank
 from .economy import EconomyGraph
 from .propagation import CHUNK, PropagationConfig, _plan_for, propagate
 from .scenarios import ShockBatch
+from .tables import write_long
 
 
 @dataclass
@@ -125,7 +126,7 @@ def run_batch(
     scenario order, so the output is identical for any worker count and
     block size. Each block's default
     flags and profit shocks are written to ``defaults``, if given, as it
-    comes back (:func:`dump_defaults`), and then dropped.
+    comes back, and then dropped.
     """
     n_scenarios = len(batch)
     if n_scenarios == 0:
@@ -142,7 +143,8 @@ def run_batch(
         kept = list(chunks)
     else:
         kept = []
-        dump_defaults(defaults, batch.scenario_ids, _per_firm(chunks, kept), g.firm_ids)
+        write_long(defaults, ["scenario_id", "firm_id", "chi_wo", "chi_w", "dp"], batch.scenario_ids, g.firm_ids,
+                   _per_firm(chunks, kept))
     return BatchResult(
         bank_ids=list(g.bank_ids),
         bank_equity=g.bank_equity.copy(),

@@ -12,13 +12,12 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .economy import DataFormatError, EconomyGraph, ReferentialError
-from .tables import Block, RowError, first_repeat, read_blocks, write_columns, write_parts
+from .tables import Block, RowError, first_repeat, read_blocks, write_columns, write_long
 
 SHOCK_TABLE_COLUMNS = ["firm_id", "reduction"]
 BATCH_COLUMNS = ["scenario_id", "firm_id", "psi"]
@@ -295,11 +294,7 @@ def covid_style_batch(
 
 def write_batch(batch: ShockBatch, firm_ids: list[str], path: str | Path) -> None:
     """Dump a batch in long format: scenario_id, firm_id, psi, a block of scenarios at a time."""
-    ids = iter(batch.scenario_ids)
-    write_parts(path, BATCH_COLUMNS, (
-        [np.repeat(list(islice(ids, len(rows))), len(firm_ids)), firm_ids * len(rows), rows.ravel()]
-        for rows in batch.blocks(_DRAW_ROWS)
-    ))
+    write_long(path, BATCH_COLUMNS, batch.scenario_ids, firm_ids, ((rows,) for rows in batch.blocks(_DRAW_ROWS)))
 
 
 def _shock_rows(b: Block, seen: dict[str, float]) -> dict[str, float]:

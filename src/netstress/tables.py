@@ -11,7 +11,11 @@ past the header, the line.
 Both directions work on blocks of :data:`BLOCK_ROWS` rows held as columns,
 so a file of any length is converted in bulk with bounded memory. Every
 file is written by :func:`write_columns`, or :func:`write_parts` for a
-stream.
+stream; a long table, a line per (row, entity) pair, by :func:`write_long`,
+which makes each id a cell once. A boolean is written as ``0`` or ``1``.
+A number is read with ``int`` or ``float``, but only from ASCII text
+without ``_``: Python would also take digit groups (``1_0``) and other
+scripts' digits.
 
 Reading takes one of two paths, which give the same blocks and the same
 errors. The header is always read with :mod:`csv`. Then each block of
@@ -30,7 +34,7 @@ line numbers of a row-by-row read. Lines are split at ``\\n`` only, as
 from __future__ import annotations
 
 import csv
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Iterator, Sequence, TypeVar
 
@@ -41,6 +45,7 @@ from .economy import DataFormatError, ReferentialError
 BLOCK_ROWS = 512
 _INT64 = np.iinfo(np.int64)
 _QUOTE = (",", '"', "\r", "\n")
+_BITS = np.array(["0", "1"], dtype=object)  # the cell of a boolean, looked up by it as 0 or 1
 
 T = TypeVar("T")
 
@@ -75,15 +80,19 @@ class Block:
         if rows is not None:
             cells = list(compress(cells, rows))
         try:
-            return list(map(kind, cells))
+            if _numeric("".join(cells)):
+                return list(map(kind, cells))
         except ValueError:
-            where = range(self.size) if rows is None else np.flatnonzero(rows)
-            for r, cell in zip(where, cells):
-                try:
-                    kind(cell)
-                except ValueError:
-                    raise RowError(r, f"column {name} is not {kind.__name__}: {cell!r}") from None
-            raise
+            pass
+        where = range(self.size) if rows is None else np.flatnonzero(rows)
+        for r, cell in zip(where, cells):
+            try:
+                if not _numeric(cell):
+                    raise ValueError(cell)
+                kind(cell)
+            except ValueError:
+                raise RowError(r, f"column {name} is not {kind.__name__}: {cell!r}") from None
+        raise AssertionError("a cell that failed as a column passed on its own")
 
     def int64s(self, name: str) -> list[int]:
         """An int column whose values fit in 64 bits, the width every output writes them at."""
@@ -97,9 +106,11 @@ class Block:
         """:meth:`numbers` for ``float``, parsed straight into an array."""
         cells = self.cells[name] if rows is None else list(compress(self.cells[name], rows))
         try:
-            return np.fromiter(map(float, cells), float, len(cells))
+            if _numeric("".join(cells)):
+                return np.fromiter(map(float, cells), float, len(cells))
         except ValueError:
-            return np.array(self.numbers(name, rows=rows))  # raises at the first bad cell
+            pass
+        return np.array(self.numbers(name, rows=rows))  # raises at the first bad cell
 
     def fractions(self, name: str) -> np.ndarray:
         """A float column in [0, 1]; NaN is outside."""
@@ -149,6 +160,11 @@ class Block:
             for _ in islice(filter(None, reader), self.start + row + 1):
                 pass
             return reader.line_num
+
+
+def _numeric(text: str) -> bool:
+    """Whether ``text`` is ASCII without ``_``: ``int`` and ``float`` also read other scripts' digits and ``1_0``."""
+    return text.isascii() and "_" not in text
 
 
 def lookup(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
@@ -279,7 +295,9 @@ def to_cells(column) -> list[str]:
                 for r in np.flatnonzero(column.mask):
                     cells[r] = ""
             return cells
-        if column.dtype.kind in "biu":  # numbers need no quoting
+        if column.dtype.kind == "b":
+            return _BITS[column.view(np.uint8)].tolist()
+        if column.dtype.kind in "iu":  # numbers need no quoting
             return list(map(str, column.tolist()))
         column = column.tolist()
     cells = list(map(str, column))
@@ -311,4 +329,21 @@ def write_parts(path: Path, header: list[str], parts: Iterable[Sequence[Sequence
         [column[start:start + BLOCK_ROWS] for column in part]
         for part in parts
         for start in range(0, len(part[0]), BLOCK_ROWS)
+    ))
+
+
+def write_long(path: Path, header: list[str], row_ids: Sequence, entity_ids: Sequence,
+               blocks: Iterable[Sequence[np.ndarray]]) -> None:
+    """Write a line per (row, entity), rows in turn: the row id, the entity id, then a value from each array.
+
+    ``blocks`` yields tuples of ``(rows, entities)`` arrays for the next rows
+    of ``row_ids``, and each is one part of :func:`write_parts`. Each id is
+    made a CSV cell once.
+    """
+    rows, entities = iter(to_cells(row_ids)), to_cells(entity_ids)
+    n = len(entities)
+    write_parts(path, header, (
+        [Cells(chain.from_iterable([cell] * n for cell in islice(rows, len(arrays[0])))),
+         Cells(entities * len(arrays[0])), *(a.ravel() for a in arrays)]
+        for arrays in blocks
     ))

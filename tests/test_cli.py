@@ -310,6 +310,30 @@ class TestDebtrankCommand:
         assert (tmp_path / "dr" / "manifest.json").is_file()
 
 
+class TestManifestOutputs:
+    """``outputs`` in each manifest names every file its command wrote, the manifest aside."""
+
+    @pytest.mark.parametrize("argv", [
+        ["stress", "--count", "3"],
+        ["stress", "--count", "3", "--trace"],
+        ["fsri"],
+        ["debtrank"],
+        ["debtrank", "--trace"],
+        ["report"],
+    ])
+    def test_outputs_are_the_files_written(self, toy_dir, tmp_path, argv):
+        if argv == ["report"]:
+            assert run(["stress", "--economy-dir", str(toy_dir), "--count", "3", "--workers", "1",
+                        "--out", str(tmp_path / "run")]) == 0
+            argv = ["report", "--ledgers", str(tmp_path / "run" / "ledgers.csv")]
+        else:
+            argv = [*argv, "--economy-dir", str(toy_dir)]
+        out = tmp_path / "out"
+        assert run([*argv, "--workers", "1", "--out", str(out)]) == 0
+        written = sorted(path.name for path in out.iterdir() if path.name != "manifest.json")
+        assert sorted(json.loads((out / "manifest.json").read_text())["outputs"]) == written
+
+
 def copy_toy(toy_dir, dest, **replace):
     """Copy the toy economy into ``dest``, swapping line ``i`` of a file.
 
@@ -381,6 +405,9 @@ class TestBadInput:
         # every output writes the ids as int64: one past its top would come out as a float
         ("scenario_id,firm_id,psi\n-1,a,0.5\n9223372036854775808,b,0.5\n", 3,
          "batch.csv line 3: column scenario_id is 9223372036854775808"),
+        # int and float also read Python's digit groups and other scripts' digits
+        ("scenario_id,firm_id,psi\n0,a,0.5\n1_0,f,0.0\n", 3, "batch.csv line 3: column scenario_id is not int: '1_0'"),
+        ("scenario_id,firm_id,psi\n0,a,\uff10.5\n", 3, "batch.csv line 2: column psi is not float: '\uff10.5'"),
     ])
     def test_batch_file_errors(self, toy_dir, tmp_path, capsys, batch, code, needle):
         path = tmp_path / "batch.csv"
@@ -412,6 +439,8 @@ class TestBadInput:
         (1, "total_w", "-5"),
         (2, "total_w", "0.125"),
         (3, "scenario_id", "9223372036854775808"),
+        (2, "di", "0_0"),
+        (3, "scenario_id", "\u0661"),
     ])
     def test_report_on_bad_loss(self, toy_dir, tmp_path, capsys, row, column, cell):
         run_dir = tmp_path / "run"

@@ -19,7 +19,7 @@ from netstress import (
     profit_shock,
     propagate,
 )
-from netstress.credit import dump_defaults
+from netstress.tables import write_long
 
 from .builders import BankSheet, FirmNode, graph_from_records, single_firm_shock, toy_economy
 from .oracle import oracle_bank_losses, oracle_defaults
@@ -173,7 +173,8 @@ def test_defaults_dump_format(toy, tmp_path):
     shock_w = profit_shock(toy, propagate(toy, psi).h)
     chi_w = default_flags(toy, shock_w)
     out = tmp_path / "defaults.csv"
-    dump_defaults(out, [0], [(chi_wo.chi[None], chi_w.chi[None], shock_w.dp[None])], toy.firm_ids)
+    write_long(out, ["scenario_id", "firm_id", "chi_wo", "chi_w", "dp"], [0], toy.firm_ids,
+               [(chi_wo.chi[None], chi_w.chi[None], shock_w.dp[None])])
     lines = out.read_text().splitlines()
     assert lines[0] == "scenario_id,firm_id,chi_wo,chi_w,dp"
     assert len(lines) == 1 + 6

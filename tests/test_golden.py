@@ -57,7 +57,7 @@ GOLDEN = {
     "debtrank/debtrank_trace_2.csv": "062b4dae5c17f03f97dff385946292158b3204b15331e734b3dde8ead057fb5b",
     "debtrank/debtrank_trace_3.csv": "49655a8b0bc2a2c08d53c3ac83f944c5f96dfd28da7fdc91cc1308bcf4e19aea",
     "debtrank/debtrank_trace_4.csv": "85238983739e221d5de7d1318802f185cc363d49a07b6a83452ee56da5c1f87d",
-    "debtrank/manifest.json": "ad2412070b19d67707912ad7fc840d64f4dd73dfe4faa9baa7207b907d6906a5",
+    "debtrank/manifest.json": "b54162e2db1b60c79ff82a04130578c9bf15eb10bf77eff19d16e35045fce9f3",
     "fsri/ccdf.csv": "26d1a119915c2703913fbccd6fbc4149b26185deac50968d418df7f5dae36c57",
     "fsri/fsri_profile.csv": "228d4c779aa867891741bd01f01d0ce4c519861524310e2d18d4d3bef1cf58e5",
     "fsri/manifest.json": "db65d0066cccde8ba9b4986d505876647031044015329a3ab42bff359e9f63e9",

@@ -27,7 +27,7 @@ from netstress import (
     write_economy,
 )
 from netstress import ingest, tables
-from netstress.tables import BLOCK_ROWS, read_blocks, write_columns, write_parts
+from netstress.tables import BLOCK_ROWS, read_blocks, write_columns, write_long, write_parts
 
 from .builders import toy_economy
 from .oracle import oracle_read_blocks
@@ -165,6 +165,27 @@ def test_writers_match_csv_writer(tmp_path, rows):
     write_parts(tmp_path / "parts.csv", ["id", "n", "x"], [[c[:cut] for c in columns], [c[cut:] for c in columns]])
     assert (tmp_path / "parts.csv").read_text(encoding="utf-8") == expected.getvalue()
 
+    # a long table: each row above against entities whose ids need quoting too
+    entities = ["e,1", 'say "e"', "plain"]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["id", "entity", "n", "x"])
+    writer.writerows([i, e, c + k, x] for i, c, x in zip(ids, counts, values) for k, e in enumerate(entities))
+    grid = [np.add.outer(np.array(counts, dtype=int), np.arange(len(entities))),
+            np.repeat(floats[:, None], len(entities), axis=1)]
+    cuts = [0, 0, 1, len(ids)]  # blocks of 0 rows, 1 row and the rest
+    write_long(tmp_path / "long.csv", ["id", "entity", "n", "x"], ids, entities,
+               ([a[start:stop] for a in grid] for start, stop in zip(cuts, cuts[1:])))
+    assert (tmp_path / "long.csv").read_text(encoding="utf-8") == expected.getvalue()
+
+
+def test_booleans_are_written_as_0_and_1(tmp_path):
+    flags = np.array([True, False, True])
+    write_columns(tmp_path / "columns.csv", ["flag"], [flags])
+    assert (tmp_path / "columns.csv").read_text() == "flag\n1\n0\n1\n"
+    write_long(tmp_path / "long.csv", ["row", "entity", "flag"], [7], ["a", "b", "c"], [(flags[None],)])
+    assert (tmp_path / "long.csv").read_text() == "row,entity,flag\n7,a,1\n7,b,0\n7,c,1\n"
+
 
 TWO_FAULTS = [
     # (file, 0-based data rows -> replacement line, message of the earlier fault)
@@ -175,6 +196,11 @@ TWO_FAULTS = [
     ("loans", {5: "zz,3,25.0", 3: "d,3,5.x"}, "loans.csv line 5: column principal is not float: '5.x'"),
     ("loans", {4: "d,4,nope", 1: "b,9,30.0"}, "loans.csv line 3: unknown bank id '9'"),
     ("interbank", {2: "4,1,x", 1: "3,7,30.0"}, "interbank.csv line 3: unknown bank id '7'"),
+    # int and float also read Python's digit groups and other scripts' digits
+    ("firms", {3: "d,1014,80.0,\u0665\u0660.\u0660,20.0,100.0,20.0", 1: "b,1012,9_0.0,40.0,400.0,450.0,50.0"},
+     "firms.csv line 3: column revenue is not float: '9_0.0'"),
+    ("firms", {4: "e,1015,50.0,30.0,10.0,40.0,\uff12\uff10.0"},
+     "firms.csv line 6: column short_liabs is not float: '\uff12\uff10.0'"),
 ]
 
 
