@@ -264,7 +264,7 @@ def _write_manifest(out: Path, command: str, config: dict, extra: dict) -> None:
 
 def cmd_validate(config: dict) -> int:
     try:
-        load_economy(economy_files(config["economy"]["dir"]))
+        _economy_from_config(config)
     except EconomyValidationError as exc:
         print(exc.report, file=sys.stderr)
         return EXIT_VALIDATION
@@ -277,8 +277,9 @@ def cmd_generate(config: dict) -> int:
     graph = _economy_from_config(config)
     out = Path(config["out"])
     write_economy(graph, out)
+    outputs = [path.name for path in astuple(economy_files(out)) if path is not None]
     # building the graph validated it: an invalid economy raised before here
-    _write_manifest(out, "generate", config, {"n": graph.n, "m": graph.m, "valid": True})
+    _write_manifest(out, "generate", config, {"n": graph.n, "m": graph.m, "valid": True, "outputs": outputs})
     print(f"wrote economy with {graph.n} firms and {graph.m} banks to {out}")
     return EXIT_OK
 

@@ -50,20 +50,11 @@ class BatchResult:
         )
 
 
-# at most this many bytes of per-firm arrays per block (shocks in, and flags and profit shocks
-# out to be written): the blocks in flight all sit in this one process
-BLOCK_BYTES = 2 << 20
 # the per-firm arrays of a chunk, made only for ``run_batch`` to write them out
 PER_FIRM = ("chi_wo", "chi_w", "dp_w")
 
 
-def _run_block(g, cfg, dr_epsilon, dr_max_iter, per_firm, psi_block) -> list[dict[str, np.ndarray]]:
-    """Run a block of scenarios through both regimes, a chunk at a time: the arrays of each chunk."""
-    return [_run_chunk(g, cfg, dr_epsilon, dr_max_iter, psi_block[start:start + CHUNK], per_firm)
-            for start in range(0, len(psi_block), CHUNK)]
-
-
-def _run_chunk(g, cfg, dr_epsilon, dr_max_iter, psi, per_firm) -> dict[str, np.ndarray]:
+def _run_chunk(g, cfg, dr_epsilon, dr_max_iter, per_firm, psi) -> dict[str, np.ndarray]:
     """The arrays of the scenarios ``psi``, a row each; with ``per_firm``, the :data:`PER_FIRM` arrays too."""
     # each stage is looked up here per chunk: benchmarks/tracing.py wraps them in this namespace
     chi_wo = default_flags(g, profit_shock(g, psi))
@@ -82,23 +73,21 @@ def _run_chunk(g, cfg, dr_epsilon, dr_max_iter, psi, per_firm) -> dict[str, np.n
     return out
 
 
-def _chunk_results(blocks, shared: tuple, workers: int):
-    """Each chunk's arrays in scenario order; on ``workers`` threads, at most ``2 * workers`` blocks in flight."""
-    run = partial(_run_block, *shared)
+def _chunk_results(chunks, shared: tuple, workers: int):
+    """Each chunk's arrays in scenario order; on ``workers`` threads, at most ``2 * workers`` chunks in flight."""
+    run = partial(_run_chunk, *shared)
     if workers < 2:
-        # map lets each block go before the next one is drawn
-        for chunks in map(run, blocks):
-            yield from chunks
+        yield from map(run, chunks)  # each chunk goes before the next one is drawn
         return
     _plan_for(shared[0])  # built here, so that no two threads build it
     pending = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for block in blocks:
-            pending.append(pool.submit(run, block))
+        for psi in chunks:
+            pending.append(pool.submit(run, psi))
             if len(pending) == 2 * workers:
-                yield from pending.popleft().result()
+                yield pending.popleft().result()
         while pending:
-            yield from pending.popleft().result()
+            yield pending.popleft().result()
 
 
 def _per_firm(chunks, kept: list):
@@ -120,25 +109,18 @@ def run_batch(
 ) -> BatchResult:
     """Run a whole batch, optionally on a pool of ``workers`` threads.
 
-    The batch is read block by block, so a generated batch is never held
-    whole. The threads share the graph and its propagation plan, and at
-    most ``2 * workers`` blocks are in flight. Results are reduced in
-    scenario order, so the output is identical for any worker count and
-    block size. Each block's default
-    flags and profit shocks are written to ``defaults``, if given, as it
-    comes back, and then dropped.
+    The batch is read a chunk of :data:`CHUNK` scenarios at a time, so a
+    generated batch is never held whole. The threads share the graph and
+    its propagation plan, and at most ``2 * workers`` chunks are in flight.
+    Results are reduced in scenario order, so the output is identical for
+    any worker count and any chunk width. Each chunk's default flags and
+    profit shocks are written to ``defaults``, if given, as it comes back,
+    and then dropped.
     """
-    n_scenarios = len(batch)
-    if n_scenarios == 0:
+    if len(batch) == 0:
         raise ValueError("batch has no scenarios")
-    # rows per block: within BLOCK_BYTES, at least 4 * workers blocks, and whole chunks
-    # where a block holds more than one: a narrow chunk steps little faster than one scenario.
-    # Per firm a row holds its shock (8 bytes) and, to be written, two flags and a profit shock (10)
-    row_bytes = (18 if defaults is not None else 8) * max(g.n, 1)
-    rows = min(BLOCK_BYTES // row_bytes, -(-n_scenarios // (4 * max(workers, 1))))
-    blocks = batch.blocks(max(rows - rows % CHUNK if rows > CHUNK else rows, 1))
     shared = (g, cfg, dr_epsilon, dr_max_iter, defaults is not None)
-    chunks = _chunk_results(blocks, shared, workers if n_scenarios > 1 else 1)
+    chunks = _chunk_results(batch.blocks(CHUNK), shared, workers)
     if defaults is None:
         kept = list(chunks)
     else:

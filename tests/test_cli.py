@@ -54,6 +54,16 @@ class TestValidate:
     def test_missing_file_exits_three(self, tmp_path):
         assert run(["validate", "--economy-dir", str(tmp_path)]) == 3
 
+    def test_synthetic_economy_is_built_and_checked(self, capsys):
+        assert run(["validate", "--synthetic", "--n", "50", "--m", "4"]) == 0
+        assert "economy valid" in capsys.readouterr().out
+
+    def test_essentiality_table_is_read(self, toy_dir, tmp_path, capsys):
+        table = tmp_path / "essentiality.csv"
+        table.write_text("supplier_sector,buyer_sector,essential\n10,10,2\n")
+        assert run(["validate", "--economy-dir", str(toy_dir), "--essentiality", str(table)]) == 3
+        assert "essential must be 0 or 1, got '2'" in one_line_error(capsys)
+
     @pytest.mark.parametrize("command, code", [
         (["fsri"], 3), (["stress", "--single-firm", "--workers", "1"], 3), (["debtrank"], 0),
     ])
@@ -320,12 +330,18 @@ class TestManifestOutputs:
         ["debtrank"],
         ["debtrank", "--trace"],
         ["report"],
+        ["generate", 1.0],
+        ["generate", 0.5],  # with an essentiality table
     ])
     def test_outputs_are_the_files_written(self, toy_dir, tmp_path, argv):
         if argv == ["report"]:
             assert run(["stress", "--economy-dir", str(toy_dir), "--count", "3", "--workers", "1",
                         "--out", str(tmp_path / "run")]) == 0
             argv = ["report", "--ledgers", str(tmp_path / "run" / "ledgers.csv")]
+        elif argv[0] == "generate":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"economy": {"essential_fraction": argv[1]}}))
+            argv = ["generate", "--n", "200", "--m", "4", "--config", str(config)]
         else:
             argv = [*argv, "--economy-dir", str(toy_dir)]
         out = tmp_path / "out"

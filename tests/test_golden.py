@@ -65,7 +65,7 @@ GOLDEN = {
     "generate/firms.csv": "b36cdf34f17645621e736c73b3d2fdb4619abbbdd02d6b0f7b87407474a293f2",
     "generate/interbank.csv": "d6bb0cf3fb6c6297b2d8a2b88cddeda7fce5cf713af3d7a359eae37dd2aebff1",
     "generate/loans.csv": "ae88b7f2da0d3066dd179d22e756f8d622b53844286137cd67c6495ca85df74c",
-    "generate/manifest.json": "e7f4dbb5cafbc3bd25c58b2650e225417f324d902bdf8a1fc3bc9e2a612bfcc5",
+    "generate/manifest.json": "454918d5fa64bd93594ed1f42871fe8ef1d5ba63f46fd60a27bd082dbe397ccf",
     "generate/supply.csv": "5af46c1ce8e7b2c671eade139d8a3b18be9b69a2db9511bbfdfc2e92e5e5b54d",
     "report/amplification.csv": "35a02bfcd361f45ba92939aa69124833267f14770b8b23c0e0413823b55e58cc",
     "report/ccdf.csv": "2a44472d749e9520f73ca2ae4efbb5f4918b6ad0929b501857cce7a241469a78",

@@ -1,4 +1,4 @@
-"""Scenario batches: the same arrays for any worker count, block size, chunk size and batch kind."""
+"""Scenario batches: the same arrays for any worker count, chunk width and batch kind."""
 
 from __future__ import annotations
 
@@ -79,13 +79,13 @@ def _covid_case(n=300, seed=3):
 
 
 @pytest.mark.parametrize("workers", [0, 1, 2])
-@pytest.mark.parametrize("block_rows", [1, 100])
-def test_streamed_batch_matches_dense(monkeypatch, tmp_path, workers, block_rows):
+@pytest.mark.parametrize("chunk", [1, 100])
+def test_streamed_batch_matches_dense(monkeypatch, tmp_path, workers, chunk):
     g, table = _covid_case()
     batch = covid_style_batch(g, table, count=24, seed=9)
     dense = ShockBatch.dense(psi=covid_style_batch(g, table, count=24, seed=9).psi, provenance="test")
     reference, reference_defaults = _run(g, dense, path=tmp_path / "reference.csv", workers=1)
-    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n * block_rows)
+    monkeypatch.setattr(pipeline, "CHUNK", chunk)
     for b in (batch, dense):
         result, defaults = _run(g, b, path=tmp_path / "defaults.csv", workers=workers)
         for name in PER_BANK:
@@ -116,7 +116,7 @@ def test_residuals_are_kept_once_per_batch():
 
 def test_streamed_run_holds_one_block_at_a_time():
     g, table = _covid_case(n=2000, seed=5)
-    count = 400  # four blocks of 100 scenarios (1.6 MB each) at workers=1
+    count = 400  # drawn a chunk of 8 scenarios (128 kB) at a time; stacked, 6.4 MB
     run_batch(g, ShockBatch.dense(psi=np.ones((1, g.n)), provenance="warm-up"))
     tracemalloc.start()
     try:
@@ -162,14 +162,21 @@ def test_chunks_do_not_change_results(monkeypatch, tmp_path, chunk, sigma):
     assert np.any(reference.sc > 0.0)  # the cascade adds defaults
 
 
-def test_blocks_hold_whole_chunks(monkeypatch):
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize(("count", "workers", "widths"), [(16, 2, [8, 8]), (100, 1, [8] * 12 + [4])])
+def test_every_chunk_but_the_last_is_full(monkeypatch, tmp_path, trace, count, workers, widths):
+    # a narrow chunk steps little faster than one scenario, so no batch, pool or trace narrows it
     g, table = _covid_case()
-    batch = ShockBatch.dense(psi=covid_style_batch(g, table, count=100, seed=4).psi, provenance="test")
-    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n * 26)
-    chunks, run_chunk = [], pipeline._run_chunk
-    monkeypatch.setattr(pipeline, "_run_chunk", lambda *args: chunks.append(len(args[4])) or run_chunk(*args))
-    run_batch(g, batch, workers=1)
-    assert chunks == [8] * 12 + [4]  # blocks of 24 rows, not 26 (8 + 8 + 8 + 2)
+    batch = covid_style_batch(g, table, count=count, seed=4)
+    seen, run_chunk = [], pipeline._run_chunk
+
+    def spy(*args):
+        seen.append(next(len(arg) for arg in args if isinstance(arg, np.ndarray)))  # the shocks
+        return run_chunk(*args)
+
+    monkeypatch.setattr(pipeline, "_run_chunk", spy)
+    run_batch(g, batch, workers=workers, defaults=tmp_path / "defaults.csv" if trace else None)
+    assert seen == widths
 
 
 @pytest.mark.parametrize("chunk", [1, 8])
@@ -211,7 +218,7 @@ def test_regression_names_the_firm_in_a_later_row():
 
 
 class _InlinePool:
-    """Stands in for the thread pool: runs each block when its result is read."""
+    """Stands in for the thread pool: runs each chunk when its result is read."""
 
     def __init__(self, max_workers):
         self.in_flight = self.most_in_flight = 0
@@ -242,7 +249,7 @@ def test_pool_keeps_at_most_two_blocks_per_worker_in_flight(monkeypatch):
     reference = run_batch(g, batch, workers=1)
     pools = []
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", lambda **kw: pools.append(_InlinePool(**kw)) or pools[-1])
-    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n)  # one scenario a block
+    monkeypatch.setattr(pipeline, "CHUNK", 1)  # one scenario a chunk
     result = run_batch(g, batch, workers=3)
     assert [pool.most_in_flight for pool in pools] == [6]
     for name in PER_BANK:
@@ -251,8 +258,7 @@ def test_pool_keeps_at_most_two_blocks_per_worker_in_flight(monkeypatch):
 
 def test_pooled_run_holds_the_blocks_in_flight(monkeypatch):
     g, table = _covid_case(n=2000, seed=5)
-    count = 400  # 6.4 MB of shocks, drawn a chunk a block
-    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n * pipeline.CHUNK)
+    count = 400  # 6.4 MB of shocks, drawn a chunk at a time
     run_batch(g, ShockBatch.dense(psi=np.ones((1, g.n)), provenance="warm-up"), workers=2)
     tracemalloc.start()
     try:
@@ -262,8 +268,8 @@ def test_pooled_run_holds_the_blocks_in_flight(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(result) == count
-    # four blocks in flight, one being drawn and two chunks' work arrays peak at about 3.5 MB;
-    # with every block submitted at once the run peaks at 6.8 MB or more
+    # four chunks in flight, one being drawn and two chunks' work arrays peak at about 3.5 MB;
+    # with every chunk submitted at once the run peaks at 6.8 MB or more
     assert peak < count * g.n * 8 * 3 / 4
 
 
@@ -278,7 +284,7 @@ def test_pooled_run_builds_the_plan_once(monkeypatch):
         return build(graph)
 
     monkeypatch.setattr(propagation, "_build_plan", slow_build)
-    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n)
+    monkeypatch.setattr(pipeline, "CHUNK", 1)
     run_batch(g, batch, workers=2)
     assert builds == [threading.main_thread()]
 
@@ -288,11 +294,11 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     lone = np.ones((g.n, g.n)) - np.eye(g.n)
     firm = next(i for i in range(g.n) if default_flags(g, profit_shock(g, lone[i])).chi[i])
     psi = np.ones((40, g.n))
-    psi[30] = lone[firm]  # a later block: one scenario a block below
+    psi[30] = lone[firm]  # a later chunk: one scenario a chunk below
     batch = ShockBatch.dense(psi=psi, provenance="test")
     # no cascade at all: the shocked firm defaults without supply-chain contagion but not with it
     monkeypatch.setattr(pipeline, "propagate", lambda g, psi, cfg: SimpleNamespace(h=np.ones_like(psi), done=None))
-    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n)
+    monkeypatch.setattr(pipeline, "CHUNK", 1)
     threads = threading.active_count()
     raised = []
     for workers in (1, 2):
@@ -308,7 +314,7 @@ def test_more_threads_than_cores_on_a_fresh_graph(monkeypatch, tmp_path):
     (g, table), (fresh, _) = _covid_case(), _covid_case()
     batch = ShockBatch.dense(psi=covid_style_batch(g, table, count=40, seed=6).psi, provenance="test")
     reference, reference_defaults = _run(g, batch, path=tmp_path / "reference.csv", workers=1)
-    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 8 * g.n)
+    monkeypatch.setattr(pipeline, "CHUNK", 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
