@@ -153,3 +153,45 @@ def test_generate_always_writes_a_synthetic_economy(tmp_path):
                      "--out", str(out)]) == 0
     economy = json.loads((out / "manifest.json").read_text())["config"]["economy"]
     assert (economy["source"], economy["dir"]) == ("synthetic", str(tmp_path / "eco"))
+
+
+# (option string, dest, metavar, help, type, choices, const) of each option every subcommand takes
+PARSER_OPTIONS = {
+    ("-h", "help", None, "show this help message and exit", None, None, None),
+    ("--help", "help", None, "show this help message and exit", None, None, None),
+    ("--config", "config", None, "JSON config file; flags override it", None, None, None),
+    ("--out", "out", "OUT", "output directory", None, None, None),
+    ("--workers", "workers", "WORKERS", "scenario worker threads (0 = the usable CPUs)", int, None, None),
+    ("--seed", "scenarios.seed", "SEED", "scenario RNG seed", int, None, None),
+    ("--regime", "regime", None, "which regimes to report", None, ("w", "wo", "both"), None),
+    ("--trace", "trace", None, "write iteration/default dumps", None, None, True),
+    ("--economy-dir", "economy.dir", "ECONOMY_DIR", "directory with economy CSV files", None, None, None),
+    ("--synthetic", "economy.source", None, "generate a synthetic economy", None, None, "synthetic"),
+    ("--n", "economy.n", "N", "synthetic economy: firm count", int, None, None),
+    ("--m", "economy.m", "M", "synthetic economy: bank count", int, None, None),
+    ("--ratio", "economy.target_exposure_ratio", "RATIO", "synthetic economy: target exposure ratio", float, None,
+     None),
+    ("--economy-seed", "economy.seed", "ECONOMY_SEED", "synthetic economy RNG seed", int, None, None),
+    ("--epsilon", "propagation.epsilon", "EPSILON", "propagation convergence tolerance", float, None, None),
+    ("--sigma", "propagation.nonessential_weight", "SIGMA", "non-essential input weight in [0, 1]", float, None, None),
+    ("--essentiality", "propagation.essentiality", "ESSENTIALITY", "essentiality.csv path", None, None, None),
+}
+# the options one subcommand takes besides those
+PARSER_EXTRA = {
+    "stress": {
+        ("--count", "scenarios.count", "COUNT", "number of scenarios", int, None, None),
+        ("--shocks", "scenarios.shocks", "SHOCKS", "empirical shock table CSV, or 'synthetic'", None, None, None),
+        ("--batch-file", "scenarios.batch_file", "BATCH_FILE", "long-format shock batch CSV", None, None, None),
+        ("--single-firm", "scenarios.kind", None, "sweep single-firm failure scenarios instead", None, None,
+         "single-firm"),
+    },
+    "report": {("--ledgers", "ledgers", "LEDGERS", "ledgers.csv from a stress run", None, None, None)},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_the_parser_builds_the_pinned_options(command):
+    parser = subcommands()[command]
+    built = {(option, a.dest, a.metavar, a.help, a.type, a.choices, a.const)
+             for a in parser._actions for option in a.option_strings}
+    assert built == PARSER_OPTIONS | PARSER_EXTRA.get(command, set())
