@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 from urllib.parse import quote
 
 import numpy as np
@@ -55,60 +55,69 @@ LEDGER_COLUMNS = ["scenario_id", "bank_id", "di", "sc", "ib_wo", "ib_w", "total_
 REGIMES = ("w", "wo", "both")
 
 _SYNTHETIC = SyntheticParams()
-
-DEFAULT_CONFIG = {
-    "economy": {"source": "files", "dir": ".", "lgd": 1.0, "seed": 7, **{
-        key: getattr(_SYNTHETIC, key) for key in ("n", "m", "mean_degree", "sector_count", "target_exposure_ratio")}},
-    "scenarios": {"kind": "covid", "count": 100, "seed": 11,
-                  "shocks": "synthetic", "shocks_seed": 3, "batch_file": None},
-    "propagation": {**asdict(PropagationConfig()), "essentiality": None},
-    "debtrank": {"epsilon": DEFAULT_EPSILON, "max_iter": DEFAULT_MAX_ITER},
-    "regime": "both",
-    "workers": 0,   # 0 = the CPUs this process may run on
-    "out": "out",
-    "trace": False,
-}
+_PROPAGATION = PropagationConfig()
 
 
 class Setting(NamedTuple):
-    """What a config path holds: ``kind`` is int or float (a number), str (a path), bool, or the
-    tuple of words it may be. ``bound`` is the range the CLI owns, as its text and a test;
-    SyntheticParams and PropagationConfig check their own."""
+    """One config path: what it holds and the flag that sets it; a new setting is one row of :data:`SETTINGS`.
+    A manifest echoes a path with no default only where a config file sets it. SyntheticParams and
+    PropagationConfig check their own ranges."""
 
-    kind: type | tuple[str, ...]
-    bound: tuple[str, Callable[[float], bool]] | None = None
+    kind: type | tuple[str, ...]  # int or float (a number), str (a path), bool, or the tuple of words it may be
+    default: object = ...  # ... leaves the path out of DEFAULT_CONFIG
+    bound: tuple[str, float, float] | None = None  # the range the CLI owns: its text, lo and hi of lo < value <= hi
     null: bool = False  # the value may also be None
+    flag: tuple[str, str] | None = None  # the option that sets the path, and its help text
+    const: object = None  # the value the flag sets, where it takes none
+    stress: bool = False  # only stress takes the flag
+    implies: tuple[str, object] | None = None  # a path and value the flag sets too, unless a flag sets that path
 
 
-_AT_LEAST_0 = (">= 0", lambda v: v >= 0)
-_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_AT_LEAST_0 = (">= 0", -1, np.inf)
+_AT_LEAST_1 = (">= 1", 0, np.inf)
 
-# each config path a command reads; a key a section leaves out is not read, and SyntheticParams reads weight_family
+# each config path, in the order its value is checked; a key a section leaves out is not read
 SETTINGS = {
-    "economy.source": Setting(("files", "synthetic")),
-    "economy.dir": Setting(str),
-    "economy.lgd": Setting(float, ("in (0, 1]", lambda v: 0.0 < v <= 1.0)),
-    "economy.seed": Setting(int, _AT_LEAST_0),
-    **{f"economy.{key}": Setting(int) for key in ("n", "m", "sector_count")},
-    **{f"economy.{key}": Setting(float) for key in ("mean_degree", *_SYNTHETIC_FRACTIONS)},
-    "economy.target_exposure_ratio": Setting(float, null=True),
-    "scenarios.kind": Setting(("covid", "single-firm", "file")),
-    "scenarios.count": Setting(int, _AT_LEAST_1),
-    "scenarios.seed": Setting(int, _AT_LEAST_0),
-    "scenarios.shocks": Setting(str),
-    "scenarios.shocks_seed": Setting(int, _AT_LEAST_0),
-    "scenarios.batch_file": Setting(str, null=True),
-    "propagation.epsilon": Setting(float),
-    "propagation.max_iter": Setting(int),
-    "propagation.nonessential_weight": Setting(float),
-    "propagation.essentiality": Setting(str, null=True),
-    "debtrank.epsilon": Setting(float, ("finite and > 0", lambda v: 0.0 < v < np.inf)),
-    "debtrank.max_iter": Setting(int, _AT_LEAST_1),
-    "regime": Setting(REGIMES),
-    "workers": Setting(int),
-    "out": Setting(str),
-    "trace": Setting(bool),
+    "economy.source": Setting(("files", "synthetic"), "files", flag=("--synthetic", "generate a synthetic economy"),
+                              const="synthetic"),
+    "economy.dir": Setting(str, ".", flag=("--economy-dir", "directory with economy CSV files"),
+                           implies=("economy.source", "files")),
+    "economy.lgd": Setting(float, 1.0, ("in (0, 1]", 0.0, 1.0)),
+    "economy.seed": Setting(int, 7, _AT_LEAST_0, flag=("--economy-seed", "synthetic economy RNG seed")),
+    "economy.n": Setting(int, _SYNTHETIC.n, flag=("--n", "synthetic economy: firm count")),
+    "economy.m": Setting(int, _SYNTHETIC.m, flag=("--m", "synthetic economy: bank count")),
+    "economy.sector_count": Setting(int, _SYNTHETIC.sector_count),
+    "economy.mean_degree": Setting(float, _SYNTHETIC.mean_degree),
+    **{f"economy.{key}": Setting(float) for key in _SYNTHETIC_FRACTIONS},
+    "economy.target_exposure_ratio": Setting(float, _SYNTHETIC.target_exposure_ratio, null=True,
+                                             flag=("--ratio", "synthetic economy: target exposure ratio")),
+    "scenarios.kind": Setting(("covid", "single-firm", "file"), "covid", const="single-firm", stress=True,
+                              flag=("--single-firm", "sweep single-firm failure scenarios instead")),
+    "scenarios.count": Setting(int, 100, _AT_LEAST_1, flag=("--count", "number of scenarios"), stress=True),
+    "scenarios.seed": Setting(int, 11, _AT_LEAST_0, flag=("--seed", "scenario RNG seed")),
+    "scenarios.shocks": Setting(str, "synthetic", flag=("--shocks", "empirical shock table CSV, or 'synthetic'"),
+                                stress=True),
+    "scenarios.shocks_seed": Setting(int, 3, _AT_LEAST_0),
+    "scenarios.batch_file": Setting(str, None, null=True, flag=("--batch-file", "long-format shock batch CSV"),
+                                    stress=True, implies=("scenarios.kind", "file")),
+    "propagation.epsilon": Setting(float, _PROPAGATION.epsilon,
+                                   flag=("--epsilon", "propagation convergence tolerance")),
+    "propagation.max_iter": Setting(int, _PROPAGATION.max_iter),
+    "propagation.nonessential_weight": Setting(float, _PROPAGATION.nonessential_weight,
+                                               flag=("--sigma", "non-essential input weight in [0, 1]")),
+    "propagation.essentiality": Setting(str, None, null=True, flag=("--essentiality", "essentiality.csv path")),
+    "debtrank.epsilon": Setting(float, DEFAULT_EPSILON, ("finite and > 0", 0.0, sys.float_info.max)),
+    "debtrank.max_iter": Setting(int, DEFAULT_MAX_ITER, _AT_LEAST_1),
+    "regime": Setting(REGIMES, "both", flag=("--regime", "which regimes to report")),
+    "workers": Setting(int, 0, flag=("--workers", "scenario worker threads (0 = the usable CPUs)")),
+    "out": Setting(str, "out", flag=("--out", "output directory")),
+    "trace": Setting(bool, False, flag=("--trace", "write iteration/default dumps"), const=True),
 }
+
+
+def _set(config: dict, path: str, value) -> None:
+    name, _, key = path.rpartition(".")
+    (config.setdefault(name, {}) if name else config)[key] = value
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -124,7 +133,10 @@ def _merge(base: dict, override: dict) -> dict:
 def _load_config(path: str | None) -> dict:
     """The defaults merged with the JSON file at ``path``. A top level or section that is not an
     object is an input error; :func:`_read_settings` checks the values."""
-    config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    config: dict = {}
+    for name, setting in SETTINGS.items():
+        if setting.default is not ...:
+            _set(config, name, setting.default)
     if not path:
         return config
     try:
@@ -143,21 +155,17 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _set(config: dict, path: str, value) -> None:
-    name, _, key = path.rpartition(".")
-    (config[name] if name else config)[key] = value
+DEFAULT_CONFIG = _load_config(None)
 
 
 def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
-    """Set each flag given on the command line at its config path, after the
-    setting it implies (:data:`IMPLIED`). A flag left out is ``None``; an
-    empty string counts as left out."""
-    for _, path, _ in FLAGS + STRESS_FLAGS:
-        value = getattr(args, path, None)
-        if value is not None and value != "":
-            if path in IMPLIED:
-                _set(config, *IMPLIED[path])
-            _set(config, path, value)
+    """Set each flag given on the command line at its config path, after the settings the flags given imply, so
+    that a flag beats an implied value (``--synthetic`` the source ``--economy-dir`` implies). A flag left out
+    is ``None``; an empty string counts as left out."""
+    given = {path: value for path in SETTINGS if (value := getattr(args, path, None)) is not None and value != ""}
+    implied = [SETTINGS[path].implies for path in given if SETTINGS[path].implies]
+    for path, value in [*implied, *given.items()]:
+        _set(config, path, value)
     return config
 
 
@@ -173,7 +181,7 @@ def _read(path: str, value, setting: Setting):
             value = kind(value)
         except OverflowError:  # an int past the largest float
             raise DataFormatError(f"{path} must be a number, got {value!r}") from None
-        if setting.bound is not None and not setting.bound[1](value):
+        if setting.bound is not None and not setting.bound[1] < value <= setting.bound[2]:
             raise DataFormatError(f"{path} must be {setting.bound[0]}, got {value!r}")
     elif kind is str or kind is bool:
         if not isinstance(value, kind):
@@ -501,43 +509,14 @@ def cmd_report(config: dict, ledgers: str) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# each flag: its name, its config path (the argparse dest) and its argparse settings
-FLAGS = (
-    ("--out", "out", {"help": "output directory"}),
-    ("--workers", "workers", {"type": int, "help": "scenario worker threads (0 = the usable CPUs)"}),
-    ("--seed", "scenarios.seed", {"type": int, "help": "scenario RNG seed"}),
-    ("--regime", "regime", {"choices": REGIMES, "help": "which regimes to report"}),
-    ("--trace", "trace", {"action": "store_const", "const": True, "help": "write iteration/default dumps"}),
-    ("--economy-dir", "economy.dir", {"help": "directory with economy CSV files"}),
-    ("--synthetic", "economy.source", {"action": "store_const", "const": "synthetic",
-                                       "help": "generate a synthetic economy"}),
-    ("--n", "economy.n", {"type": int, "help": "synthetic economy: firm count"}),
-    ("--m", "economy.m", {"type": int, "help": "synthetic economy: bank count"}),
-    ("--ratio", "economy.target_exposure_ratio", {"type": float, "help": "synthetic economy: target exposure ratio"}),
-    ("--economy-seed", "economy.seed", {"type": int, "help": "synthetic economy RNG seed"}),
-    ("--epsilon", "propagation.epsilon", {"type": float, "help": "propagation convergence tolerance"}),
-    ("--sigma", "propagation.nonessential_weight", {"type": float, "help": "non-essential input weight in [0, 1]"}),
-    ("--essentiality", "propagation.essentiality", {"help": "essentiality.csv path"}),
-)
-STRESS_FLAGS = (
-    ("--count", "scenarios.count", {"type": int, "help": "number of scenarios"}),
-    ("--shocks", "scenarios.shocks", {"help": "empirical shock table CSV, or 'synthetic'"}),
-    ("--batch-file", "scenarios.batch_file", {"help": "long-format shock batch CSV"}),
-    ("--single-firm", "scenarios.kind", {"action": "store_const", "const": "single-firm",
-                                         "help": "sweep single-firm failure scenarios instead"}),
-)
-# a flag given at the first path also sets the second, unless a later row (--synthetic, --single-firm) does
-IMPLIED = {"economy.dir": ("economy.source", "files"), "scenarios.batch_file": ("scenarios.kind", "file")}
-
-# each subcommand: its help text, its handler and the flags it takes besides FLAGS
+# each subcommand: its help text and its handler
 COMMANDS = {
-    "validate": ("validate economy files", cmd_validate, ()),
-    "generate": ("generate a synthetic economy as CSV files", cmd_generate, ()),
-    "fsri": ("per-firm systemic risk profile (single-firm sweep)", cmd_fsri, ()),
-    "stress": ("run a scenario batch through the full pipeline", cmd_stress, STRESS_FLAGS),
-    "debtrank": ("per-bank full-default impact profile", cmd_debtrank, ()),
-    "report": ("recompute statistics from dumped ledgers", cmd_report,
-               (("--ledgers", "ledgers", {"required": True, "help": "ledgers.csv from a stress run"}),)),
+    "validate": ("validate economy files", cmd_validate),
+    "generate": ("generate a synthetic economy as CSV files", cmd_generate),
+    "fsri": ("per-firm systemic risk profile (single-firm sweep)", cmd_fsri),
+    "stress": ("run a scenario batch through the full pipeline", cmd_stress),
+    "debtrank": ("per-bank full-default impact profile", cmd_debtrank),
+    "report": ("recompute statistics from dumped ledgers", cmd_report),
 }
 
 
@@ -556,13 +535,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="supply-chain and interbank network stress-testing engine",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _, extra) in COMMANDS.items():
+    for command, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        for name, path, settings in FLAGS + extra:
-            if "action" not in settings and "choices" not in settings:  # as if dest were the flag's name
-                settings = {"metavar": name[2:].replace("-", "_").upper(), **settings}
-            p.add_argument(name, dest=path, **settings)
+        for path, setting in SETTINGS.items():
+            if setting.flag is None or (setting.stress and command != "stress"):
+                continue
+            name, flag_help = setting.flag
+            if setting.const is not None:
+                settings = {"action": "store_const", "const": setting.const}
+            elif isinstance(setting.kind, tuple):
+                settings = {"choices": setting.kind}
+            else:  # the metavar as if dest were the flag's name; a path is a str, which argparse gives anyway
+                settings = {"type": None if setting.kind is str else setting.kind,
+                            "metavar": name[2:].replace("-", "_").upper()}
+            p.add_argument(name, dest=path, help=flag_help, **settings)
+        if command == "report":
+            p.add_argument("--ledgers", required=True, metavar="LEDGERS", help="ledgers.csv from a stress run")
     return parser
 
 
