@@ -91,6 +91,7 @@ SETTINGS = {
     **{f"economy.{key}": Setting(float) for key in _SYNTHETIC_FRACTIONS},
     "economy.target_exposure_ratio": Setting(float, _SYNTHETIC.target_exposure_ratio, null=True,
                                              flag=("--ratio", "synthetic economy: target exposure ratio")),
+    "economy.weight_family": Setting(("lognormal", "pareto", "uniform")),
     "scenarios.kind": Setting(("covid", "single-firm", "file"), "covid", const="single-firm", stress=True,
                               flag=("--single-firm", "sweep single-firm failure scenarios instead")),
     "scenarios.count": Setting(int, 100, _AT_LEAST_1, flag=("--count", "number of scenarios"), stress=True),
@@ -113,6 +114,7 @@ SETTINGS = {
     "out": Setting(str, "out", flag=("--out", "output directory")),
     "trace": Setting(bool, False, flag=("--trace", "write iteration/default dumps"), const=True),
 }
+_SECTIONS = {path.rpartition(".")[0] for path in SETTINGS} - {""}
 
 
 def _set(config: dict, path: str, value) -> None:
@@ -120,19 +122,9 @@ def _set(config: dict, path: str, value) -> None:
     (config.setdefault(name, {}) if name else config)[key] = value
 
 
-def _merge(base: dict, override: dict) -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _merge(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
-
-
 def _load_config(path: str | None) -> dict:
-    """The defaults merged with the JSON file at ``path``. A top level or section that is not an
-    object is an input error; :func:`_read_settings` checks the values."""
+    """The defaults with the JSON file at ``path`` set over them. A top level or section that is not an object
+    is an input error, and so is a key that is not a setting; :func:`_read_settings` checks the values."""
     config: dict = {}
     for name, setting in SETTINGS.items():
         if setting.default is not ...:
@@ -148,10 +140,14 @@ def _load_config(path: str | None) -> dict:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(user, dict):
         raise DataFormatError(f"{path}: the top level must be a JSON object")
-    config = _merge(config, user)
-    for section, default in DEFAULT_CONFIG.items():
-        if isinstance(default, dict) and not isinstance(config[section], dict):
-            raise DataFormatError(f"{path}: {section!r} must be a JSON object")
+    for key, value in user.items():
+        if key in _SECTIONS and not isinstance(value, dict):
+            raise DataFormatError(f"{path}: {key!r} must be a JSON object")
+        leaves = {f"{key}.{k}": v for k, v in value.items()} if key in _SECTIONS else {key: value}
+        for name, leaf in leaves.items():
+            if name not in SETTINGS or "." in key:  # a dotted key at the top level names no setting
+                raise DataFormatError(f"{name} is not a setting")
+            _set(config, name, leaf)
     return config
 
 

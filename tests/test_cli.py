@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 
 import pytest
@@ -12,7 +13,8 @@ from netstress import cli, economy_files, load_economy, write_economy
 from netstress.cli import main
 
 from .builders import ring_economy, toy_economy
-from .test_cli_flags import leaves
+from .conftest import DATA_DIR
+from .test_cli_flags import COMMANDS, leaves
 
 debtrank_module = sys.modules["netstress.debtrank"]  # the package's own name debtrank is the function
 
@@ -679,6 +681,64 @@ class TestSettings:
         assert run(["stress", "--config", str(path), "--economy-dir", str(toy_dir), "--out", str(out)]) == 0
         echoed = json.loads((out / "manifest.json").read_text())["config"]
         assert [(type(v), v) for v in (echoed["scenarios"]["count"], echoed["workers"])] == [(int, 2), (int, 1)]
+
+
+def bad_values(setting: cli.Setting) -> list:
+    """Values ``setting`` cannot hold, as its row says: one of the wrong kind (None too, where it may not be
+    None), the ends just outside its bound, and a word outside its words."""
+    values = [{int: "1", float: "1", str: 1, bool: 1}.get(setting.kind, 1)] + [None] * (not setting.null)
+    if setting.bound is not None:
+        _, lo, hi = setting.bound  # lo < value <= hi
+        values += [lo] + [math.nextafter(hi, math.inf)] * (hi < math.inf)
+    if isinstance(setting.kind, tuple):
+        values.append("-".join(setting.kind))
+    return values
+
+
+@pytest.fixture(scope="module")
+def toy_ledgers(tmp_path_factory):
+    out = tmp_path_factory.mktemp("toy-run")
+    assert run(["stress", "--economy-dir", str(DATA_DIR / "toy"), "--count", "2", "--workers", "1",
+                "--out", str(out)]) == 0
+    return out / "ledgers.csv"
+
+
+class TestEverySetting:
+    """Generated from ``cli.SETTINGS``: every command refuses, with exit 3 and one line naming the path, a
+    value a row cannot hold and a key that is no row, before it creates any output directory."""
+
+    @pytest.mark.parametrize("path", list(cli.SETTINGS))
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_value_the_row_cannot_hold_exits_three(self, tmp_path, monkeypatch, capsys, command, path):
+        monkeypatch.chdir(tmp_path)  # the default output directory is ./out
+        name, _, key = path.rpartition(".")
+        extra = ["--ledgers", "ledgers.csv"] if command == "report" else []  # no flag: it would override the value
+        for value in bad_values(cli.SETTINGS[path]):
+            (tmp_path / "config.json").write_text(json.dumps({name: {key: value}} if name else {key: value}))
+            assert run([command, "--config", "config.json", *extra]) == 3, value
+            assert one_line_error(capsys).startswith(f"input error: {path} must be "), value
+            assert [p.name for p in tmp_path.iterdir()] == ["config.json"], value
+
+    @pytest.mark.parametrize("config, named", [
+        ({"economy": {"sed": 7}}, "economy.sed"),
+        ({"scenarios": {"cuont": 5}}, "scenarios.cuont"),
+        ({"propagation": {"epsilom": 0.5}}, "propagation.epsilom"),
+        ({"debtrank": {"max_iters": 10}}, "debtrank.max_iters"),
+        ({"propagaton": {"epsilon": 0.5}}, "propagaton"),
+        ({"worker": 1}, "worker"),
+        ({"economy.n": 30}, "economy.n"),  # a dotted key at the top level is not the path it spells
+    ], ids=lambda value: json.dumps(value) if isinstance(value, dict) else value)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_key_that_is_not_a_setting_exits_three(self, toy_ledgers, tmp_path, capsys, command, config, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        # inputs the command runs on and exits 0 with, but for the key
+        extra = {"generate": ["--n", "30", "--m", "3"], "report": ["--ledgers", str(toy_ledgers)],
+                 "stress": ["--economy-dir", str(DATA_DIR / "toy"), "--count", "2", "--workers", "1"],
+                 }.get(command, ["--economy-dir", str(DATA_DIR / "toy")])
+        assert run([command, "--config", str(path), *extra, "--out", str(tmp_path / "out")]) == 3
+        assert one_line_error(capsys) == f"input error: {named} is not a setting"
+        assert not (tmp_path / "out").exists()
 
 
 class TestLossGivenDefault:

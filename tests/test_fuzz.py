@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netstress.cli import _SYNTHETIC_FRACTIONS, DEFAULT_CONFIG, main
+from netstress.cli import DEFAULT_CONFIG, SETTINGS, main
 
 TOY = Path(__file__).resolve().parents[1] / "data" / "toy"
 
@@ -113,19 +113,9 @@ def test_zero_supply_weight_row_is_rejected(tmp_path, capsys):
     assert "supply.csv line 8: firm:b: [edge-weight] weight is 0.0, must be finite and > 0" in capsys.readouterr().err
 
 
-def _key_paths(config: dict, prefix: tuple = ()) -> list[tuple]:
-    paths = []
-    for key, value in config.items():
-        paths.append(prefix + (key,))
-        if isinstance(value, dict):
-            paths += _key_paths(value, prefix + (key,))
-    return paths
-
-
-# the synthetic economy's optional keys, which DEFAULT_CONFIG does not list
-CONFIG_KEYS = _key_paths(DEFAULT_CONFIG) + [
-    ("economy", key) for key in ("weight_family", *_SYNTHETIC_FRACTIONS)
-]
+# each section and each setting of the config, as its keys; a setting with no default is one too
+CONFIG_KEYS = list(dict.fromkeys(
+    keys[:depth] for keys in (tuple(path.split(".")) for path in SETTINGS) for depth in range(1, len(keys) + 1)))
 CONFIG_VALUES = ["null", "list", "string", "1e400", "-1", "object"]
 
 
