@@ -41,8 +41,8 @@ from .pipeline import BatchResult, run_batch
 from .propagation import PropagationConfig
 from .scenarios import EmpiricalShockTable, ShockBatch, covid_style_batch, read_batch, single_firm_batch
 from .synthetic import FRACTIONS as _SYNTHETIC_FRACTIONS
-from .synthetic import SyntheticParams, generate_synthetic_economy, synthetic_shock_table
-from .tables import Block, RowError, first_repeat, read_blocks, write_long
+from .synthetic import WEIGHT_FAMILIES, SyntheticParams, generate_synthetic_economy, synthetic_shock_table
+from .tables import Block, RowError, read_long, write_long
 from .tables import write_columns as _write_csv  # the name benchmarks/tracing.py wraps
 
 EXIT_OK = 0
@@ -91,7 +91,7 @@ SETTINGS = {
     **{f"economy.{key}": Setting(float) for key in _SYNTHETIC_FRACTIONS},
     "economy.target_exposure_ratio": Setting(float, _SYNTHETIC.target_exposure_ratio, null=True,
                                              flag=("--ratio", "synthetic economy: target exposure ratio")),
-    "economy.weight_family": Setting(("lognormal", "pareto", "uniform")),
+    "economy.weight_family": Setting(WEIGHT_FAMILIES),
     "scenarios.kind": Setting(("covid", "single-firm", "file"), "covid", const="single-firm", stress=True,
                               flag=("--single-firm", "sweep single-firm failure scenarios instead")),
     "scenarios.count": Setting(int, 100, _AT_LEAST_1, flag=("--count", "number of scenarios"), stress=True),
@@ -436,11 +436,7 @@ def cmd_debtrank(config: dict) -> int:
     return EXIT_OK
 
 
-def _ledger_rows(b: Block, seen: dict) -> dict[tuple[int, str], tuple[float, ...]]:
-    keys = list(zip(b.int64s("scenario_id"), b.text("bank_id")))
-    r = first_repeat(keys, seen)
-    if r is not None:
-        raise RowError(r, f"second row for scenario {keys[r][0]} and bank {keys[r][1]!r}")
+def _ledger_losses(b: Block) -> np.ndarray:
     names = LEDGER_COLUMNS[2:6]
     losses = np.array([b.floats(c) for c in names])
     bad = ~(np.isfinite(losses) & (losses >= 0.0))
@@ -455,25 +451,17 @@ def _ledger_rows(b: Block, seen: dict) -> dict[tuple[int, str], tuple[float, ...
         if wrong.size:
             r = int(wrong[0])
             raise RowError(r, f"column {c} is {b.cells[c][r].strip()}, not {float(total[r])} from the row's channels")
-    return dict(zip(keys, zip(*losses.tolist())))
+    return losses
 
 
 def cmd_report(config: dict, ledgers: str) -> int:
     path = Path(ledgers)
-    cells: dict[tuple[int, str], tuple[float, ...]] = {}
-    for block in read_blocks(path, LEDGER_COLUMNS):
-        cells.update(block.convert(lambda b: _ledger_rows(b, cells)))
-    if not cells:
+    scenarios, bank_ids, filled, losses = read_long(path, LEDGER_COLUMNS, _ledger_losses)
+    if not scenarios:
         raise DataFormatError(f"{path}: no ledgers found")
-
-    scenarios = sorted({s for s, _ in cells})
-    bank_ids = list(dict.fromkeys(b for _, b in cells))
-    losses = np.zeros((4, len(scenarios), len(bank_ids)))
-    for si, s in enumerate(scenarios):
-        for k, bank_id in enumerate(bank_ids):
-            if (s, bank_id) not in cells:
-                raise DataFormatError(f"{path}: no row for scenario {s} and bank {bank_id!r}")
-            losses[:, si, k] = cells[s, bank_id]
+    if not filled.all():
+        si, k = np.argwhere(~filled)[0]
+        raise DataFormatError(f"{path}: no row for scenario {scenarios[si]} and bank {bank_ids[k]!r}")
     di, sc, ib_wo, ib_w = losses
 
     # recomputed statistics need equity weights; without the economy they

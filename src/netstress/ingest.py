@@ -41,7 +41,7 @@ from .economy import (
     firm_columns,
     validate_economy,
 )
-from .tables import Block, Cells, RowError, first_repeat, lookup, read_blocks, to_cells, write_columns
+from .tables import Block, Cells, RowError, first_repeat, lookup, number, read_blocks, to_cells, write_columns
 
 FIRM_COLUMNS = ["id", "sector", *FINANCIAL_FIELDS]
 SUPPLY_COLUMNS = ["supplier_id", "buyer_id", "weight"]
@@ -98,17 +98,13 @@ def _essentiality_rows(b: Block, seen: dict) -> dict[tuple[str, str], bool]:
     if bad:
         raise RowError(bad[0], f"essential must be 0 or 1, got {flags[bad[0]]!r}")
     keys = list(zip(b.text("supplier_sector"), b.text("buyer_sector")))
-    r = first_repeat(keys, seen)
-    if r is not None:
-        raise RowError(r, f"second row for supplier sector {keys[r][0]!r} and buyer sector {keys[r][1]!r}")
+    first_repeat(keys, seen, lambda key: f"second row for supplier sector {key[0]!r} and buyer sector {key[1]!r}")
     return dict(zip(keys, (flag == "1" for flag in flags)))
 
 
 def _firm_rows(b: Block, seen: dict[str, int]):
     ids = b.text("id")
-    r = first_repeat(ids, seen)
-    if r is not None:
-        raise RowError(r, f"duplicate firm id {ids[r]!r}")
+    first_repeat(ids, seen, lambda fid: f"duplicate firm id {fid!r}")
     blanks = sum(np.fromiter(map(not_, b.text(c)), dtype=int, count=b.size) for c in FINANCIAL_FIELDS)
     partial = np.flatnonzero((blanks > 0) & (blanks < len(FINANCIAL_FIELDS)))
     if partial.size:
@@ -123,9 +119,7 @@ def _firm_rows(b: Block, seen: dict[str, int]):
 
 def _bank_rows(b: Block, seen: dict[str, int]):
     ids = b.text("id")
-    r = first_repeat(ids, seen)
-    if r is not None:
-        raise RowError(r, f"duplicate bank id {ids[r]!r}")
+    first_repeat(ids, seen, lambda bid: f"duplicate bank id {bid!r}")
     return ids, b.floats("tier1_equity")
 
 
@@ -139,10 +133,6 @@ def _amounts(b: Block, name: str, owner: str, amounts: AmountRule) -> np.ndarray
         violation = amounts.violation(b.cells[owner][r].strip(), f"{name} is {b.cells[name][r].strip()}")
         raise RowError(r, str(violation), InvalidRowError)
     return values
-
-
-def _index(ids: list[str], index: dict[str, int]) -> None:
-    index.update(zip(ids, range(len(index), len(index) + len(ids))))
 
 
 def load_economy(spec: IngestionSpec) -> EconomyGraph:
@@ -162,14 +152,14 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
         sectors += block_sectors
         present.append(block_present)
         values.append(block_values)
-        _index(ids, firm_index)
+        number(ids, firm_index)
 
     bank_equity = [np.zeros(0)]
     bank_index: dict[str, int] = {}
     for block in read_blocks(spec.banks, BANK_COLUMNS):
         ids, equity = block.convert(lambda b: _bank_rows(b, bank_index))
         bank_equity.append(equity)
-        _index(ids, bank_index)
+        number(ids, bank_index)
 
     supply = _Edges()
     for block in read_blocks(spec.supply, SUPPLY_COLUMNS):
@@ -179,15 +169,12 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
         ))
         try:
             supply.add(lookup(sup, firm_index), lookup(buy, firm_index), weights)
-        except KeyError:
-            for fid in chain.from_iterable(zip(sup, buy)):
-                if fid not in firm_index:
-                    # supply-only firms stay in the chain but carry no financials
-                    firm_index[fid] = len(firm_index)
-                    sectors.append(UNKNOWN_SECTOR)
+        except KeyError:  # supply-only firms stay in the chain but carry no financials
+            number(list(chain.from_iterable(zip(sup, buy))), firm_index)
             supply.add(lookup(sup, firm_index), lookup(buy, firm_index), weights)
-    # a blank row for each supply-only firm
+    # a blank row, in the unknown sector, for each supply-only firm
     blank = len(firm_index) - sum(map(len, present))
+    sectors += [UNKNOWN_SECTOR] * blank
     present.append(np.zeros(blank, dtype=bool))
     values.append(np.zeros((len(FINANCIAL_FIELDS), blank)))
 
@@ -231,22 +218,17 @@ def load_economy(spec: IngestionSpec) -> EconomyGraph:
 
 
 class _Edges:
-    """An edge list read block by block, in growing typed buffers."""
+    """An edge list read block by block, in growing typed buffers: rows, columns and values."""
 
     def __init__(self):
-        self.rows, self.cols, self.values = array("q"), array("q"), array("d")
+        self.buffers = array("q"), array("q"), array("d")
 
-    def add(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
-        self.rows.frombytes(rows.tobytes())
-        self.cols.frombytes(cols.tobytes())
-        self.values.frombytes(values.tobytes())
+    def add(self, *columns: np.ndarray) -> None:
+        for buffer, column in zip(self.buffers, columns, strict=True):
+            buffer.frombytes(column.tobytes())
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            np.frombuffer(self.rows, dtype=np.int64),
-            np.frombuffer(self.cols, dtype=np.int64),
-            np.frombuffer(self.values, dtype=float),
-        )
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.frombuffer(buffer, dtype=buffer.typecode) for buffer in self.buffers)
 
 
 class _Ids:

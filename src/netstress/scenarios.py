@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .economy import DataFormatError, EconomyGraph, ReferentialError
-from .tables import Block, RowError, first_repeat, read_blocks, write_columns, write_long
+from .tables import Block, first_repeat, lookup, read_blocks, read_long, write_columns, write_long
 
 SHOCK_TABLE_COLUMNS = ["firm_id", "reduction"]
 BATCH_COLUMNS = ["scenario_id", "firm_id", "psi"]
@@ -117,14 +117,12 @@ class _SectorGroup:
 
 
 def _sampling_layout(g: EconomyGraph, table: EmpiricalShockTable) -> list[_SectorGroup]:
-    index = g.firm_index
-    for fid in table.reductions:
-        if fid not in index:
-            raise ReferentialError(f"shock table references unknown firm id {fid!r}")
-
+    try:
+        observed_firms = lookup(list(table.reductions), g.firm_index)
+    except KeyError as exc:
+        raise ReferentialError(f"shock table references unknown firm id {exc.args[0]!r}") from None
     observed = np.full(g.n, np.nan)
-    for fid, value in table.reductions.items():
-        observed[index[fid]] = value
+    observed[observed_firms] = list(table.reductions.values())
     has_data = ~np.isnan(observed)
 
     sectors = g.sectors
@@ -299,39 +297,20 @@ def write_batch(batch: ShockBatch, firm_ids: list[str], path: str | Path) -> Non
 
 def _shock_rows(b: Block, seen: dict[str, float]) -> dict[str, float]:
     ids = b.text("firm_id")
-    r = first_repeat(ids, seen)
-    if r is not None:
-        raise RowError(r, f"second row for firm {ids[r]!r}")
+    first_repeat(ids, seen, lambda fid: f"second row for firm {fid!r}")
     return dict(zip(ids, b.fractions("reduction").tolist()))
-
-
-def _batch_rows(b: Block, firm_index: dict[str, int], seen: set):
-    scenarios = b.int64s("scenario_id")
-    firms = b.positions("firm_id", firm_index, "firm")
-    ids = b.text("firm_id")
-    r = first_repeat(list(zip(scenarios, ids)), seen)
-    if r is not None:
-        raise RowError(r, f"second row for scenario {scenarios[r]} and firm {ids[r]!r}")
-    return scenarios, ids, firms, b.fractions("psi")
 
 
 def read_batch(g: EconomyGraph, path: str | Path) -> ShockBatch:
     """Read a long-format batch; unlisted firms keep psi = 1, scenario ids are kept."""
+    def psi_column(b: Block) -> tuple[np.ndarray]:
+        b.positions("firm_id", g.firm_index, "firm")  # an unknown firm is refused at its line
+        return (b.fractions("psi"),)
+
     path = Path(path)
-    seen: set[tuple[int, str]] = set()
-    scenarios: list[int] = []
-    firms: list[np.ndarray] = []
-    values = []
-    for block in read_blocks(path, BATCH_COLUMNS):
-        s, ids, f, psi = block.convert(lambda b: _batch_rows(b, g.firm_index, seen))
-        seen.update(zip(s, ids))
-        scenarios += s
-        firms.append(f)
-        values.append(psi)
-    if not scenarios:
+    ids, firm_ids, filled, columns = read_long(path, BATCH_COLUMNS, psi_column)
+    if not ids:
         raise DataFormatError(f"{path}: no scenarios found")
-    ids = sorted(set(scenarios))
-    row = dict(zip(ids, range(len(ids))))
     psi = np.ones((len(ids), g.n))
-    psi[list(map(row.__getitem__, scenarios)), np.concatenate(firms)] = np.concatenate(values)
+    psi[:, lookup(firm_ids, g.firm_index)] = np.where(filled, columns[0], 1.0)
     return ShockBatch.dense(psi, provenance="custom", scenario_ids=ids)

@@ -33,6 +33,8 @@ FRACTIONS = (
     "missing_financials_rate", "negative_income_rate", "loan_coverage",
     "interbank_density", "essential_fraction",
 )
+# the distributions a supply edge weight can be drawn from
+WEIGHT_FAMILIES = ("lognormal", "pareto", "uniform")
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class SyntheticParams:
     mean_degree: float = 4.0
     sector_count: int = 20
     target_exposure_ratio: float | None = 12.5
-    weight_family: str = "lognormal"  # lognormal | pareto | uniform
+    weight_family: str = "lognormal"  # one of WEIGHT_FAMILIES
     missing_financials_rate: float = 0.05
     negative_income_rate: float = 0.03
     loan_coverage: float = 0.6
@@ -59,7 +61,7 @@ class SyntheticParams:
             raise ValueError(f"mean_degree must lie in [0, n - 1] = [0, {self.n - 1}], got {self.mean_degree}")
         if self.sector_count < 1:
             raise ValueError("sector_count must be >= 1")
-        if self.weight_family not in ("lognormal", "pareto", "uniform"):
+        if self.weight_family not in WEIGHT_FAMILIES:
             raise ValueError(f"unknown weight family {self.weight_family!r}")
         if self.target_exposure_ratio is not None and not 0.0 < self.target_exposure_ratio < np.inf:
             raise ValueError("target exposure ratio must be positive and finite (or None to skip)")

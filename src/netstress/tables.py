@@ -12,7 +12,8 @@ Both directions work on blocks of :data:`BLOCK_ROWS` rows held as columns,
 so a file of any length is converted in bulk with bounded memory. Every
 file is written by :func:`write_columns`, or :func:`write_parts` for a
 stream; a long table, a line per (row, entity) pair, by :func:`write_long`,
-which makes each id a cell once. A boolean is written as ``0`` or ``1``.
+which makes each id a cell once, and read by :func:`read_long` alone, which
+keeps no Python object per line. A boolean is written as ``0`` or ``1``.
 A number is read with ``int`` or ``float``, but only from ASCII text
 without ``_``: Python would also take digit groups (``1_0``) and other
 scripts' digits.
@@ -172,17 +173,17 @@ def lookup(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
 
 
-def first_repeat(keys: Sequence, seen) -> int | None:
-    """Index of the first key that is in ``seen`` or earlier in ``keys``, or None."""
-    fresh = dict.fromkeys(keys)
-    if len(fresh) == len(keys) and not any(map(seen.__contains__, fresh)):
-        return None
-    earlier = set()
-    for r, key in enumerate(keys):
-        if key in seen or key in earlier:
-            return r
-        earlier.add(key)
-    return None
+def number(ids: Sequence, index: dict) -> None:
+    """Add the ids ``index`` lacks, at the next positions in first-seen order."""
+    new = [i for i in dict.fromkeys(ids) if i not in index]
+    index.update(zip(new, range(len(index), len(index) + len(new))))
+
+
+def first_repeat(keys: list, seen: dict, message: Callable[[object], str]) -> None:
+    """Raise :class:`RowError` with ``message(key)`` at the first key that is in ``seen`` or earlier in ``keys``."""
+    if len(set(keys)) < len(keys) or not seen.keys().isdisjoint(keys):
+        r = next(r for r, key in enumerate(keys) if key in seen or keys.index(key) < r)
+        raise RowError(r, message(keys[r]))
 
 
 def read_blocks(path: Path, columns: list[str]) -> Iterator[Block]:
@@ -347,3 +348,50 @@ def write_long(path: Path, header: list[str], row_ids: Sequence, entity_ids: Seq
          Cells(entities * len(arrays[0])), *(a.ravel() for a in arrays)]
         for arrays in blocks
     ))
+
+
+def read_long(path: Path, header: list[str], values: Callable[[Block], Sequence[np.ndarray]]):
+    """Read what :func:`write_long` writes, refusing a second line for one (row, entity) pair.
+
+    ``header[0]`` holds int64 row ids and ``header[1]`` entity ids, each named in a message by its column less
+    ``_id``; ``values(block)`` checks the other columns and returns them as float arrays. Returns the row ids
+    ascending, the entity ids in first-seen order, the (row, entity) mask of the pairs with a line and each value
+    column on that grid, 0 off the mask. A repeat is found in a byte per pair; no Python object is kept per line.
+    """
+    rows: dict[int, int] = {}  # each id's position, in first-seen order
+    entities: dict[str, int] = {}
+    seen = np.zeros((0, 0), dtype=bool)  # the pairs of the blocks read so far, by position
+    grids: list[np.ndarray] = []  # each value column on the same positions, made at the first block
+
+    def read(b: Block):
+        row_ids, entity_ids = b.int64s(header[0]), b.text(header[1])
+        # a rerun on fewer rows finds each of its ids at the position numbered here
+        number(row_ids, rows)
+        number(entity_ids, entities)
+        r, e = lookup(row_ids, rows), lookup(entity_ids, entities)
+        repeat = np.ones(b.size, dtype=bool)
+        repeat[np.unique(r * len(entities) + e, return_index=True)[1]] = False
+        earlier = (r < seen.shape[0]) & (e < seen.shape[1])
+        repeat[earlier] |= seen[r[earlier], e[earlier]]
+        if repeat.any():
+            k = int(np.argmax(repeat))
+            row, entity = (name.removesuffix("_id") for name in header[:2])
+            raise RowError(k, f"second row for {row} {row_ids[k]} and {entity} {entity_ids[k]!r}")
+        return r, e, values(b)
+
+    for block in read_blocks(path, header):
+        r, e, columns = block.convert(read)
+        shape = (len(rows), len(entities))
+        if shape[0] > seen.shape[0] or shape[1] > seen.shape[1]:
+            # a dimension that grows at least doubles, so the grids are copied a logarithmic number of times
+            pad = [(0, max(need - have, have) if need > have else 0) for need, have in zip(shape, seen.shape)]
+            seen = np.pad(seen, pad)
+            grids = [np.pad(grid, pad) for grid in grids] or [np.zeros(seen.shape) for _ in columns]
+        seen[r, e] = True
+        for grid, column in zip(grids, columns):
+            grid[r, e] = column
+
+    ids = sorted(rows)
+    order = [rows[i] for i in ids]  # the position of each row id, ascending
+    return ids, list(entities), seen[order, :len(entities)], [grid[order, :len(entities)] for grid in grids]
+

@@ -426,6 +426,10 @@ class TestBadInput:
         # int and float also read Python's digit groups and other scripts' digits
         ("scenario_id,firm_id,psi\n0,a,0.5\n1_0,f,0.0\n", 3, "batch.csv line 3: column scenario_id is not int: '1_0'"),
         ("scenario_id,firm_id,psi\n0,a,\uff10.5\n", 3, "batch.csv line 2: column psi is not float: '\uff10.5'"),
+        # a repeat more than a block of lines after its first line
+        pytest.param("scenario_id,firm_id,psi\n" + "".join(f"{s},{f},0.5\n" for s in range(100) for f in "abcdef")
+                     + "0,a,1.0\n", 3, "batch.csv line 602: second row for scenario 0 and firm 'a'",
+                     id="repeat-in-a-later-block"),
     ])
     def test_batch_file_errors(self, toy_dir, tmp_path, capsys, batch, code, needle):
         path = tmp_path / "batch.csv"
@@ -433,6 +437,31 @@ class TestBadInput:
         assert run(["stress", "--economy-dir", str(toy_dir), "--batch-file", str(path),
                     "--workers", "1", "--out", str(tmp_path / "run")]) == code
         assert needle in one_line_error(capsys)
+
+    @pytest.mark.parametrize("name, header, argv, found", [
+        ("batch.csv", "scenario_id,firm_id,psi",
+         ["stress", "--economy-dir", str(DATA_DIR / "toy"), "--workers", "1", "--batch-file"], "no scenarios found"),
+        ("ledgers.csv", ",".join(cli.LEDGER_COLUMNS), ["report", "--ledgers"], "no ledgers found"),
+    ], ids=["stress", "report"])
+    def test_header_only_long_table(self, tmp_path, capsys, name, header, argv, found):
+        path = tmp_path / name
+        path.write_text(header + "\n")
+        assert run([*argv, str(path), "--out", str(tmp_path / "out")]) == 3
+        assert one_line_error(capsys) == f"input error: {path}: {found}"
+
+    def test_report_on_a_repeat_in_a_later_block(self, toy_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run(["stress", "--economy-dir", str(toy_dir), "--count", "200",
+                    "--out", str(run_dir), "--workers", "1"]) == 0
+        lines = (run_dir / "ledgers.csv").read_text().splitlines()
+        assert len(lines) == 801  # 200 scenarios of 4 banks, under the header
+        scenario, bank = lines[2].split(",")[:2]
+        (tmp_path / "ledgers.csv").write_text("\n".join(lines + [lines[2]]) + "\n")
+        capsys.readouterr()
+        assert run(["report", "--ledgers", str(tmp_path / "ledgers.csv"),
+                    "--out", str(tmp_path / "report")]) == 3
+        assert one_line_error(capsys) == (
+            f"input error: {tmp_path / 'ledgers.csv'} line 802: second row for scenario {scenario} and bank '{bank}'")
 
     def test_report_on_ledger_missing_a_row(self, toy_dir, tmp_path, capsys):
         run_dir = tmp_path / "run"
